@@ -35,8 +35,6 @@ from .stepping import (
     bootstrap_frutos,
     build_implicit_diagonal,
     run,
-    step_frutos,
-    step_proposed,
 )
 from .diagnostics import ErrorRecord, crest_position, error_norms, mass, modified_energy
 from .sweeps import (

@@ -37,11 +37,15 @@ def mass(grid: Grid, values: np.ndarray) -> float:
 
 def modified_energy(grid: Grid, u_err: np.ndarray, psi_err: np.ndarray) -> float:
     """Energy functional (1/2)(||psi_err||^2 + ||D^2 u_err||^2 + ||D u_err||^2)."""
-    return 0.5 * (
-        norm2(grid, psi_err) ** 2
-        + norm2(grid, derivative(grid, u_err, 2)) ** 2
-        + norm2(grid, derivative(grid, u_err, 1)) ** 2
+    return _energy(
+        norm2(grid, psi_err),
+        norm2(grid, derivative(grid, u_err, 2)),
+        norm2(grid, derivative(grid, u_err, 1)),
     )
+
+
+def _energy(psi_norm: float, d2_norm: float, d1_norm: float) -> float:
+    return 0.5 * (psi_norm**2 + d2_norm**2 + d1_norm**2)
 
 
 def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
@@ -55,14 +59,15 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
     u_exact = solitary_wave(params, grid.nodes, state.time)
     psi_exact = solitary_wave_dt(params, grid.nodes, state.time)
     u_err = state.u_curr - u_exact
-    psi_err = state.psi_curr - psi_exact
+    err_psi = norm2(grid, state.psi_curr - psi_exact)
+    err_h2 = norm2(grid, derivative(grid, u_err, 2))
     return ErrorRecord(
         time=state.time,
-        err_psi_l2=norm2(grid, psi_err),
-        err_u_h2=norm2(grid, derivative(grid, u_err, 2)),
+        err_psi_l2=err_psi,
+        err_u_h2=err_h2,
         err_u_l2=norm2(grid, u_err),
         mass=mass(grid, state.u_curr),
-        energy=modified_energy(grid, u_err, psi_err),
+        energy=_energy(err_psi, err_h2, norm2(grid, derivative(grid, u_err, 1))),
     )
 
 

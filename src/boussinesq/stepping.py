@@ -8,8 +8,10 @@ Two schemes are provided:
 * the classical three-level scheme of de Frutos/Ortega/Sanz-Serna (p = 2
   only), kept as the stability-comparison baseline.
 
-Both implicit solves are diagonal in Fourier space; no matrices are ever
-assembled.
+Both implicit solves are diagonal in Fourier space, so each stepper
+carries its state as rfft half-spectra, updates every mode by precomputed
+coefficients and makes one rfft and one irfft per step; no matrices are
+ever assembled.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ __all__ = [
     "build_implicit_diagonal",
     "ProposedStepper",
     "FrutosStepper",
-    "step_proposed",
-    "step_frutos",
     "bootstrap",
     "bootstrap_frutos",
     "run",
@@ -87,8 +87,16 @@ def build_implicit_diagonal(grid: Grid, dt: float) -> np.ndarray:
 class ProposedStepper:
     """Precomputed-plan stepper for the two-variable scheme.
 
-    Holds the wavenumber powers and the implicit diagonal for one
-    (grid, dt, p) combination so repeated steps do no setup work.
+    The state is carried as the rfft half-spectra U of u and Q of psi.
+    Every mode takes the same linear map plus the extrapolated
+    nonlinearity:
+
+        U' = a U + b rfft(1.5 u^p - 0.5 u_prev^p) + c Q
+        Q' = (2/dt)(U' - U) - Q
+
+    with lam = 2/dt^2 + (k^4 + k^2)/2, a = (2/dt^2 - (k^4 + k^2)/2)/lam,
+    b = -k^2/lam and c = (2/dt)/lam.  At k = 0, a = 1, b = 0 and c = dt:
+    the mean of u grows by dt times the mean of psi, which never changes.
     """
 
     def __init__(self, grid: Grid, dt: float, power: int = 2):
@@ -97,91 +105,89 @@ class ProposedStepper:
         self.grid = grid
         self.dt = dt
         self.power = power
-        self.k2 = grid.wavenumbers**2
-        self.lam = build_implicit_diagonal(grid, dt)
-        # -(1/2)(D^4 - D^2) acting on u^n, as a Fourier symbol
-        self.explicit_linear = -0.5 * (self.k2**2 + self.k2)
+        half = grid.half_modes + 1
+        lam = build_implicit_diagonal(grid, dt)[:half]
+        self.a = 4.0 / dt**2 / lam - 1.0
+        self.b = -grid.wavenumbers[:half] ** 2 / lam
+        self.c = 2.0 / dt / lam
+
+    def start(self, u, psi, u_prev):
+        """Spectral carry (u, u_prev, U, Q, u_prev^p) of nodal fields."""
+        return u, u_prev, np.fft.rfft(u), np.fft.rfft(psi), u_prev**self.power
+
+    def advance(self, carry):
+        """One step of a spectral carry: one rfft and one irfft."""
+        u, _, u_hat, psi_hat, up_prev = carry
+        up = u**self.power
+        nl_hat = np.fft.rfft(1.5 * up - 0.5 * up_prev)
+        u_hat_new = self.a * u_hat + self.b * nl_hat + self.c * psi_hat
+        psi_hat_new = (2.0 / self.dt) * (u_hat_new - u_hat) - psi_hat
+        # the k = 0 row maps Q_0 to itself; copying it keeps the mean of psi
+        # exact, where the formula would add the round-off of U_0' - U_0
+        psi_hat_new[0] = psi_hat[0]
+        u_new = np.fft.irfft(u_hat_new, self.grid.num_points)
+        return u_new, u, u_hat_new, psi_hat_new, up
+
+    def state(self, carry, step_index: int) -> SchemeState:
+        u, u_prev, _, psi_hat, _ = carry
+        psi = np.fft.irfft(psi_hat, self.grid.num_points)
+        return SchemeState(self.grid, step_index, step_index * self.dt, u, psi, u_prev)
 
     def step_arrays(self, u, psi, u_prev):
-        """Advance plain arrays one step; returns (u_new, psi_new)."""
-        dt = self.dt
-        nl = 1.5 * u**self.power - 0.5 * u_prev**self.power
-        nl_hat = np.fft.fft(nl) / self.grid.num_points
-        u_hat = np.fft.fft(u) / self.grid.num_points
-        psi_hat = np.fft.fft(psi) / self.grid.num_points
-        rhs = (
-            -self.k2 * nl_hat
-            + self.explicit_linear * u_hat
-            + (2.0 / dt**2) * u_hat
-            + (2.0 / dt) * psi_hat
-        )
-        u_new_hat = rhs / self.lam
-        u_new = np.fft.ifft(u_new_hat * self.grid.num_points).real
-        # the k = 0 dynamics are exactly mean(u) += dt*mean(psi) with
-        # mean(psi) constant; re-impose both so the discrete mass does not
-        # random-walk with per-step fft and cancellation round-off
-        psi_mean = np.mean(psi)
-        u_new += (np.mean(u) + dt * psi_mean) - np.mean(u_new)
-        psi_new = 2.0 * (u_new - u) / dt - psi
-        psi_new += psi_mean - np.mean(psi_new)
-        return u_new, psi_new
+        """Advance nodal arrays one step; returns (u_new, psi_new)."""
+        u_new, _, _, psi_hat_new, _ = self.advance(self.start(u, psi, u_prev))
+        return u_new, np.fft.irfft(psi_hat_new, self.grid.num_points)
 
     def step(self, state: SchemeState) -> SchemeState:
-        u_new, psi_new = self.step_arrays(state.u_curr, state.psi_curr, state.u_prev)
-        return SchemeState(
-            grid=state.grid,
-            step_index=state.step_index + 1,
-            time=(state.step_index + 1) * self.dt,
-            u_curr=u_new,
-            psi_curr=psi_new,
-            u_prev=state.u_curr,
-        )
+        carry = self.advance(self.start(state.u_curr, state.psi_curr, state.u_prev))
+        return self.state(carry, state.step_index + 1)
 
 
 class FrutosStepper:
-    """Precomputed-plan stepper for the three-level reference scheme (p = 2)."""
+    """Precomputed-plan stepper for the three-level reference scheme (p = 2).
+
+    The state is carried as the rfft half-spectra U of u^n and V of
+    u^{n-1}.  With lam = 1/dt^2 + k^4/4 the scheme is, per mode,
+
+        lam U' = (2U - V)/dt^2 - (k^4/4)(2U + V) - k^2 (U + rfft(u^2)),
+
+    that is U' = alpha U + beta V + gamma rfft(u^2).
+    """
 
     def __init__(self, grid: Grid, dt: float):
         if not dt > 0:
             raise ValueError(f"time step must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
-        self.k2 = grid.wavenumbers**2
-        self.k4 = self.k2**2
-        self.lam = 1.0 / dt**2 + 0.25 * self.k4
+        k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
+        k4 = k2**2
+        self.lam = 1.0 / dt**2 + 0.25 * k4
+        self.alpha = (2.0 / dt**2 - 0.5 * k4 - k2) / self.lam
+        self.beta = (-1.0 / dt**2 - 0.25 * k4) / self.lam
+        self.gamma = -k2 / self.lam
+
+    def start(self, u, u_prev):
+        """Spectral carry (u, u_prev, U, V) of nodal fields."""
+        return u, u_prev, np.fft.rfft(u), np.fft.rfft(u_prev)
+
+    def advance(self, carry):
+        """One step of a spectral carry: one rfft and one irfft."""
+        u, _, u_hat, u_prev_hat = carry
+        u_hat_new = (
+            self.alpha * u_hat + self.beta * u_prev_hat + self.gamma * np.fft.rfft(u * u)
+        )
+        return np.fft.irfft(u_hat_new, self.grid.num_points), u, u_hat_new, u_hat
+
+    def state(self, carry, step_index: int) -> FrutosState:
+        u, u_prev = carry[:2]
+        return FrutosState(self.grid, step_index, step_index * self.dt, u, u_prev)
 
     def step_arrays(self, u, u_prev):
-        dt = self.dt
-        n = self.grid.num_points
-        u_hat = np.fft.fft(u) / n
-        u_prev_hat = np.fft.fft(u_prev) / n
-        sq_hat = np.fft.fft(u * u) / n
-        rhs = (
-            (2.0 * u_hat - u_prev_hat) / dt**2
-            - 0.25 * self.k4 * (2.0 * u_hat + u_prev_hat)
-            - self.k2 * (u_hat + sq_hat)
-        )
-        return np.fft.ifft(rhs / self.lam * n).real
+        return self.advance(self.start(u, u_prev))[0]
 
     def step(self, state: FrutosState) -> FrutosState:
-        u_new = self.step_arrays(state.u_curr, state.u_prev)
-        return FrutosState(
-            grid=state.grid,
-            step_index=state.step_index + 1,
-            time=(state.step_index + 1) * self.dt,
-            u_curr=u_new,
-            u_prev=state.u_curr,
-        )
-
-
-def step_proposed(state: SchemeState, dt: float, power: int = 2) -> SchemeState:
-    """One step of the proposed scheme (convenience; builds a fresh plan)."""
-    return ProposedStepper(state.grid, dt, power).step(state)
-
-
-def step_frutos(state: FrutosState, dt: float) -> FrutosState:
-    """One step of the three-level scheme (convenience; builds a fresh plan)."""
-    return FrutosStepper(state.grid, dt).step(state)
+        carry = self.advance(self.start(state.u_curr, state.u_prev))
+        return self.state(carry, state.step_index + 1)
 
 
 def bootstrap(
@@ -260,25 +266,32 @@ def run(
     if scheme == "proposed":
         stepper = ProposedStepper(problem.grid, dt, problem.power)
         state = bootstrap(problem, dt, mode=bootstrap_mode, params=params)
+        carry = stepper.start(state.u_curr, state.psi_curr, state.u_prev)
     elif scheme == "frutos":
         if params is None:
             raise ValueError("the three-level scheme needs solitary-wave parameters")
         stepper = FrutosStepper(problem.grid, dt)
         state = bootstrap_frutos(problem, dt, params)
+        carry = stepper.start(state.u_curr, state.u_prev)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
+    # ||u||_rms > ceiling  <=>  u.u > n * ceiling^2; a NaN or inf in u
+    # fails the comparison "u.u <= limit" as well
     norm0 = float(np.sqrt(np.mean(problem.initial_u**2)))
-    ceiling = BLOWUP_FACTOR * max(norm0, 1.0)
+    limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
 
     for obs in observers:
         obs(state)
-    for n in range(steps):
-        state = stepper.step(state)
-        u = state.u_curr
-        if not np.all(np.isfinite(u)) or float(np.sqrt(np.mean(u**2))) > ceiling:
-            return RunResult(state=state, diverged=True, blowup_step=state.step_index)
-        if (state.step_index % stride == 0) or (n == steps - 1):
+    for n in range(1, steps + 1):
+        carry = stepper.advance(carry)
+        u = carry[0]
+        if not np.dot(u, u) <= limit:
+            return RunResult(state=stepper.state(carry, n), diverged=True, blowup_step=n)
+        if observers and (n % stride == 0 or n == steps):
+            state = stepper.state(carry, n)
             for obs in observers:
                 obs(state)
+    if steps:
+        state = stepper.state(carry, steps)
     return RunResult(state=state, diverged=False)

@@ -11,9 +11,8 @@ import numpy as np
 from . import spectral
 from .diagnostics import mass
 from .spectral import Grid, forward, inner_product, inverse, sobolev_norm
-from .stepping import ProposedStepper
+from .stepping import ProposedStepper, run
 from .waves import GBProblem
-from .stepping import run
 
 __all__ = ["run_checks"]
 
@@ -72,6 +71,23 @@ def _zero_fixed_point(rng, derivative) -> bool:
     return np.all(u1 == 0.0) and np.all(psi1 == 0.0)
 
 
+def _linear_update_non_amplifying(rng, derivative) -> bool:
+    # the linear part of a step maps each mode's (U, Q) by
+    # [[a, c], [2(a - 1)/dt, 2c/dt - 1]]; the trapezoidal rule makes it
+    # area-preserving (det 1) with both eigenvalues on the unit circle
+    grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
+    for dt in (1e-3, 0.05, 1.0):
+        stepper = ProposedStepper(grid, dt, power=2)
+        a, c = stepper.a, stepper.c
+        rows = [a, c, 2.0 * (a - 1.0) / dt, 2.0 * c / dt - 1.0]
+        update = np.stack(rows, axis=-1).reshape(-1, 2, 2)
+        if np.max(np.abs(np.linalg.det(update) - 1.0)) > 1e-12:
+            return False
+        if np.max(np.abs(np.linalg.eigvals(update))) > 1.0 + 1e-12:
+            return False
+    return True
+
+
 def run_checks(derivative=None, seed: int = 0) -> list[tuple[str, bool]]:
     """Run the invariant suite; returns (name, passed) pairs.
 
@@ -87,6 +103,7 @@ def run_checks(derivative=None, seed: int = 0) -> list[tuple[str, bool]]:
         ("aliasing bound sample", _aliasing_sample),
         ("mass conservation short run", _mass_short_run),
         ("zero fixed point", _zero_fixed_point),
+        ("linear update non-amplifying", _linear_update_non_amplifying),
     ]
     results = []
     for name, check in checks:

@@ -149,7 +149,7 @@ class TestVerify:
     def test_fresh_build_passes(self):
         results = run_checks()
         assert all(ok for _, ok in results)
-        assert len(results) == 5
+        assert len(results) == 6
 
     def test_sign_fault_in_second_derivative_detected(self):
         from boussinesq import spectral
@@ -164,7 +164,7 @@ class TestVerify:
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         monkeypatch.setattr(cli, "run_checks", lambda: [("stub", False)])
         assert cli.main(["verify"]) == 1
 

@@ -74,6 +74,20 @@ class TestErrorNorms:
         )
         assert rec.err_u_h2 == pytest.approx(via_multiplier, abs=1e-12)
 
+    def test_energy_is_modified_energy_of_the_errors(self, rng):
+        grid = benchmark_grid(64)
+        p = params_from_amplitude(0.5)
+        u = solitary_wave(p, grid.nodes, 0.4) + 1e-3 * rng.standard_normal(grid.num_points)
+        psi = solitary_wave_dt(p, grid.nodes, 0.4) + 1e-3 * rng.standard_normal(
+            grid.num_points
+        )
+        rec = error_norms(SchemeState(grid, 0, 0.4, u, psi, u.copy()), p)
+        assert rec.energy == modified_energy(
+            grid,
+            u - solitary_wave(p, grid.nodes, 0.4),
+            psi - solitary_wave_dt(p, grid.nodes, 0.4),
+        )
+
 
 class TestMass:
     def test_constant_function_mass_is_domain_length(self):

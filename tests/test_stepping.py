@@ -12,10 +12,8 @@ from boussinesq.stepping import (
     bootstrap_frutos,
     build_implicit_diagonal,
     run,
-    step_frutos,
-    step_proposed,
 )
-from boussinesq.diagnostics import crest_position
+from boussinesq.diagnostics import crest_position, mass
 from boussinesq.waves import (
     GBProblem,
     params_from_amplitude,
@@ -61,7 +59,7 @@ class TestProposedStep:
         z = np.zeros(grid.num_points)
         state = SchemeState(grid, 0, 0.0, z, z.copy(), z.copy())
         for p in (2, 3):
-            out = step_proposed(state, dt=0.01, power=p)
+            out = ProposedStepper(grid, dt=0.01, power=p).step(state)
             assert np.all(out.u_curr == 0.0)
             assert np.all(out.psi_curr == 0.0)
 
@@ -117,15 +115,51 @@ class TestProposedStep:
         assert 3.4 < ratio < 4.6
 
     def test_linear_update_matrix_is_non_amplifying(self):
-        # per-mode 2x2 trapezoidal update: spectral radius at most 1
+        # the stepper's per-mode linear map is the trapezoidal update of
+        # (u, psi), whose spectral radius is at most 1
         grid = benchmark_grid(64)
         for dt in (1e-3, 0.05, 1.0):
-            sigma = grid.wavenumbers**2 + grid.wavenumbers**4
-            for s in sigma:
+            stepper = ProposedStepper(grid, dt, 2)
+            a, c = stepper.a, stepper.c
+            sigma = grid.wavenumbers[: grid.half_modes + 1] ** 2
+            sigma = sigma + sigma**2
+            for s, a_k, c_k in zip(sigma, a, c):
                 A = np.array([[1.0, -dt / 2.0], [dt * s / 2.0, 1.0]])
                 B = np.array([[1.0, dt / 2.0], [-dt * s / 2.0, 1.0]])
-                eigs = np.linalg.eigvals(np.linalg.solve(A, B))
-                assert np.max(np.abs(eigs)) <= 1.0 + 1e-12
+                M = np.array([[a_k, c_k], [2.0 * (a_k - 1.0) / dt, 2.0 * c_k / dt - 1.0]])
+                assert np.allclose(M, np.linalg.solve(A, B), rtol=1e-12, atol=1e-12)
+                assert np.max(np.abs(np.linalg.eigvals(M))) <= 1.0 + 1e-12
+
+    def test_matches_full_spectrum_formula(self):
+        # reference: assemble the right-hand side on the complex spectrum
+        # and divide by the implicit diagonal
+        grid = benchmark_grid(32)
+        dt = 0.05
+        theta = 2 * np.pi * (grid.nodes + 40) / 80
+        u = np.exp(np.sin(theta))
+        psi = 0.3 * np.cos(2 * theta)
+        u_prev = u - dt * psi + 1e-3 * np.sin(3 * theta)
+        for power in (2, 3):
+            k2 = grid.wavenumbers**2
+            fft = np.fft.fft
+            rhs = (
+                -k2 * fft(1.5 * u**power - 0.5 * u_prev**power)
+                + (2.0 / dt**2 - 0.5 * (k2**2 + k2)) * fft(u)
+                + (2.0 / dt) * fft(psi)
+            )
+            u_ref = np.fft.ifft(rhs / build_implicit_diagonal(grid, dt)).real
+            psi_ref = 2.0 * (u_ref - u) / dt - psi
+            u_new, psi_new = ProposedStepper(grid, dt, power).step_arrays(u, psi, u_prev)
+            assert np.max(np.abs(u_new - u_ref)) <= 1e-12
+            assert np.max(np.abs(psi_new - psi_ref)) <= 1e-10
+
+    def test_mode_zero_coefficients(self):
+        grid = benchmark_grid(32)
+        for dt in (1e-4, 0.1, 3.0):
+            stepper = ProposedStepper(grid, dt, 2)
+            assert abs(stepper.a[0] - 1.0) <= 1e-15
+            assert stepper.b[0] == 0.0
+            assert abs(stepper.c[0] - dt) <= 1e-15 * dt
 
     def test_mass_conserved_with_zero_initial_velocity(self, rng):
         grid = benchmark_grid(64)
@@ -191,8 +225,25 @@ class TestFrutos:
         z = np.zeros(grid.num_points)
         from boussinesq.stepping import FrutosState
 
-        out = step_frutos(FrutosState(grid, 0, 0.0, z, z.copy()), dt=0.01)
+        out = FrutosStepper(grid, dt=0.01).step(FrutosState(grid, 0, 0.0, z, z.copy()))
         assert np.all(out.u_curr == 0.0)
+
+    def test_matches_full_spectrum_formula(self):
+        grid = benchmark_grid(32)
+        dt = 0.05
+        theta = 2 * np.pi * (grid.nodes + 40) / 80
+        u = np.exp(np.sin(theta))
+        u_prev = u - dt * 0.3 * np.cos(2 * theta)
+        k2 = grid.wavenumbers**2
+        u_hat, u_prev_hat = np.fft.fft(u), np.fft.fft(u_prev)
+        rhs = (
+            (2.0 * u_hat - u_prev_hat) / dt**2
+            - 0.25 * k2**2 * (2.0 * u_hat + u_prev_hat)
+            - k2 * (u_hat + np.fft.fft(u * u))
+        )
+        u_ref = np.fft.ifft(rhs / (1.0 / dt**2 + 0.25 * k2**2)).real
+        u_new = FrutosStepper(grid, dt).step_arrays(u, u_prev)
+        assert np.max(np.abs(u_new - u_ref)) <= 1e-12
 
     def test_diagonal_symbol_at_mode_zero(self):
         stepper = FrutosStepper(benchmark_grid(16), dt=0.5)
@@ -218,6 +269,87 @@ class TestFrutos:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "scheme, power", [("proposed", 2), ("proposed", 3), ("frutos", 2)]
+    )
+    def test_matches_loop_of_nodal_steps(self, scheme, power):
+        grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
+        p = params_from_amplitude(0.5)
+        prob = solitary_problem(p, grid, power=power)
+        dt, steps = 4e-3, 500
+        result = run(prob, dt, steps * dt, scheme=scheme, params=p, bootstrap_mode="exact")
+        assert not result.diverged and result.state.step_index == steps
+        if scheme == "frutos":
+            state = bootstrap_frutos(prob, dt, p)
+            stepper = FrutosStepper(grid, dt)
+            u, u_prev = state.u_curr, state.u_prev
+            for _ in range(steps):
+                u, u_prev = stepper.step_arrays(u, u_prev), u
+        else:
+            state = bootstrap(prob, dt, mode="exact", params=p)
+            stepper = ProposedStepper(grid, dt, power)
+            u, psi, u_prev = state.u_curr, state.psi_curr, state.u_prev
+            for _ in range(steps):
+                u, psi, u_prev = (*stepper.step_arrays(u, psi, u_prev), u)
+            assert np.max(np.abs(result.state.psi_curr - psi)) <= 1e-10
+        assert np.max(np.abs(result.state.u_curr - u)) <= 1e-10
+        assert np.max(np.abs(result.state.u_prev - u_prev)) <= 1e-10
+
+    def test_mass_grows_linearly_with_mean_velocity(self):
+        # the k = 0 mode obeys mass(t) = mass(0) + t * mass(psi), and the
+        # mass of psi never changes
+        grid = benchmark_grid(64)
+        theta = 2 * np.pi * (grid.nodes + 40) / 80
+        u0 = 1.0 + np.exp(np.sin(theta))
+        psi0 = 0.3 + 0.2 * np.cos(2 * theta)
+        prob = GBProblem(power=2, grid=grid, initial_u=u0, initial_ut=psi0)
+        result = run(prob, dt=1e-3, T=0.999)
+        m0, rate = mass(grid, u0), mass(grid, psi0)
+        assert abs(mass(grid, result.state.u_curr) - m0 - 0.999 * rate) <= 1e-12 * abs(m0)
+        assert abs(mass(grid, result.state.psi_curr) - rate) <= 1e-14 * abs(rate)
+
+    def test_frutos_blow_up_step(self):
+        # the three-level scheme's published divergence at N = 512, dt = 0.1
+        grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
+        p = params_from_amplitude(0.5)
+        result = run(
+            solitary_problem(p, grid), 0.1, 100.0, scheme="frutos", params=p,
+            bootstrap_mode="exact",
+        )
+        assert result.diverged
+        assert result.blowup_step == 762
+        assert result.state.step_index == 762
+
+    @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
+    def test_one_rfft_and_one_irfft_per_step(self, monkeypatch, scheme):
+        grid = benchmark_grid(16)
+        p = params_from_amplitude(0.5)
+        prob = solitary_problem(p, grid)
+        counts = {"rfft": 0, "irfft": 0, "fft": 0, "ifft": 0, "mean": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            counted(np.fft, name)
+        counted(np, "mean")
+
+        def calls(steps):
+            for key in counts:
+                counts[key] = 0
+            run(prob, 0.01, steps * 0.01, scheme=scheme, params=p, bootstrap_mode="exact")
+            return dict(counts)
+
+        short, long = calls(10), calls(30)
+        per_step = {key: (long[key] - short[key]) / 20 for key in counts}
+        assert per_step == {"rfft": 1, "irfft": 1, "fft": 0, "ifft": 0, "mean": 0}
+
     def test_zero_steps_returns_initial_state(self):
         prob = zero_problem(benchmark_grid(16))
         result = run(prob, dt=0.1, T=0.0)
