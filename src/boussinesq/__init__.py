@@ -35,6 +35,7 @@ from .stepping import (
     bootstrap_frutos,
     build_implicit_diagonal,
     run,
+    run_batch,
 )
 from .diagnostics import ErrorRecord, crest_position, error_norms, mass, modified_energy
 from .sweeps import (

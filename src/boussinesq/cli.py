@@ -1,6 +1,7 @@
 """Command-line driver for single runs, convergence sweeps and verification.
 
-Exit codes: 0 on success, 1 on runtime or I/O failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on runtime or I/O failure, 2 on usage errors,
+including inputs the solver rejects (printed as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # inputs the parser accepts but the solver rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import mass
 from .spectral import Grid, derivative, norm2
-from .stepping import run
+from .stepping import RunResult, run, run_batch
 from .waves import (
     GBProblem,
     params_from_amplitude,
@@ -73,7 +73,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One run's summary: resolution, step size and final error norms."""
+    """One run's summary: resolution, step size and final error norms.
+
+    ``wall_seconds`` is the run's stepping time.  Runs stepped together in
+    one batch share the batch's time in proportion to their step counts K,
+    so the rows of a sweep still sum to its stepping time.
+    """
 
     kind: str
     scheme: str
@@ -134,10 +139,8 @@ def stability_spec(**overrides) -> SweepSpec:
     return replace(base, **overrides) if overrides else base
 
 
-def single_run(
-    spec: SweepSpec, scheme: str, N: int, dt: float, kind: str | None = None
-) -> SweepRow:
-    """Run one benchmark configuration and summarize it as a sweep row."""
+def _solitary(spec: SweepSpec, N: int):
+    """The solitary-wave problem of a spec on the N grid, and its wave."""
     grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
     params = params_from_amplitude(spec.amplitude)
     problem = GBProblem(
@@ -146,18 +149,21 @@ def single_run(
         initial_u=solitary_wave(params, grid.nodes, 0.0),
         initial_ut=solitary_wave_dt(params, grid.nodes, 0.0),
     )
-    steps = int(round(spec.T / dt))
-    mass0 = mass(grid, problem.initial_u)
-    start = _time.perf_counter()
-    result = run(
-        problem,
-        dt,
-        spec.T,
-        scheme=scheme,
-        bootstrap_mode=spec.bootstrap_mode,
-        params=params,
-    )
-    wall = _time.perf_counter() - start
+    return problem, params
+
+
+def _sweep_row(
+    spec: SweepSpec,
+    scheme: str,
+    problem: GBProblem,
+    params,
+    dt: float,
+    result: RunResult,
+    wall: float,
+    kind: str | None = None,
+) -> SweepRow:
+    """Summarize one run's result against the exact wave as a sweep row."""
+    grid = problem.grid
     state = result.state
     if result.diverged:
         err_psi = err_h2 = err_l2 = drift = float("inf")
@@ -172,13 +178,14 @@ def single_run(
         else:
             # three-level scheme has no psi variable
             err_psi = float("nan")
+        mass0 = mass(grid, problem.initial_u)
         drift = abs(mass(grid, state.u_curr) - mass0) / max(abs(mass0), 1e-300)
     return SweepRow(
         kind=kind or spec.kind,
         scheme=scheme,
-        N=N,
+        N=grid.half_modes,
         dt=dt,
-        K=steps,
+        K=int(round(spec.T / dt)),
         T=spec.T,
         err_psi_l2=err_psi,
         err_u_h2=err_h2,
@@ -187,6 +194,17 @@ def single_run(
         diverged=result.diverged,
         wall_seconds=wall,
     )
+
+
+def single_run(
+    spec: SweepSpec, scheme: str, N: int, dt: float, kind: str | None = None
+) -> SweepRow:
+    """Run one benchmark configuration and summarize it as a sweep row."""
+    problem, params = _solitary(spec, N)
+    start = _time.perf_counter()
+    result = run(problem, dt, spec.T, scheme, spec.bootstrap_mode, params)
+    wall = _time.perf_counter() - start
+    return _sweep_row(spec, scheme, problem, params, dt, result, wall, kind)
 
 
 def run_spatial_sweep(spec: SweepSpec | None = None) -> SweepResult:
@@ -199,13 +217,25 @@ def run_spatial_sweep(spec: SweepSpec | None = None) -> SweepResult:
 
 
 def run_temporal_sweep(spec: SweepSpec | None = None) -> SweepResult:
-    """Fixed N, decreasing dt; fits the observed temporal order."""
+    """Fixed N, decreasing dt; fits the observed temporal order.
+
+    Every step size runs as one row of a single batch.
+    """
     spec = spec or temporal_spec()
     if spec.kind != "temporal":
         raise ValueError("expected a temporal sweep spec")
-    N = spec.N_list[-1]
-    rows = tuple(single_run(spec, spec.schemes[0], N, spec.T / nk) for nk in spec.nk_list)
-    dts = [row.dt for row in rows]
+    scheme = spec.schemes[0]
+    problem, params = _solitary(spec, spec.N_list[-1])
+    dts = [spec.T / nk for nk in spec.nk_list]
+    start = _time.perf_counter()
+    results = run_batch(
+        problem, dts, spec.T, scheme=scheme, bootstrap_mode=spec.bootstrap_mode, params=params
+    )
+    per_step = (_time.perf_counter() - start) / sum(spec.nk_list)
+    rows = tuple(
+        _sweep_row(spec, scheme, problem, params, dt, result, per_step * nk)
+        for dt, nk, result in zip(dts, spec.nk_list, results)
+    )
     fitted = {
         "err_psi_l2": fit_order(dts, [row.err_psi_l2 for row in rows]),
         "err_u_h2": fit_order(dts, [row.err_u_h2 for row in rows]),

@@ -11,8 +11,8 @@ import numpy as np
 from . import spectral
 from .diagnostics import mass
 from .spectral import Grid, forward, inner_product, inverse, sobolev_norm
-from .stepping import ProposedStepper, run
-from .waves import GBProblem
+from .stepping import ProposedStepper, run, run_batch
+from .waves import GBProblem, params_from_amplitude, solitary_problem
 
 __all__ = ["run_checks"]
 
@@ -88,6 +88,22 @@ def _linear_update_non_amplifying(rng, derivative) -> bool:
     return True
 
 
+def _batch_matches_solo(rng, derivative) -> bool:
+    # rows of one batch must step exactly as runs of their own: same FFT
+    # per row, same coefficients, same blow-up test
+    grid = Grid(half_modes=16, length=80.0, x_left=-40.0)
+    params = params_from_amplitude(0.5)
+    problem = solitary_problem(params, grid)
+    dts, T = (0.1, 0.05, 0.025), 0.2
+    batch = run_batch(problem, dts, T, bootstrap_mode="exact", params=params)
+    for dt, got in zip(dts, batch):
+        solo = run(problem, dt, T, bootstrap_mode="exact", params=params).state
+        for field in ("u_curr", "psi_curr", "u_prev"):
+            if not np.array_equal(getattr(got.state, field), getattr(solo, field)):
+                return False
+    return True
+
+
 def run_checks(derivative=None, seed: int = 0) -> list[tuple[str, bool]]:
     """Run the invariant suite; returns (name, passed) pairs.
 
@@ -104,6 +120,7 @@ def run_checks(derivative=None, seed: int = 0) -> list[tuple[str, bool]]:
         ("mass conservation short run", _mass_short_run),
         ("zero fixed point", _zero_fixed_point),
         ("linear update non-amplifying", _linear_update_non_amplifying),
+        ("batched step equals solo steps", _batch_matches_solo),
     ]
     results = []
     for name, check in checks:

@@ -109,7 +109,21 @@ def nonlinearity(values: np.ndarray, power: int) -> np.ndarray:
     """Pointwise power u_i^p of the nonlinear flux."""
     if power < 2:
         raise ValueError(f"nonlinearity power must be >= 2, got {power}")
-    return np.asarray(values, dtype=float) ** power
+    return _power(np.asarray(values, dtype=float), power)
+
+
+def _power(values: np.ndarray, power: int) -> np.ndarray:
+    """u^p by repeated multiplication for p >= 3.
+
+    ``u**p`` would call libm ``pow`` for every point, about 40x slower than
+    p - 1 products; ``u**2`` is already ``np.square``.
+    """
+    if power == 2:
+        return values**2
+    out = values * values
+    for _ in range(power - 2):
+        out *= values
+    return out
 
 
 def sample_initial(params: SolitaryWaveParams, grid: Grid):

@@ -149,7 +149,7 @@ class TestVerify:
     def test_fresh_build_passes(self):
         results = run_checks()
         assert all(ok for _, ok in results)
-        assert len(results) == 6
+        assert len(results) == 7
 
     def test_sign_fault_in_second_derivative_detected(self):
         from boussinesq import spectral
@@ -164,7 +164,7 @@ class TestVerify:
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
         monkeypatch.setattr(cli, "run_checks", lambda: [("stub", False)])
         assert cli.main(["verify"]) == 1
 
@@ -214,3 +214,17 @@ class TestMainCommands:
             ]
         )
         assert code == 1
+
+    def test_frutos_with_cubic_power_is_one_line_usage_error(self, capsys):
+        code = cli.main(["run", "--N", "32", "--scheme", "frutos", "--p", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "p = 2" in err
+
+    def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
+        code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not an integer multiple" in err

@@ -12,6 +12,7 @@ from boussinesq.stepping import (
     bootstrap_frutos,
     build_implicit_diagonal,
     run,
+    run_batch,
 )
 from boussinesq.diagnostics import crest_position, mass
 from boussinesq.waves import (
@@ -340,15 +341,18 @@ class TestRun:
             counted(np.fft, name)
         counted(np, "mean")
 
-        def calls(steps):
+        def calls(steps, rows):
             for key in counts:
                 counts[key] = 0
-            run(prob, 0.01, steps * 0.01, scheme=scheme, params=p, bootstrap_mode="exact")
+            dts = [0.01] * rows
+            run_batch(prob, dts, steps * 0.01, scheme=scheme, params=p, bootstrap_mode="exact")
             return dict(counts)
 
-        short, long = calls(10), calls(30)
-        per_step = {key: (long[key] - short[key]) / 20 for key in counts}
-        assert per_step == {"rfft": 1, "irfft": 1, "fft": 0, "ifft": 0, "mean": 0}
+        # a batch of one is what run() steps; a batch of three steps together
+        for rows in (1, 3):
+            short, long = calls(10, rows), calls(30, rows)
+            per_step = {key: (long[key] - short[key]) / 20 for key in counts}
+            assert per_step == {"rfft": 1, "irfft": 1, "fft": 0, "ifft": 0, "mean": 0}
 
     def test_zero_steps_returns_initial_state(self):
         prob = zero_problem(benchmark_grid(16))
@@ -397,3 +401,100 @@ class TestRun:
         result = run(prob, dt=0.1, T=10.0)
         assert result.diverged
         assert result.blowup_step is not None
+
+
+def batch_problem(n=64, power=2):
+    grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
+    p = params_from_amplitude(0.5)
+    return solitary_problem(p, grid, power=power), p
+
+
+def assert_same_result(got, want):
+    assert got.diverged == want.diverged and got.blowup_step == want.blowup_step
+    assert got.state.step_index == want.state.step_index
+    assert got.state.time == want.state.time
+    for field in ("u_curr", "psi_curr", "u_prev"):
+        if hasattr(want.state, field):
+            assert np.array_equal(getattr(got.state, field), getattr(want.state, field))
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize(
+        "scheme, power, mode",
+        [
+            ("proposed", 2, "exact"),
+            ("proposed", 2, "self_start"),
+            ("proposed", 3, "exact"),
+            ("proposed", 3, "self_start"),
+            ("frutos", 2, "exact"),
+        ],
+    )
+    def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode):
+        prob, p = batch_problem(power=power)
+        dts, T = (0.02, 0.01, 0.005, 0.0025), 0.4
+        kwargs = dict(scheme=scheme, bootstrap_mode=mode, params=p)
+        batch = run_batch(prob, dts, T, **kwargs)
+        assert len(batch) == len(dts)
+        for dt, got in zip(dts, batch):
+            assert_same_result(got, run(prob, dt, T, **kwargs))
+
+    def test_results_come_back_in_input_order(self):
+        prob, p = batch_problem()
+        dts, T = (0.005, 0.02, 0.0025, 0.01), 0.2
+        batch = run_batch(prob, dts, T, params=p, bootstrap_mode="exact")
+        assert [r.state.step_index for r in batch] == [40, 10, 80, 20]
+        for dt, got in zip(dts, batch):
+            assert_same_result(got, run(prob, dt, T, params=p, bootstrap_mode="exact"))
+
+    def test_diverged_row_dropped_and_others_finish(self):
+        # frutos at N = 512 diverges at dt = 0.1 (step 762) and stays
+        # bounded at dt = 0.05 over the same horizon
+        prob, p = batch_problem(n=512)
+        kwargs = dict(scheme="frutos", params=p, bootstrap_mode="exact")
+        diverged, bounded = run_batch(prob, (0.1, 0.05), 100.0, **kwargs)
+        assert diverged.diverged and diverged.blowup_step == 762
+        assert diverged.state.step_index == 762
+        assert_same_result(diverged, run(prob, 0.1, 100.0, **kwargs))
+        assert not bounded.diverged and bounded.state.step_index == 2000
+        assert_same_result(bounded, run(prob, 0.05, 100.0, **kwargs))
+
+    def test_observers_see_every_row_as_solo_runs_do(self):
+        prob, p = batch_problem(n=16)
+        dts, T = (0.05, 0.1), 1.0
+
+        def seen_by(runner):
+            seen = []
+            runner(lambda s: seen.append((s.step_index, s.time, s.u_curr.copy())))
+            return sorted(seen, key=lambda x: (x[1], x[0]))
+
+        batch = seen_by(
+            lambda obs: run_batch(prob, dts, T, params=p, observers=(obs,), stride=3)
+        )
+        solo = seen_by(
+            lambda obs: [run(prob, dt, T, params=p, observers=(obs,), stride=3) for dt in dts]
+        )
+        assert [(n, t) for n, t, _ in batch] == [(n, t) for n, t, _ in solo]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(batch, solo))
+
+    def test_zero_step_rows_and_empty_batch(self):
+        prob, p = batch_problem(n=16)
+        assert run_batch(prob, (), 1.0) == ()
+        (result,) = run_batch(prob, (0.1,), 0.0)
+        assert result.state.step_index == 0 and not result.diverged
+        assert np.array_equal(result.state.psi_curr, prob.initial_ut)
+
+    def test_array_step_sizes_shape_the_coefficients(self):
+        grid = benchmark_grid(16)
+        half = grid.half_modes + 1
+        dts = np.array([0.1, 0.05, 0.025])
+        assert ProposedStepper(grid, 0.1).a.shape == (half,)
+        batched = ProposedStepper(grid, dts)
+        for name in ("a", "b", "c"):
+            assert getattr(batched, name).shape == (3, half)
+        for row, dt in enumerate(dts):
+            assert np.array_equal(batched.a[row], ProposedStepper(grid, dt).a)
+        assert FrutosStepper(grid, dts).alpha.shape == (3, half)
+        with pytest.raises(ValueError):
+            ProposedStepper(grid, np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            FrutosStepper(grid, np.array([0.1, 0.0]))

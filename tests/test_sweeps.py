@@ -14,6 +14,7 @@ from boussinesq.sweeps import (
     run_spatial_sweep,
     run_stability_experiment,
     run_temporal_sweep,
+    single_run,
     spatial_spec,
     stability_spec,
     temporal_spec,
@@ -101,6 +102,22 @@ class TestReducedSweeps:
             da.pop("wall_seconds")
             db.pop("wall_seconds")
             assert da == db
+
+    def test_batched_rows_share_wall_time_by_step_count(self):
+        spec = temporal_spec(N_list=(64,), nk_list=(50, 100, 200), T=1.0)
+        rows = run_temporal_sweep(spec).rows
+        assert all(row.wall_seconds > 0 for row in rows)
+        per_step = [row.wall_seconds / row.K for row in rows]
+        assert per_step == pytest.approx([per_step[0]] * 3, rel=1e-12)
+
+    def test_temporal_rows_equal_single_runs(self):
+        # the batched sweep and a row-at-a-time sweep give the same numbers
+        spec = temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0)
+        for row in run_temporal_sweep(spec).rows:
+            solo = single_run(spec, "proposed", 64, row.dt)
+            assert dataclasses.replace(row, wall_seconds=0.0) == dataclasses.replace(
+                solo, wall_seconds=0.0
+            )
 
     def test_stability_rows_cover_both_schemes(self):
         spec = stability_spec(N_list=(32, 64), dt=0.1, T=1.0)

@@ -98,6 +98,15 @@ class TestNonlinearity:
             # vectorized pow may round the last bit differently than scalar pow
             assert out[i] == pytest.approx(f[i] ** 3, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("power", [3, 4, 5])
+    def test_repeated_products_match_pow(self, rng, power):
+        f = rng.standard_normal(1025)
+        assert np.allclose(nonlinearity(f, power), f**power, rtol=1e-14, atol=0.0)
+
+    def test_square_is_exact(self, rng):
+        f = rng.standard_normal(1025)
+        assert np.array_equal(nonlinearity(f, 2), f * f)
+
     def test_power_below_two_rejected(self):
         with pytest.raises(ValueError):
             nonlinearity(np.ones(3), 1)
