@@ -8,12 +8,12 @@ its per-mode update is a trapezoidal rotation with spectral radius 1.
 """
 
 from boussinesq.reporting import write_csv
-from boussinesq.sweeps import run_stability_experiment, stability_spec
+from boussinesq.sweeps import run_sweep, stability_spec
 
 spec = stability_spec()  # N in {64, 128, 256, 512}, dt = 0.1, T = 100
 print(f"dt = {spec.dt}, T = {spec.T}, N in {spec.N_list}\n")
 
-result = run_stability_experiment(spec)
+result = run_sweep(spec)
 for row in result.rows:
     status = "DIVERGED" if row.diverged else f"err_uH2 = {row.err_u_h2:.3e}"
     print(f"{row.scheme:9s} N={row.N:4d}  {status}")

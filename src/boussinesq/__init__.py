@@ -26,7 +26,6 @@ from .waves import (
     solitary_wave_dtt,
 )
 from .stepping import (
-    FrutosState,
     ProposedStepper,
     FrutosStepper,
     RunResult,
@@ -43,10 +42,7 @@ from .sweeps import (
     SweepRow,
     SweepSpec,
     fit_order,
-    run_spatial_sweep,
-    run_stability_experiment,
-    run_temporal_sweep,
-    single_run,
+    run_sweep,
     spatial_spec,
     stability_spec,
     temporal_spec,

@@ -7,6 +7,7 @@ including inputs the solver rejects (printed as one ``error:`` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -14,10 +15,7 @@ from .reporting import emit_plot_script, write_csv
 from .sweeps import (
     SweepResult,
     SweepSpec,
-    run_spatial_sweep,
-    run_stability_experiment,
-    run_temporal_sweep,
-    single_run,
+    run_sweep,
     spatial_spec,
     stability_spec,
     temporal_spec,
@@ -35,18 +33,12 @@ def _add_common_flags(sub, N_default):
     sub.add_argument("--xmin", type=float, default=-40.0, help="left domain boundary")
     sub.add_argument("--xmax", type=float, default=40.0, help="right domain boundary")
     sub.add_argument(
-        "--scheme", choices=("proposed", "frutos"), default="proposed", help="time scheme"
-    )
-    sub.add_argument(
         "--bootstrap",
         choices=("exact", "self-start"),
         default="exact",
         help="how to seed the u^{-1} level",
     )
     sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument(
-        "--stride", type=int, default=None, help="observer interval (default K/100)"
-    )
     sub.add_argument(
         "--emit-plot",
         action="store_true",
@@ -65,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_p, N_default=512)
     run_p.add_argument("--dt", type=float, default=None, help="time step")
     run_p.add_argument("--nk", type=int, default=None, help="number of time steps")
+    run_p.add_argument(
+        "--scheme", choices=("proposed", "frutos"), default="proposed", help="time scheme"
+    )
 
     space_p = subs.add_parser("sweep-space", help="spatial spectral-accuracy sweep")
     _add_common_flags(space_p, N_default=None)
@@ -101,14 +96,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         parser.error("--dt must be positive")
     if args.T <= 0:
         parser.error("--T must be positive")
-    if not 0 < args.amplitude <= 1.5:
-        parser.error("--amplitude must lie in (0, 1.5]")
     if args.p < 2:
         parser.error("--p must be >= 2")
     if args.xmin >= args.xmax:
         parser.error("--xmin must be below --xmax")
-    if args.stride is not None and args.stride < 1:
-        parser.error("--stride must be >= 1")
     return args
 
 
@@ -122,7 +113,16 @@ def _write_outputs(result: SweepResult, args) -> None:
             print(f"wrote {base}_plot.py")
 
 
-def _spec_from_args(args, kind: str) -> SweepSpec:
+# subcommand -> builder of its spec from the overrides the flags give
+_SPEC_BUILDERS = {
+    "run": functools.partial(SweepSpec, "run"),
+    "sweep-space": spatial_spec,
+    "sweep-time": temporal_spec,
+    "stability": stability_spec,
+}
+
+
+def _spec_from_args(args) -> SweepSpec:
     overrides = dict(
         T=args.T,
         amplitude=args.amplitude,
@@ -130,42 +130,13 @@ def _spec_from_args(args, kind: str) -> SweepSpec:
         power=args.p,
         bootstrap_mode=args.bootstrap.replace("-", "_"),
     )
-    if kind == "spatial":
+    if getattr(args, "dt", None) is not None:  # sweep-time steps by nk_list
         overrides["dt"] = args.dt
-        if args.N is not None:
-            overrides["N_list"] = (args.N,)
-        return spatial_spec(**overrides)
-    if kind == "temporal":
-        overrides["N_list"] = (args.N,)
-        return temporal_spec(**overrides)
-    overrides["dt"] = args.dt
     if args.N is not None:
         overrides["N_list"] = (args.N,)
-    return stability_spec(**overrides)
-
-
-def _cmd_run(args) -> int:
-    spec = SweepSpec(
-        kind="spatial",  # placeholder kind; the row is tagged "run"
-        N_list=(args.N,),
-        dt=args.dt,
-        T=args.T,
-        amplitude=args.amplitude,
-        domain=(args.xmin, args.xmax),
-        schemes=(args.scheme,),
-        bootstrap_mode=args.bootstrap.replace("-", "_"),
-        power=args.p,
-    )
-    row = single_run(spec, args.scheme, args.N, args.dt, kind="run")
-    result = SweepResult(spec=spec, rows=(row,))
-    status = "diverged" if row.diverged else "completed"
-    print(
-        f"{status}: scheme={row.scheme} N={row.N} dt={row.dt:g} K={row.K} "
-        f"err_psi_l2={row.err_psi_l2:.3e} err_u_h2={row.err_u_h2:.3e} "
-        f"wall={row.wall_seconds:.2f}s"
-    )
-    _write_outputs(result, args)
-    return 0
+    if args.subcommand == "run":
+        overrides["schemes"] = (args.scheme,)
+    return _SPEC_BUILDERS[args.subcommand](**overrides)
 
 
 def _print_rows(result: SweepResult) -> None:
@@ -195,15 +166,16 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             return _cmd_verify()
+        result = run_sweep(_spec_from_args(args))
         if args.subcommand == "run":
-            return _cmd_run(args)
-        if args.subcommand == "sweep-space":
-            result = run_spatial_sweep(_spec_from_args(args, "spatial"))
-        elif args.subcommand == "sweep-time":
-            result = run_temporal_sweep(_spec_from_args(args, "temporal"))
+            row = result.rows[0]
+            print(
+                f"{'diverged' if row.diverged else 'completed'}: scheme={row.scheme} "
+                f"N={row.N} dt={row.dt:g} K={row.K} err_psi_l2={row.err_psi_l2:.3e} "
+                f"err_u_h2={row.err_u_h2:.3e} wall={row.wall_seconds:.2f}s"
+            )
         else:
-            result = run_stability_experiment(_spec_from_args(args, "stability"))
-        _print_rows(result)
+            _print_rows(result)
         _write_outputs(result, args)
         return 0
     except OSError as exc:

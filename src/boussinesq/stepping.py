@@ -18,7 +18,7 @@ run per row of a 2-D carry, so runs that share a grid share every call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .waves import GBProblem, SolitaryWaveParams, _power, solitary_wave
 
 __all__ = [
     "SchemeState",
-    "FrutosState",
     "RunResult",
     "build_implicit_diagonal",
     "ProposedStepper",
@@ -45,24 +44,16 @@ BLOWUP_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class SchemeState:
-    """State of the two-variable scheme: (u^n, psi^n) plus u^{n-1}."""
+    """State of either scheme: (u^n, psi^n) plus u^{n-1}.
+
+    The three-level scheme has no psi variable; its ``psi_curr`` is None.
+    """
 
     grid: Grid
     step_index: int
     time: float
     u_curr: np.ndarray
-    psi_curr: np.ndarray
-    u_prev: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrutosState:
-    """State of the three-level scheme: u^n and u^{n-1}."""
-
-    grid: Grid
-    step_index: int
-    time: float
-    u_curr: np.ndarray
+    psi_curr: np.ndarray | None
     u_prev: np.ndarray
 
 
@@ -70,7 +61,7 @@ class FrutosState:
 class RunResult:
     """Final state of a run plus its divergence flag."""
 
-    state: object
+    state: SchemeState
     diverged: bool
     blowup_step: int | None = None
 
@@ -176,10 +167,6 @@ class ProposedStepper:
         u_new, _, _, psi_hat_new, _ = self.advance(self.start(u, psi, u_prev))
         return u_new, np.fft.irfft(psi_hat_new, self.grid.num_points)
 
-    def step(self, state: SchemeState) -> SchemeState:
-        carry = self.advance(self.start(state.u_curr, state.psi_curr, state.u_prev))
-        return self.state(carry, state.step_index + 1)
-
 
 class FrutosStepper:
     """Precomputed-plan stepper for the three-level reference scheme (p = 2).
@@ -216,17 +203,14 @@ class FrutosStepper:
         )
         return np.fft.irfft(u_hat_new, self.grid.num_points), u, u_hat_new, u_hat
 
-    def state(self, carry, step_index: int, row: int | None = None) -> FrutosState:
-        """State of the carry, or of row ``row`` of a batched carry."""
+    def state(self, carry, step_index: int, row: int | None = None) -> SchemeState:
+        """State of the carry, or of row ``row`` of a batched carry; psi is None."""
         (u, u_prev, *_), dt = _pick(carry, self.dt, row)
-        return FrutosState(self.grid, step_index, float(step_index * dt), u, u_prev)
+        return SchemeState(self.grid, step_index, float(step_index * dt), u, None, u_prev)
 
     def step_arrays(self, u, u_prev):
+        """Advance nodal arrays one step; returns u_new."""
         return self.advance(self.start(u, u_prev))[0]
-
-    def step(self, state: FrutosState) -> FrutosState:
-        carry = self.advance(self.start(state.u_curr, state.u_prev))
-        return self.state(carry, state.step_index + 1)
 
 
 def bootstrap(
@@ -265,17 +249,11 @@ def bootstrap(
 
 def bootstrap_frutos(
     problem: GBProblem, dt: float, params: SolitaryWaveParams
-) -> FrutosState:
-    """Initial state for the three-level scheme; always exact-started."""
+) -> SchemeState:
+    """Initial state for the three-level scheme: exact-started, with no psi."""
     if problem.power != 2:
         raise ValueError("the three-level reference scheme only supports p = 2")
-    return FrutosState(
-        grid=problem.grid,
-        step_index=0,
-        time=0.0,
-        u_curr=problem.initial_u.copy(),
-        u_prev=solitary_wave(params, problem.grid.nodes, -dt),
-    )
+    return replace(bootstrap(problem, dt, "exact", params), psi_curr=None)
 
 
 def _num_steps(T: float, dt: float) -> int:

@@ -13,15 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import mass
-from .spectral import Grid, derivative, norm2
-from .stepping import RunResult, run, run_batch
-from .waves import (
-    GBProblem,
-    params_from_amplitude,
-    solitary_wave,
-    solitary_wave_dt,
-)
+from .diagnostics import error_norms, mass
+from .spectral import Grid
+from .stepping import run_batch
+from .waves import params_from_amplitude, solitary_problem
 
 __all__ = [
     "SweepSpec",
@@ -30,19 +25,22 @@ __all__ = [
     "spatial_spec",
     "temporal_spec",
     "stability_spec",
-    "run_spatial_sweep",
-    "run_temporal_sweep",
-    "run_stability_experiment",
-    "single_run",
+    "run_sweep",
     "fit_order",
 ]
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Configuration of one experiment sweep."""
+    """Configuration of one experiment: the (scheme, N, dt) runs it makes.
 
-    kind: str  # "spatial" | "temporal" | "stability"
+    ``kind`` is "spatial", "temporal", "stability" or "run" (one CLI run).
+    A temporal sweep steps T / nk for every nk in ``nk_list`` at its one N
+    with its one scheme; every other kind steps the fixed ``dt`` at every
+    N of ``N_list`` with every scheme of ``schemes``.
+    """
+
+    kind: str
     N_list: tuple[int, ...]
     dt: float | None = None
     nk_list: tuple[int, ...] | None = None
@@ -54,13 +52,16 @@ class SweepSpec:
     power: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("spatial", "temporal", "stability"):
+        if self.kind not in ("spatial", "temporal", "stability", "run"):
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
         if self.kind == "temporal":
+            # the orders are fitted over all rows, so they must share N and scheme
+            if len(self.N_list) != 1 or len(self.schemes) != 1:
+                raise ValueError("a temporal sweep needs exactly one N and one scheme")
             if not self.nk_list:
                 raise ValueError("temporal sweep needs nk_list")
             if list(self.nk_list) != sorted(set(self.nk_list)):
@@ -106,7 +107,7 @@ class SweepResult:
 def spatial_spec(**overrides) -> SweepSpec:
     """The published spatial-accuracy sweep: N = 32..128 step 8, dt = 1e-4."""
     base = SweepSpec(kind="spatial", N_list=tuple(range(32, 136, 8)), dt=1e-4)
-    return replace(base, **overrides) if overrides else base
+    return replace(base, **overrides)
 
 
 def temporal_spec(**overrides) -> SweepSpec:
@@ -116,7 +117,7 @@ def temporal_spec(**overrides) -> SweepSpec:
         N_list=(512,),
         nk_list=tuple(range(100, 1100, 100)),
     )
-    return replace(base, **overrides) if overrides else base
+    return replace(base, **overrides)
 
 
 def stability_spec(**overrides) -> SweepSpec:
@@ -136,54 +137,21 @@ def stability_spec(**overrides) -> SweepSpec:
         T=100.0,
         schemes=("proposed", "frutos"),
     )
-    return replace(base, **overrides) if overrides else base
+    return replace(base, **overrides)
 
 
-def _solitary(spec: SweepSpec, N: int):
-    """The solitary-wave problem of a spec on the N grid, and its wave."""
-    grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
-    params = params_from_amplitude(spec.amplitude)
-    problem = GBProblem(
-        power=spec.power,
-        grid=grid,
-        initial_u=solitary_wave(params, grid.nodes, 0.0),
-        initial_ut=solitary_wave_dt(params, grid.nodes, 0.0),
-    )
-    return problem, params
-
-
-def _sweep_row(
-    spec: SweepSpec,
-    scheme: str,
-    problem: GBProblem,
-    params,
-    dt: float,
-    result: RunResult,
-    wall: float,
-    kind: str | None = None,
-) -> SweepRow:
+def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) -> SweepRow:
     """Summarize one run's result against the exact wave as a sweep row."""
-    grid = problem.grid
-    state = result.state
-    if result.diverged:
-        err_psi = err_h2 = err_l2 = drift = float("inf")
-    else:
-        u_exact = solitary_wave(params, grid.nodes, state.time)
-        u_err = state.u_curr - u_exact
-        err_h2 = norm2(grid, derivative(grid, u_err, 2))
-        err_l2 = norm2(grid, u_err)
-        if hasattr(state, "psi_curr"):
-            psi_exact = solitary_wave_dt(params, grid.nodes, state.time)
-            err_psi = norm2(grid, state.psi_curr - psi_exact)
-        else:
-            # three-level scheme has no psi variable
-            err_psi = float("nan")
-        mass0 = mass(grid, problem.initial_u)
-        drift = abs(mass(grid, state.u_curr) - mass0) / max(abs(mass0), 1e-300)
+    err_psi = err_h2 = err_l2 = drift = float("inf")
+    if not result.diverged:
+        record = error_norms(result.state, params)
+        err_psi, err_h2, err_l2 = record.err_psi_l2, record.err_u_h2, record.err_u_l2
+        mass0 = mass(problem.grid, problem.initial_u)
+        drift = abs(record.mass - mass0) / max(abs(mass0), 1e-300)
     return SweepRow(
-        kind=kind or spec.kind,
+        kind=spec.kind,
         scheme=scheme,
-        N=grid.half_modes,
+        N=problem.grid.half_modes,
         dt=dt,
         K=int(round(spec.T / dt)),
         T=spec.T,
@@ -196,68 +164,38 @@ def _sweep_row(
     )
 
 
-def single_run(
-    spec: SweepSpec, scheme: str, N: int, dt: float, kind: str | None = None
-) -> SweepRow:
-    """Run one benchmark configuration and summarize it as a sweep row."""
-    problem, params = _solitary(spec, N)
-    start = _time.perf_counter()
-    result = run(problem, dt, spec.T, scheme, spec.bootstrap_mode, params)
-    wall = _time.perf_counter() - start
-    return _sweep_row(spec, scheme, problem, params, dt, result, wall, kind)
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Run every (scheme, N) of a spec, with all its step sizes in one batch.
 
-
-def run_spatial_sweep(spec: SweepSpec | None = None) -> SweepResult:
-    """Fixed small dt, increasing N; errors should fall spectrally then saturate."""
-    spec = spec or spatial_spec()
-    if spec.kind != "spatial":
-        raise ValueError("expected a spatial sweep spec")
-    rows = tuple(single_run(spec, spec.schemes[0], N, spec.dt) for N in spec.N_list)
-    return SweepResult(spec=spec, rows=rows)
-
-
-def run_temporal_sweep(spec: SweepSpec | None = None) -> SweepResult:
-    """Fixed N, decreasing dt; fits the observed temporal order.
-
-    Every step size runs as one row of a single batch.
+    Rows come scheme by scheme, N by N, then step size by step size.  A
+    row's ``wall_seconds`` is its batch's stepping time times its share of
+    the batch's steps.  Divergence is data: a row that blows up before T
+    is flagged and the sweep goes on.  Orders are fitted for temporal
+    sweeps only.
     """
-    spec = spec or temporal_spec()
-    if spec.kind != "temporal":
-        raise ValueError("expected a temporal sweep spec")
-    scheme = spec.schemes[0]
-    problem, params = _solitary(spec, spec.N_list[-1])
-    dts = [spec.T / nk for nk in spec.nk_list]
-    start = _time.perf_counter()
-    results = run_batch(
-        problem, dts, spec.T, scheme=scheme, bootstrap_mode=spec.bootstrap_mode, params=params
-    )
-    per_step = (_time.perf_counter() - start) / sum(spec.nk_list)
-    rows = tuple(
-        _sweep_row(spec, scheme, problem, params, dt, result, per_step * nk)
-        for dt, nk, result in zip(dts, spec.nk_list, results)
-    )
-    fitted = {
-        "err_psi_l2": fit_order(dts, [row.err_psi_l2 for row in rows]),
-        "err_u_h2": fit_order(dts, [row.err_u_h2 for row in rows]),
-    }
-    return SweepResult(spec=spec, rows=rows, fitted_orders=fitted)
-
-
-def run_stability_experiment(spec: SweepSpec | None = None) -> SweepResult:
-    """Run both schemes over the resolution ladder at one fixed dt.
-
-    Divergence is data here: the rows record which (scheme, N) pairs blow
-    up before T.
-    """
-    spec = spec or stability_spec()
-    if spec.kind != "stability":
-        raise ValueError("expected a stability sweep spec")
-    rows = tuple(
-        single_run(spec, scheme, N, spec.dt)
-        for scheme in spec.schemes
-        for N in spec.N_list
-    )
-    return SweepResult(spec=spec, rows=rows)
+    params = params_from_amplitude(spec.amplitude)
+    dts = [spec.T / nk for nk in spec.nk_list] if spec.kind == "temporal" else [spec.dt]
+    steps = [int(round(spec.T / dt)) for dt in dts]
+    length = spec.domain[1] - spec.domain[0]
+    rows = []
+    for scheme in spec.schemes:
+        for N in spec.N_list:
+            grid = Grid(half_modes=N, length=length, x_left=spec.domain[0])
+            problem = solitary_problem(params, grid, spec.power)
+            start = _time.perf_counter()
+            results = run_batch(problem, dts, spec.T, scheme, spec.bootstrap_mode, params)
+            per_step = (_time.perf_counter() - start) / max(sum(steps), 1)
+            rows.extend(
+                _sweep_row(spec, scheme, problem, params, dt, result, per_step * K)
+                for dt, K, result in zip(dts, steps, results)
+            )
+    fitted = None
+    if spec.kind == "temporal":
+        fitted = {
+            key: fit_order(dts, [getattr(row, key) for row in rows])
+            for key in ("err_psi_l2", "err_u_h2")
+        }
+    return SweepResult(spec=spec, rows=tuple(rows), fitted_orders=fitted)
 
 
 def fit_order(dts, errors) -> float:

@@ -30,12 +30,7 @@ from boussinesq.spectral import (
     sobolev_norm,
 )
 from boussinesq.stepping import ProposedStepper, bootstrap, build_implicit_diagonal, run
-from boussinesq.sweeps import (
-    run_spatial_sweep,
-    run_stability_experiment,
-    run_temporal_sweep,
-    stability_spec,
-)
+from boussinesq.sweeps import run_sweep, spatial_spec, stability_spec, temporal_spec
 from boussinesq.waves import (
     GBProblem,
     nonlinearity,
@@ -57,17 +52,17 @@ def report(criterion, passed, detail=""):
 
 @pytest.fixture(scope="module")
 def temporal_result():
-    return run_temporal_sweep()
+    return run_sweep(temporal_spec())
 
 
 @pytest.fixture(scope="module")
 def spatial_result():
-    return run_spatial_sweep()
+    return run_sweep(spatial_spec())
 
 
 @pytest.fixture(scope="module")
 def stability_result():
-    return run_stability_experiment()
+    return run_sweep(stability_spec())
 
 
 def test_criterion_1_temporal_second_order(temporal_result):
@@ -200,7 +195,7 @@ def test_criterion_7_stability_contrast_at_T4():
     # for why the three-level scheme cannot reach the blow-up threshold
     # that early (amplification capped near e^2 by T = 4)
     spec = stability_spec(T=4.0)
-    result = run_stability_experiment(spec)
+    result = run_sweep(spec)
     frutos = [row for row in result.rows if row.scheme == "frutos"]
     proposed = [row for row in result.rows if row.scheme == "proposed"]
     contrast_ns = [

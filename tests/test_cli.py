@@ -34,13 +34,15 @@ class TestParseArgs:
         assert args.N == 512
         assert args.T == 4.0
         assert args.amplitude == 0.5
-        spec = cli._spec_from_args(args, "temporal")
+        spec = cli._spec_from_args(args)
+        assert spec.kind == "temporal" and spec.N_list == (512,)
         assert spec.nk_list == tuple(range(100, 1100, 100))
 
     def test_sweep_space_defaults(self):
         args = cli.parse_args(["sweep-space"])
         assert args.dt == 1e-4
-        spec = cli._spec_from_args(args, "spatial")
+        spec = cli._spec_from_args(args)
+        assert spec.kind == "spatial"
         assert spec.N_list == tuple(range(32, 136, 8))
         assert spec.dt == 1e-4
 
@@ -61,6 +63,30 @@ class TestParseArgs:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_args(["run", "--frobnicate"])
+        assert exc.value.code == 2
+
+    def test_run_spec_carries_the_flags(self):
+        args = cli.parse_args(["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"])
+        spec = cli._spec_from_args(args)
+        assert (spec.kind, spec.N_list, spec.dt) == ("run", (64,), 0.01)
+        assert spec.schemes == ("frutos",)
+
+    def test_stability_defaults(self):
+        spec = cli._spec_from_args(cli.parse_args(["stability"]))
+        assert (spec.kind, spec.dt, spec.T) == ("stability", 0.1, 100.0)
+        assert spec.schemes == ("proposed", "frutos")
+
+    @pytest.mark.parametrize("subcommand", ["sweep-space", "sweep-time", "stability"])
+    def test_scheme_flag_only_on_run(self, subcommand):
+        # a sweep fixes its schemes, so the flag would change nothing
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, "--scheme", "frutos"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", ["run", "sweep-space", "sweep-time", "stability"])
+    def test_no_stride_flag(self, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([subcommand, "--stride", "10"])
         assert exc.value.code == 2
 
     def test_bad_domain(self):
@@ -161,6 +187,13 @@ class TestVerify:
         results = dict(run_checks(derivative=broken_derivative))
         assert results["summation by parts"] is False
 
+    def test_injected_derivative_reaches_only_summation_by_parts(self):
+        def constant_derivative(grid, values, order=1):
+            return np.ones_like(values)
+
+        results = dict(run_checks(derivative=constant_derivative))
+        assert [name for name, ok in results.items() if not ok] == ["summation by parts"]
+
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -221,6 +254,23 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "p = 2" in err
+
+    def test_amplitude_out_of_range_is_one_line_usage_error(self, capsys):
+        code = cli.main(["run", "--N", "32", "--amplitude", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: amplitude must lie in (0, 3/2]")
+        assert err.count("\n") == 1
+
+    def test_run_prints_the_row_it_writes(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["run", "--scheme", "frutos", "--N", "32", "--dt", "0.1", "--T", "0.5"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        (row,) = read_csv(out)
+        assert (row.kind, row.scheme, row.N, row.K) == ("run", "frutos", 32, 5)
+        assert line.startswith("completed: scheme=frutos N=32 dt=0.1 K=5 err_psi_l2=nan ")
+        assert f"err_u_h2={row.err_u_h2:.3e}" in line
 
     def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])

@@ -88,6 +88,21 @@ class TestErrorNorms:
             psi - solitary_wave_dt(p, grid.nodes, 0.4),
         )
 
+    def test_three_level_state_has_nan_psi_error(self, rng):
+        grid = benchmark_grid(64)
+        p = params_from_amplitude(0.5)
+        u = solitary_wave(p, grid.nodes, 0.4) + 1e-3 * rng.standard_normal(grid.num_points)
+        rec = error_norms(SchemeState(grid, 0, 0.4, u, None, u.copy()), p)
+        full = error_norms(
+            SchemeState(grid, 0, 0.4, u, solitary_wave_dt(p, grid.nodes, 0.4), u.copy()), p
+        )
+        assert np.isnan(rec.err_psi_l2) and np.isnan(rec.energy)
+        assert (rec.err_u_h2, rec.err_u_l2, rec.mass) == (
+            full.err_u_h2,
+            full.err_u_l2,
+            full.mass,
+        )
+
 
 class TestMass:
     def test_constant_function_mass_is_domain_length(self):

@@ -58,11 +58,10 @@ class TestProposedStep:
     def test_zero_is_fixed_point(self):
         grid = benchmark_grid(32)
         z = np.zeros(grid.num_points)
-        state = SchemeState(grid, 0, 0.0, z, z.copy(), z.copy())
         for p in (2, 3):
-            out = ProposedStepper(grid, dt=0.01, power=p).step(state)
-            assert np.all(out.u_curr == 0.0)
-            assert np.all(out.psi_curr == 0.0)
+            u, psi = ProposedStepper(grid, dt=0.01, power=p).step_arrays(z, z, z)
+            assert np.all(u == 0.0)
+            assert np.all(psi == 0.0)
 
     def test_one_step_dispersion_error_is_third_order(self):
         # tiny-amplitude single mode: the nonlinearity is negligible and
@@ -78,10 +77,11 @@ class TestProposedStep:
         def one_step_error(dt):
             u0 = eps * np.cos(k * grid.nodes)
             u_prev = eps * np.cos(k * grid.nodes) * np.cos(omega * dt)
-            state = SchemeState(grid, 0, 0.0, u0, np.zeros(grid.num_points), u_prev)
-            state = ProposedStepper(grid, dt, 2).step(state)
+            _, psi = ProposedStepper(grid, dt, 2).step_arrays(
+                u0, np.zeros(grid.num_points), u_prev
+            )
             exact_psi = -eps * omega * np.cos(k * grid.nodes) * np.sin(omega * dt)
-            return norm2(grid, state.psi_curr - exact_psi)
+            return norm2(grid, psi - exact_psi)
 
         e_coarse = one_step_error(0.05)
         e_fine = one_step_error(0.025)
@@ -92,14 +92,14 @@ class TestProposedStep:
         dt = 1e-3
         u = np.exp(np.sin(2 * np.pi * (grid.nodes + 40) / 80))
         psi = 0.3 * np.cos(2 * np.pi * (grid.nodes + 40) / 80)
-        state = SchemeState(grid, 0, 0.0, u, psi, u.copy())
+        u_prev = u.copy()
         stepper = ProposedStepper(grid, dt, 2)
         for _ in range(5):
-            new = stepper.step(state)
-            lhs = (new.u_curr - state.u_curr) / dt
-            rhs = 0.5 * (new.psi_curr + state.psi_curr)
-            assert norm2(grid, lhs - rhs) <= 1e-10 * (norm2(grid, new.psi_curr) + 1.0)
-            state = new
+            u_new, psi_new = stepper.step_arrays(u, psi, u_prev)
+            lhs = (u_new - u) / dt
+            rhs = 0.5 * (psi_new + psi)
+            assert norm2(grid, lhs - rhs) <= 1e-10 * (norm2(grid, psi_new) + 1.0)
+            u, psi, u_prev = u_new, psi_new, u
 
     def test_global_error_halves_like_dt_squared(self):
         grid = benchmark_grid(128)
@@ -224,10 +224,7 @@ class TestFrutos:
     def test_zero_is_fixed_point(self):
         grid = benchmark_grid(32)
         z = np.zeros(grid.num_points)
-        from boussinesq.stepping import FrutosState
-
-        out = FrutosStepper(grid, dt=0.01).step(FrutosState(grid, 0, 0.0, z, z.copy()))
-        assert np.all(out.u_curr == 0.0)
+        assert np.all(FrutosStepper(grid, dt=0.01).step_arrays(z, z) == 0.0)
 
     def test_matches_full_spectrum_formula(self):
         grid = benchmark_grid(32)
@@ -261,6 +258,19 @@ class TestFrutos:
             u_err = result.state.u_curr - solitary_wave(p, grid.nodes, 4.0)
             errs[scheme] = norm2(grid, derivative(grid, u_err, 2))
         assert errs["frutos"] <= 10.0 * errs["proposed"]
+
+    def test_state_is_a_scheme_state_without_psi(self):
+        grid = benchmark_grid(16)
+        p = params_from_amplitude(0.5)
+        prob = solitary_problem(p, grid)
+        start = bootstrap_frutos(prob, 0.05, p)
+        exact = bootstrap(prob, 0.05, mode="exact", params=p)
+        assert isinstance(start, SchemeState) and start.psi_curr is None
+        assert np.array_equal(start.u_curr, exact.u_curr)
+        assert np.array_equal(start.u_prev, exact.u_prev)
+        final = run(prob, 0.05, 0.5, scheme="frutos", params=p).state
+        assert isinstance(final, SchemeState) and final.psi_curr is None
+        assert final.step_index == 10
 
     def test_requires_quadratic_nonlinearity(self):
         grid = benchmark_grid(16)
@@ -414,8 +424,11 @@ def assert_same_result(got, want):
     assert got.state.step_index == want.state.step_index
     assert got.state.time == want.state.time
     for field in ("u_curr", "psi_curr", "u_prev"):
-        if hasattr(want.state, field):
-            assert np.array_equal(getattr(got.state, field), getattr(want.state, field))
+        want_field = getattr(want.state, field)
+        if want_field is None:  # the three-level scheme has no psi
+            assert getattr(got.state, field) is None
+        else:
+            assert np.array_equal(getattr(got.state, field), want_field)
 
 
 class TestRunBatch:

@@ -5,16 +5,15 @@ are trimmed to keep the unit suite fast.
 """
 
 import dataclasses
+import warnings
 
+import numpy as np
 import pytest
 
 from boussinesq.sweeps import (
     SweepSpec,
     fit_order,
-    run_spatial_sweep,
-    run_stability_experiment,
-    run_temporal_sweep,
-    single_run,
+    run_sweep,
     spatial_spec,
     stability_spec,
     temporal_spec,
@@ -66,36 +65,44 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(kind="spatial", N_list=(32,), dt=-1.0)
 
-    def test_kind_mismatch_rejected(self):
+    def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
+        # the fitted orders pool every row, so a temporal sweep may not mix
+        # resolutions or schemes
         with pytest.raises(ValueError):
-            run_temporal_sweep(spatial_spec())
+            temporal_spec(N_list=(32, 64))
         with pytest.raises(ValueError):
-            run_spatial_sweep(temporal_spec())
+            temporal_spec(schemes=("proposed", "frutos"))
+        assert temporal_spec(N_list=(64,)).N_list == (64,)
+
+    def test_run_kind_needs_a_fixed_dt(self):
+        assert SweepSpec(kind="run", N_list=(32,), dt=0.1).kind == "run"
+        with pytest.raises(ValueError):
+            SweepSpec(kind="run", N_list=(32,))
 
 
 class TestReducedSweeps:
     def test_spatial_errors_fall_with_resolution(self):
         spec = spatial_spec(N_list=(32, 64), dt=1e-3, T=1.0)
-        result = run_spatial_sweep(spec)
+        result = run_sweep(spec)
         assert len(result.rows) == 2
         assert result.fitted_orders is None
         assert result.rows[1].err_u_h2 < result.rows[0].err_u_h2 / 10
         assert result.rows[1].err_psi_l2 < result.rows[0].err_psi_l2 / 10
 
     def test_single_entry_spatial_sweep(self):
-        result = run_spatial_sweep(spatial_spec(N_list=(32,), dt=1e-2, T=1.0))
+        result = run_sweep(spatial_spec(N_list=(32,), dt=1e-2, T=1.0))
         assert len(result.rows) == 1
 
     def test_temporal_sweep_fits_second_order(self):
         spec = temporal_spec(N_list=(128,), nk_list=(100, 200, 400), T=2.0)
-        result = run_temporal_sweep(spec)
+        result = run_sweep(spec)
         assert 1.8 <= result.fitted_orders["err_psi_l2"] <= 2.2
         assert 1.8 <= result.fitted_orders["err_u_h2"] <= 2.2
 
     def test_determinism(self):
         spec = temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0)
-        a = run_temporal_sweep(spec)
-        b = run_temporal_sweep(spec)
+        a = run_sweep(spec)
+        b = run_sweep(spec)
         for ra, rb in zip(a.rows, b.rows):
             da = dataclasses.asdict(ra)
             db = dataclasses.asdict(rb)
@@ -105,32 +112,39 @@ class TestReducedSweeps:
 
     def test_batched_rows_share_wall_time_by_step_count(self):
         spec = temporal_spec(N_list=(64,), nk_list=(50, 100, 200), T=1.0)
-        rows = run_temporal_sweep(spec).rows
+        rows = run_sweep(spec).rows
         assert all(row.wall_seconds > 0 for row in rows)
         per_step = [row.wall_seconds / row.K for row in rows]
         assert per_step == pytest.approx([per_step[0]] * 3, rel=1e-12)
 
     def test_temporal_rows_equal_single_runs(self):
-        # the batched sweep and a row-at-a-time sweep give the same numbers
+        # the batched sweep and a run of each step size give the same numbers
         spec = temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0)
-        for row in run_temporal_sweep(spec).rows:
-            solo = single_run(spec, "proposed", 64, row.dt)
+        for row in run_sweep(spec).rows:
+            (solo,) = run_sweep(SweepSpec(kind="run", N_list=(64,), dt=row.dt, T=1.0)).rows
             assert dataclasses.replace(row, wall_seconds=0.0) == dataclasses.replace(
-                solo, wall_seconds=0.0
+                solo, kind="temporal", wall_seconds=0.0
             )
 
     def test_stability_rows_cover_both_schemes(self):
         spec = stability_spec(N_list=(32, 64), dt=0.1, T=1.0)
-        result = run_stability_experiment(spec)
-        assert {row.scheme for row in result.rows} == {"proposed", "frutos"}
-        assert len(result.rows) == 4
+        result = run_sweep(spec)
+        # scheme by scheme, then N by N
+        assert [(row.scheme, row.N) for row in result.rows] == [
+            ("proposed", 32),
+            ("proposed", 64),
+            ("frutos", 32),
+            ("frutos", 64),
+        ]
         # at this benign resolution neither scheme diverges
         assert not any(row.diverged for row in result.rows)
+        # the three-level scheme has no psi
+        assert [np.isnan(row.err_psi_l2) for row in result.rows] == [False] * 2 + [True] * 2
 
     def test_divergent_row_flagged_and_sweep_continues(self):
         # calibrated divergent point for the three-level scheme
         spec = stability_spec(N_list=(64, 512), dt=0.1, T=100.0, schemes=("frutos",))
-        result = run_stability_experiment(spec)
+        result = run_sweep(spec)
         flags = [row.diverged for row in result.rows]
         assert flags == [False, True]
         bad = result.rows[1]
@@ -138,10 +152,23 @@ class TestReducedSweeps:
 
     def test_spatial_decay_monotone_until_saturation(self):
         spec = spatial_spec(N_list=(32, 40, 48, 64), dt=1e-3, T=1.0)
-        result = run_spatial_sweep(spec)
+        result = run_sweep(spec)
         errs = [row.err_u_h2 for row in result.rows]
         floor = min(errs)
         for prev, cur in zip(errs, errs[1:]):
             if prev <= 5 * floor:
                 break
             assert cur <= prev
+
+    def test_domain_that_cuts_the_wave_warns(self):
+        spec = SweepSpec(kind="run", N_list=(32,), dt=0.1, T=0.2, domain=(-5.0, 5.0))
+        with pytest.warns(UserWarning, match="domain boundary"):
+            run_sweep(spec)
+
+    def test_shifted_published_domains_do_not_warn(self):
+        # the wave stays below the warning threshold at domain offsets up to 2
+        for domain in ((-42.0, 38.0), (-38.0, 42.0)):
+            spec = SweepSpec(kind="run", N_list=(32,), dt=0.1, T=0.2, domain=domain)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_sweep(spec)
