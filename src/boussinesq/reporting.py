@@ -1,82 +1,56 @@
 """CSV serialization of sweep results and emission of companion plot scripts.
 
+The CSV has one column per :class:`SweepRow` field, in declaration order.
 Floats are written with ``repr``, Python's shortest round-trip decimal
 form, so parsing an emitted file recovers every value bit-exactly.
 """
 
 from __future__ import annotations
 
-import sys
+import dataclasses
+import typing
 import warnings
 
 from .sweeps import SweepResult, SweepRow
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv", "emit_plot_script"]
 
-CSV_HEADER = "kind,scheme,N,dt,K,T,err_psi_l2,err_u_h2,err_u_l2,mass_drift,diverged,wall_seconds"
+# how a cell of each SweepRow field type is written and read back
+_WRITE = {str: str, int: str, float: repr, bool: lambda value: "true" if value else "false"}
+_READ = {str: str, int: int, float: float, bool: "true".__eq__}
 
+_HINTS = typing.get_type_hints(SweepRow)
+_COLUMNS = tuple((field.name, _HINTS[field.name]) for field in dataclasses.fields(SweepRow))
 
-def _format_row(row: SweepRow) -> str:
-    return ",".join(
-        [
-            row.kind,
-            row.scheme,
-            str(row.N),
-            repr(row.dt),
-            str(row.K),
-            repr(row.T),
-            repr(row.err_psi_l2),
-            repr(row.err_u_h2),
-            repr(row.err_u_l2),
-            repr(row.mass_drift),
-            "true" if row.diverged else "false",
-            repr(row.wall_seconds),
-        ]
-    )
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def write_csv(result: SweepResult, path) -> None:
     """Write one sweep to CSV; temporal sweeps get a fitted-order comment."""
     lines = [CSV_HEADER]
-    lines.extend(_format_row(row) for row in result.rows)
+    for row in result.rows:
+        lines.append(",".join(_WRITE[typ](getattr(row, name)) for name, typ in _COLUMNS))
     if result.fitted_orders is not None:
         lines.append(f"# fitted_order={result.fitted_orders['err_psi_l2']!r}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> list[SweepRow]:
-    """Parse a file produced by :func:`write_csv` back into rows."""
+    """Parse a file produced by :func:`write_csv` back into rows; reject malformed rows."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            rows.append(
-                SweepRow(
-                    kind=parts[0],
-                    scheme=parts[1],
-                    N=int(parts[2]),
-                    dt=float(parts[3]),
-                    K=int(parts[4]),
-                    T=float(parts[5]),
-                    err_psi_l2=float(parts[6]),
-                    err_u_h2=float(parts[7]),
-                    err_u_l2=float(parts[8]),
-                    mass_drift=float(parts[9]),
-                    diverged=parts[10] == "true",
-                    wall_seconds=float(parts[11]),
-                )
-            )
+            cells = line.split(",")
+            if len(cells) != len(_COLUMNS):
+                raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, not {len(_COLUMNS)}")
+            rows.append(SweepRow(*(_READ[typ](cell) for (_, typ), cell in zip(_COLUMNS, cells))))
     return rows
 
 
@@ -132,9 +106,5 @@ def emit_plot_script(result: SweepResult, path, csv_name: str) -> None:
     body = _TEMPORAL_BODY if result.spec.kind == "temporal" else _SPATIAL_BODY
     png_name = csv_name.rsplit(".", 1)[0] + ".png"
     script = _PLOT_TEMPLATE.format(csv_name=csv_name, body=body, png_name=png_name)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(script)

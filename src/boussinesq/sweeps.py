@@ -140,7 +140,7 @@ def stability_spec(**overrides) -> SweepSpec:
     return replace(base, **overrides)
 
 
-def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) -> SweepRow:
+def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, K, result, wall) -> SweepRow:
     """Summarize one run's result against the exact wave as a sweep row."""
     err_psi = err_h2 = err_l2 = drift = float("inf")
     if not result.diverged:
@@ -153,7 +153,7 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) 
         scheme=scheme,
         N=problem.grid.half_modes,
         dt=dt,
-        K=int(round(spec.T / dt)),
+        K=K,
         T=spec.T,
         err_psi_l2=err_psi,
         err_u_h2=err_h2,
@@ -186,7 +186,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             results = run_batch(problem, dts, spec.T, scheme, spec.bootstrap_mode, params)
             per_step = (_time.perf_counter() - start) / max(sum(steps), 1)
             rows.extend(
-                _sweep_row(spec, scheme, problem, params, dt, result, per_step * K)
+                _sweep_row(spec, scheme, problem, params, dt, K, result, per_step * K)
                 for dt, K, result in zip(dts, steps, results)
             )
     fitted = None

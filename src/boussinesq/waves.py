@@ -10,6 +10,8 @@ with amplitude, shape and speed tied by A = 3 P^2 / 2 and c0 = sqrt(1 - P^2).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -126,20 +128,27 @@ def _power(values: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def sample_initial(params: SolitaryWaveParams, grid: Grid):
     """Sample (u, u_t) at t = 0 on the grid nodes.
 
     Warns when the wave is not effectively supported inside the domain,
-    since periodization error then stops being negligible.
+    since periodization error then stops being negligible.  The warning
+    points at the first caller outside this package, which chose the domain.
     """
     u0 = solitary_wave(params, grid.nodes, 0.0)
     v0 = solitary_wave_dt(params, grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"solitary wave magnitude {edge:.3e} at the domain boundary; "
             "periodization error may be significant",
-            stacklevel=2,
+            stacklevel=level,
         )
     return u0, v0
 

@@ -1,5 +1,8 @@
 """CLI parsing, CSV round-trip, plot-script emission and self-verification."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,72 @@ class TestCsv:
         assert lines[-1].startswith("# fitted_order=")
         assert float(lines[-1].split("=")[1]) == pytest.approx(2.0001559)
 
+    def test_golden_bytes(self, tmp_path):
+        # one row of each kind, pinned to the exact text of the format
+        rows = (
+            make_row(kind="spatial", N=32, dt=1e-4, K=40000, err_u_h2=0.1 + 0.2),
+            make_row(),
+            make_row(kind="stability", N=512, dt=0.1, K=1000, T=100.0, wall_seconds=1e-05),
+            make_row(
+                kind="stability",
+                scheme="frutos",
+                N=512,
+                dt=0.1,
+                K=1000,
+                T=100.0,
+                err_psi_l2=float("inf"),
+                err_u_h2=float("inf"),
+                err_u_l2=float("inf"),
+                mass_drift=float("inf"),
+                diverged=True,
+            ),
+            make_row(
+                kind="run",
+                scheme="frutos",
+                N=64,
+                dt=0.01,
+                K=50,
+                T=0.5,
+                err_psi_l2=float("nan"),
+                mass_drift=0.0,
+            ),
+        )
+        result = SweepResult(
+            spec=temporal_spec(), rows=rows, fitted_orders={"err_psi_l2": 2.0001559}
+        )
+        path = tmp_path / "golden.csv"
+        write_csv(result, path)
+        assert path.read_bytes().decode("utf-8") == (
+            "kind,scheme,N,dt,K,T,err_psi_l2,err_u_h2,err_u_l2,mass_drift,diverged,wall_seconds\n"
+            "spatial,proposed,32,0.0001,40000,4.0,1.1610264668701908e-07,"
+            "0.30000000000000004,1.4336e-07,2.01e-11,false,0.18\n"
+            "temporal,proposed,512,0.004,1000,4.0,1.1610264668701908e-07,"
+            "1.2116e-07,1.4336e-07,2.01e-11,false,0.18\n"
+            "stability,proposed,512,0.1,1000,100.0,1.1610264668701908e-07,"
+            "1.2116e-07,1.4336e-07,2.01e-11,false,1e-05\n"
+            "stability,frutos,512,0.1,1000,100.0,inf,inf,inf,inf,true,0.18\n"
+            "run,frutos,64,0.01,50,0.5,nan,1.2116e-07,1.4336e-07,0.0,false,0.18\n"
+            "# fitted_order=2.0001559\n"
+        )
+        back = read_csv(path)
+        assert back[:4] == list(rows[:4])
+        assert math.isnan(back[4].err_psi_l2)
+        assert back[4] == dataclasses.replace(rows[4], err_psi_l2=back[4].err_psi_l2)
+        assert all(type(b.N) is int and type(b.K) is int for b in back)
+        assert [b.diverged for b in back] == [False, False, False, True, False]
+
+    @pytest.mark.parametrize(
+        "edit", [lambda cells: cells[:-1], lambda cells: cells + ["1"]], ids=["short", "long"]
+    )
+    def test_row_with_wrong_column_count_rejected(self, tmp_path, edit):
+        path = tmp_path / "bad.csv"
+        write_csv(SweepResult(spec=temporal_spec(), rows=(make_row(), make_row())), path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_csv(path)
+
 
 class TestPlotScript:
     def test_temporal_script_has_guide_curve(self, tmp_path):
@@ -232,7 +301,7 @@ class TestMainCommands:
         assert out.exists()
         assert (tmp_path / "sweep_plot.py").exists()
 
-    def test_unwritable_output_is_runtime_error(self, tmp_path):
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = cli.main(
             [
                 "run",
@@ -247,6 +316,15 @@ class TestMainCommands:
             ]
         )
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_plot_script_is_one_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "x_plot.py").mkdir()  # a directory where the script would go
+        argv = ["run", "--N", "32", "--dt", "0.1", "--T", "0.5", "--emit-plot"]
+        assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_frutos_with_cubic_power_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--scheme", "frutos", "--p", "3"])

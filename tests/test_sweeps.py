@@ -165,6 +165,12 @@ class TestReducedSweeps:
         with pytest.warns(UserWarning, match="domain boundary"):
             run_sweep(spec)
 
+    def test_domain_warning_points_at_the_caller(self):
+        spec = SweepSpec(kind="run", N_list=(32,), dt=0.1, T=0.2, domain=(-5.0, 5.0))
+        with pytest.warns(UserWarning, match="domain boundary") as rec:
+            run_sweep(spec)
+        assert rec[0].filename == __file__
+
     def test_shifted_published_domains_do_not_warn(self):
         # the wave stays below the warning threshold at domain offsets up to 2
         for domain in ((-42.0, 38.0), (-38.0, 42.0)):

@@ -10,6 +10,7 @@ from boussinesq.waves import (
     nonlinearity,
     params_from_amplitude,
     sample_initial,
+    solitary_problem,
     solitary_wave,
     solitary_wave_dt,
     solitary_wave_dtt,
@@ -135,6 +136,12 @@ class TestProblemSetup:
         grid = Grid(half_modes=16, length=10.0, x_left=-5.0)
         with pytest.warns(UserWarning):
             sample_initial(params_from_amplitude(0.5), grid)
+
+    def test_unsupported_wave_warning_points_at_the_caller(self):
+        grid = Grid(half_modes=16, length=10.0, x_left=-5.0)
+        with pytest.warns(UserWarning, match="domain boundary") as rec:
+            solitary_problem(params_from_amplitude(0.5), grid)
+        assert rec[0].filename == __file__
 
     def test_problem_validates_power_and_shapes(self):
         grid = Grid(half_modes=8, length=80.0, x_left=-40.0)
