@@ -15,9 +15,15 @@ from .sweeps import SweepResult, SweepRow
 
 __all__ = ["CSV_HEADER", "write_csv", "read_csv", "emit_plot_script"]
 
+def _read_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true"
+
+
 # how a cell of each SweepRow field type is written and read back
 _WRITE = {str: str, int: str, float: repr, bool: lambda value: "true" if value else "false"}
-_READ = {str: str, int: int, float: float, bool: "true".__eq__}
+_READ = {str: str, int: int, float: float, bool: _read_bool}
 
 _HINTS = typing.get_type_hints(SweepRow)
 _COLUMNS = tuple((field.name, _HINTS[field.name]) for field in dataclasses.fields(SweepRow))
@@ -37,7 +43,12 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def read_csv(path) -> list[SweepRow]:
-    """Parse a file produced by :func:`write_csv` back into rows; reject malformed rows."""
+    """Parse a file produced by :func:`write_csv` back into rows.
+
+    A row with the wrong number of cells, or a cell its column's type
+    cannot parse (bools are ``true`` or ``false`` only), raises
+    ``ValueError`` naming the path, line and column.
+    """
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -50,7 +61,13 @@ def read_csv(path) -> list[SweepRow]:
             cells = line.split(",")
             if len(cells) != len(_COLUMNS):
                 raise ValueError(f"{path}, line {lineno}: {len(cells)} cells, not {len(_COLUMNS)}")
-            rows.append(SweepRow(*(_READ[typ](cell) for (_, typ), cell in zip(_COLUMNS, cells))))
+            values = []
+            for (name, typ), cell in zip(_COLUMNS, cells):
+                try:
+                    values.append(_READ[typ](cell))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}, column {name}: {exc}") from None
+            rows.append(SweepRow(*values))
     return rows
 
 

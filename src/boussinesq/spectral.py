@@ -105,18 +105,16 @@ def forward(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values) / grid.num_points
 
 
-def inverse(grid: Grid, coeffs: np.ndarray, real: bool = True) -> np.ndarray:
-    """Nodal values of the trigonometric polynomial with the given coefficients.
+def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real nodal values of the trigonometric polynomial with the given coefficients.
 
-    With ``real=True`` the imaginary residue is checked against the field
-    magnitude and discarded; a residue above tolerance raises
-    :class:`SymmetryError` rather than silently corrupting the data.
+    The imaginary residue is checked against the field magnitude and
+    discarded; a residue above tolerance raises :class:`SymmetryError`
+    rather than silently corrupting the data.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     _check_shape(grid, coeffs)
     values = np.fft.ifft(coeffs * grid.num_points)
-    if not real:
-        return values
     scale = np.max(np.abs(values))
     if scale > 0 and np.max(np.abs(values.imag)) > _SYMMETRY_TOL * scale:
         raise SymmetryError(

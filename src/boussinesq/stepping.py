@@ -8,11 +8,12 @@ Two schemes are provided:
 * the classical three-level scheme of de Frutos/Ortega/Sanz-Serna (p = 2
   only), kept as the stability-comparison baseline.
 
-Both implicit solves are diagonal in Fourier space, so each stepper
-carries its state as rfft half-spectra, updates every mode by precomputed
-coefficients and makes one rfft and one irfft per step; no matrices are
-ever assembled.  A stepper built with an array of step sizes advances one
-run per row of a 2-D carry, so runs that share a grid share every call.
+Both implicit solves are diagonal in Fourier space, so both schemes are
+one :class:`LinearStepper` with their own coefficients: it carries two
+rfft half-spectra, maps every mode by the same 2x2 linear update plus a
+forcing by the nonlinearity, and makes one rfft and one irfft per step.
+A stepper built with an array of step sizes advances one run per row of
+a 2-D carry, so runs that share a grid share every call.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "SchemeState",
     "RunResult",
     "build_implicit_diagonal",
+    "LinearStepper",
     "ProposedStepper",
     "FrutosStepper",
     "bootstrap",
@@ -87,21 +89,87 @@ def _column(dt) -> np.ndarray:
     return column
 
 
-def _pick(carry, dt, row):
-    """The carry and step size of one row of a batch; the whole of a single run.
+class LinearStepper:
+    """Precomputed-plan stepper for a scheme that is linear in each mode.
 
-    A row is copied, so that a state kept after its run finishes does not
-    hold on to the arrays of the whole batch.
+    The state is carried as two rfft half-spectra: Y of u, and Z, which is
+    that of psi when the scheme has psi (``has_psi``).  With the
+    nonlinearity N = rfft(w0 u^p + w1 u_prev^p), every mode takes
+
+        Y' = m Y + f N + c Z
+        Z' = q (Y' - Y) - s Z
+
+    so the linear part of a step is :attr:`matrix`.  ``dt`` is a float, or
+    a 1-D array of step sizes; the coefficients then have one row per step
+    size, shape (rows, half), and the carry holds one run per row.
     """
-    if row is None:
-        return carry, dt
-    return [x[row].copy() for x in carry[:2]] + [x[row] for x in carry[2:]], dt[row]
+
+    def __init__(self, grid: Grid, dt, power, weights, m, f, c, q, s, has_psi):
+        self.grid = grid
+        self.dt = dt
+        self.power = power
+        self.weights = weights
+        self.has_psi = has_psi
+        # held complex and C-ordered, like the spectra, so that the products
+        # with them cast nothing and walk both operands in the same order
+        self.m, self.f, self.c, self.q, self.s = (
+            np.ascontiguousarray(x, dtype=complex) for x in np.broadcast_arrays(m, f, c, q, s)
+        )
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Per-mode map of (Y, Z), [[m, c], [q(m - 1), q c - s]]: shape (..., half, 2, 2)."""
+        m, c, q, s = (x.real for x in (self.m, self.c, self.q, self.s))
+        return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
+
+    def start(self, u, psi, u_prev):
+        """Spectral carry (u, u_prev, Y, Z, u_prev^p) of nodal fields; psi is None without psi."""
+        y = np.fft.rfft(u)
+        # Z seeds from psi, or else is the backward difference q (Y - V)
+        z = np.fft.rfft(psi) if self.has_psi else self.q * (y - np.fft.rfft(u_prev))
+        return u, u_prev, y, z, _power(u_prev, self.power)
+
+    def advance(self, carry):
+        """One step of a spectral carry: one rfft and one irfft."""
+        u, _, y, z, up_prev = carry
+        up = _power(u, self.power)
+        w0, w1 = self.weights
+        # in-place updates, in the order of the formulas: a batch holds
+        # one temporary per array, not one per operation
+        nl = w0 * up
+        nl += w1 * up_prev
+        y_new = self.m * y
+        y_new += self.f * np.fft.rfft(nl)
+        y_new += self.c * z
+        z_new = y_new - y
+        z_new *= self.q
+        z_new -= self.s * z
+        return np.fft.irfft(y_new, self.grid.num_points), u, y_new, z_new, up
+
+    def state(self, carry, step_index: int, row: int) -> SchemeState:
+        """State of row ``row`` of a batched carry.
+
+        u and u_prev are copied, so that a state kept after its run
+        finishes does not hold on to the arrays of the whole batch.
+        """
+        u, u_prev, _, z, _ = (x[row] for x in carry)
+        psi = np.fft.irfft(z, self.grid.num_points) if self.has_psi else None
+        time = float(step_index * self.dt[row])
+        return SchemeState(self.grid, step_index, time, u.copy(), psi, u_prev.copy())
+
+    def step_arrays(self, u, *fields):
+        """One step of nodal arrays.
+
+        (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
+        """
+        psi, u_prev = fields if self.has_psi else (None, *fields)
+        u_new, _, _, z, _ = self.advance(self.start(u, psi, u_prev))
+        return (u_new, np.fft.irfft(z, self.grid.num_points)) if self.has_psi else u_new
 
 
-class ProposedStepper:
-    """Precomputed-plan stepper for the two-variable scheme.
+def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
+    """Stepper of the two-variable scheme: Y = U of u and Z = Q of psi.
 
-    The state is carried as the rfft half-spectra U of u and Q of psi.
     Every mode takes the same linear map plus the extrapolated
     nonlinearity:
 
@@ -111,106 +179,40 @@ class ProposedStepper:
     with lam = 2/dt^2 + (k^4 + k^2)/2, a = (2/dt^2 - (k^4 + k^2)/2)/lam,
     b = -k^2/lam and c = (2/dt)/lam.  At k = 0, a = 1, b = 0 and c = dt:
     the mean of u grows by dt times the mean of psi, which never changes.
-
-    ``dt`` is a float, or a 1-D array of m step sizes; the coefficients are
-    then shaped (m, half) and the carry holds one run per row.
+    So q_0 = 0 and s_0 = -1 map Q_0 to itself exactly, where the formula
+    would add the round-off of U_0' - U_0 to the mean of psi.
     """
-
-    def __init__(self, grid: Grid, dt, power: int = 2):
-        if power < 2:
-            raise ValueError(f"nonlinearity power must be >= 2, got {power}")
-        self.grid = grid
-        self.dt = dt
-        self.power = power
-        half = grid.half_modes + 1
-        dt = _column(dt)
-        k2 = grid.wavenumbers[:half] ** 2
-        lam = build_implicit_diagonal(grid, dt)[..., :half]
-        # held complex, so that the products with the spectra cast nothing
-        self.a = (4.0 / dt**2 / lam - 1.0).astype(complex)
-        self.b = (-k2 / lam).astype(complex)
-        self.c = (2.0 / dt / lam).astype(complex)
-        self.q = (2.0 / dt).astype(complex)
-
-    def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, U, Q, u_prev^p) of nodal fields."""
-        return u, u_prev, np.fft.rfft(u), np.fft.rfft(psi), _power(u_prev, self.power)
-
-    def advance(self, carry):
-        """One step of a spectral carry: one rfft and one irfft."""
-        u, _, u_hat, psi_hat, up_prev = carry
-        up = _power(u, self.power)
-        # in-place updates, in the order of the formulas: a batch holds
-        # one temporary per array, not one per operation
-        nl = 1.5 * up
-        nl -= 0.5 * up_prev
-        u_hat_new = self.a * u_hat
-        u_hat_new += self.b * np.fft.rfft(nl)
-        u_hat_new += self.c * psi_hat
-        psi_hat_new = u_hat_new - u_hat
-        psi_hat_new *= self.q
-        psi_hat_new -= psi_hat
-        # the k = 0 mode maps Q_0 to itself; copying it keeps the mean of psi
-        # exact, where the formula would add the round-off of U_0' - U_0
-        psi_hat_new[..., 0] = psi_hat[..., 0]
-        u_new = np.fft.irfft(u_hat_new, self.grid.num_points)
-        return u_new, u, u_hat_new, psi_hat_new, up
-
-    def state(self, carry, step_index: int, row: int | None = None) -> SchemeState:
-        """State of the carry, or of row ``row`` of a batched carry."""
-        (u, u_prev, _, psi_hat, _), dt = _pick(carry, self.dt, row)
-        psi = np.fft.irfft(psi_hat, self.grid.num_points)
-        return SchemeState(self.grid, step_index, float(step_index * dt), u, psi, u_prev)
-
-    def step_arrays(self, u, psi, u_prev):
-        """Advance nodal arrays one step; returns (u_new, psi_new)."""
-        u_new, _, _, psi_hat_new, _ = self.advance(self.start(u, psi, u_prev))
-        return u_new, np.fft.irfft(psi_hat_new, self.grid.num_points)
+    if power < 2:
+        raise ValueError(f"nonlinearity power must be >= 2, got {power}")
+    column = _column(dt)
+    k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
+    lam = build_implicit_diagonal(grid, column)[..., : grid.half_modes + 1]
+    a, b, c = 4.0 / column**2 / lam - 1.0, -k2 / lam, 2.0 / column / lam
+    q = (2.0 / column) * (k2 > 0)
+    s = np.where(k2 > 0, 1.0, -1.0)
+    return LinearStepper(grid, dt, power, (1.5, -0.5), a, b, c, q, s, True)
 
 
-class FrutosStepper:
-    """Precomputed-plan stepper for the three-level reference scheme (p = 2).
+def FrutosStepper(grid: Grid, dt) -> LinearStepper:
+    """Stepper of the three-level reference scheme (p = 2): Y = U of u^n.
 
-    The state is carried as the rfft half-spectra U of u^n and V of
-    u^{n-1}.  With lam = 1/dt^2 + k^4/4 the scheme is, per mode,
+    With lam = 1/dt^2 + k^4/4 the scheme is, per mode,
 
         lam U' = (2U - V)/dt^2 - (k^4/4)(2U + V) - k^2 (U + rfft(u^2)),
 
-    that is U' = alpha U + beta V + gamma rfft(u^2).  ``dt`` is a float or
-    a 1-D array of step sizes, as for :class:`ProposedStepper`.
+    that is U' = alpha U + beta V + gamma rfft(u^2), with V the spectrum
+    of u^{n-1}.  It is carried as (U, D) with D = (U - V)/dt, the backward
+    difference, so U' = (alpha + beta) U + gamma rfft(u^2) - beta dt D and
+    D' = (U' - U)/dt.  D is never reported: the scheme has no psi.
     """
-
-    def __init__(self, grid: Grid, dt):
-        self.grid = grid
-        self.dt = dt
-        dt = _column(dt)
-        k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
-        k4 = k2**2
-        self.lam = 1.0 / dt**2 + 0.25 * k4
-        self.alpha = ((2.0 / dt**2 - 0.5 * k4 - k2) / self.lam).astype(complex)
-        self.beta = ((-1.0 / dt**2 - 0.25 * k4) / self.lam).astype(complex)
-        self.gamma = (-k2 / self.lam).astype(complex)
-
-    def start(self, u, u_prev):
-        """Spectral carry (u, u_prev, U, V) of nodal fields."""
-        return u, u_prev, np.fft.rfft(u), np.fft.rfft(u_prev)
-
-    def advance(self, carry):
-        """One step of a spectral carry: one rfft and one irfft."""
-        u, _, u_hat, u_prev_hat = carry
-        u_hat_new = (
-            self.alpha * u_hat + self.beta * u_prev_hat + self.gamma * np.fft.rfft(u * u)
-        )
-        return np.fft.irfft(u_hat_new, self.grid.num_points), u, u_hat_new, u_hat
-
-    def state(self, carry, step_index: int, row: int | None = None) -> SchemeState:
-        """State of the carry, or of row ``row`` of a batched carry; psi is None."""
-        (u, u_prev, *_), dt = _pick(carry, self.dt, row)
-        return SchemeState(self.grid, step_index, float(step_index * dt), u, None, u_prev)
-
-    def step_arrays(self, u, u_prev):
-        """Advance nodal arrays one step; returns u_new."""
-        return self.advance(self.start(u, u_prev))[0]
+    column = _column(dt)
+    k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
+    k4 = k2**2
+    lam = 1.0 / column**2 + 0.25 * k4
+    alpha = (2.0 / column**2 - 0.5 * k4 - k2) / lam
+    # beta = (-1/dt^2 - k^4/4)/lam is -lam/lam, exactly -1, so c = -beta dt = dt
+    m, c = alpha - 1.0, column
+    return LinearStepper(grid, dt, 2, (1.0, 0.0), m, -k2 / lam, c, 1.0 / column, 0.0, False)
 
 
 def bootstrap(
@@ -310,13 +312,9 @@ def run_batch(
     if scheme == "proposed":
         starts = [bootstrap(problem, dts[i], bootstrap_mode, params) for i in order]
         plan = functools.partial(ProposedStepper, problem.grid, power=problem.power)
-        fields = ("u_curr", "psi_curr", "u_prev")
     elif scheme == "frutos":
-        if params is None:
-            raise ValueError("the three-level scheme needs solitary-wave parameters")
         starts = [bootstrap_frutos(problem, dts[i], params) for i in order]
         plan = functools.partial(FrutosStepper, problem.grid)
-        fields = ("u_curr", "u_prev")
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -327,21 +325,23 @@ def run_batch(
     norm0 = float(np.sqrt(np.mean(problem.initial_u**2)))
     limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
 
-    for state in starts:
-        for obs in observers:
-            obs(state)
     results = [None] * len(steps)
     for i, state in zip(order, starts):
+        for obs in observers:
+            obs(state)
         if not steps[i]:
             results[i] = RunResult(state=state, diverged=False)
     rows = [i for i in order if steps[i]]
     if not rows:
         return tuple(results)
     stepper = plan(np.array([dts[i] for i in rows], dtype=float))
+    live = starts[: len(rows)]
     carry = stepper.start(
-        *(np.stack([getattr(s, f) for s in starts[: len(rows)]]) for f in fields)
+        np.stack([s.u_curr for s in live]),
+        np.stack([s.psi_curr for s in live]) if stepper.has_psi else None,
+        np.stack([s.u_prev for s in live]),
     )
-    del starts  # the carry holds copies
+    del starts, live  # the carry holds copies
     last = steps[rows[-1]]
     for n in range(1, steps[rows[0]] + 1):
         carry = stepper.advance(carry)

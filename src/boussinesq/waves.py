@@ -136,21 +136,36 @@ def sample_initial(params: SolitaryWaveParams, grid: Grid):
 
     Warns when the wave is not effectively supported inside the domain,
     since periodization error then stops being negligible.  The warning
-    points at the first caller outside this package, which chose the domain.
+    points at the caller that chose the domain: the first frame outside
+    this package and ``runpy``, or under ``python -m boussinesq.cli``, where
+    there is none, the outermost frame of the package.
     """
     u0 = solitary_wave(params, grid.nodes, 0.0)
     v0 = solitary_wave_dt(params, grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
-        frame, level = sys._getframe(), 1
-        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"solitary wave magnitude {edge:.3e} at the domain boundary; "
             "periodization error may be significant",
-            stacklevel=level,
+            stacklevel=_caller_level(),
         )
     return u0, v0
+
+
+def _caller_level() -> int:
+    """``stacklevel``, counted from this function's caller, of the frame a warning names.
+
+    That is the first frame outside this package and ``runpy``, or else the
+    outermost frame of the package.
+    """
+    frame, level, outermost = sys._getframe(1), 1, 1
+    while frame is not None:
+        if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            outermost = level
+        elif frame.f_globals.get("__name__") != "runpy":
+            return level
+        frame, level = frame.f_back, level + 1
+    return outermost
 
 
 def solitary_problem(params: SolitaryWaveParams, grid: Grid, power: int = 2) -> GBProblem:

@@ -211,6 +211,28 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("diverged", "True"),
+            ("diverged", "1"),
+            ("diverged", ""),
+            ("K", "2.0"),
+            ("N", "x"),
+            ("err_u_h2", "1e-3e"),
+        ],
+    )
+    def test_malformed_cell_names_path_line_and_column(self, tmp_path, column, cell):
+        path = tmp_path / "bad.csv"
+        write_csv(SweepResult(spec=temporal_spec(), rows=(make_row(), make_row())), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"bad.csv, line 3, column {column}: "):
+            read_csv(path)
+
 
 class TestPlotScript:
     def test_temporal_script_has_guide_curve(self, tmp_path):

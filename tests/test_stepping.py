@@ -120,14 +120,12 @@ class TestProposedStep:
         # (u, psi), whose spectral radius is at most 1
         grid = benchmark_grid(64)
         for dt in (1e-3, 0.05, 1.0):
-            stepper = ProposedStepper(grid, dt, 2)
-            a, c = stepper.a, stepper.c
+            matrix = ProposedStepper(grid, dt, 2).matrix
             sigma = grid.wavenumbers[: grid.half_modes + 1] ** 2
             sigma = sigma + sigma**2
-            for s, a_k, c_k in zip(sigma, a, c):
+            for s, M in zip(sigma, matrix):
                 A = np.array([[1.0, -dt / 2.0], [dt * s / 2.0, 1.0]])
                 B = np.array([[1.0, dt / 2.0], [-dt * s / 2.0, 1.0]])
-                M = np.array([[a_k, c_k], [2.0 * (a_k - 1.0) / dt, 2.0 * c_k / dt - 1.0]])
                 assert np.allclose(M, np.linalg.solve(A, B), rtol=1e-12, atol=1e-12)
                 assert np.max(np.abs(np.linalg.eigvals(M))) <= 1.0 + 1e-12
 
@@ -158,9 +156,12 @@ class TestProposedStep:
         grid = benchmark_grid(32)
         for dt in (1e-4, 0.1, 3.0):
             stepper = ProposedStepper(grid, dt, 2)
-            assert abs(stepper.a[0] - 1.0) <= 1e-15
-            assert stepper.b[0] == 0.0
+            assert abs(stepper.m[0] - 1.0) <= 1e-15
+            assert stepper.f[0] == 0.0
             assert abs(stepper.c[0] - dt) <= 1e-15 * dt
+            # Q_0' = 0 (U_0' - U_0) + Q_0: the mean of psi is copied exactly
+            assert stepper.q[0] == 0.0 and stepper.s[0] == -1.0
+            assert np.array_equal(stepper.matrix[0], [[1.0, stepper.c[0].real], [0.0, 1.0]])
 
     def test_mass_conserved_with_zero_initial_velocity(self, rng):
         grid = benchmark_grid(64)
@@ -244,8 +245,16 @@ class TestFrutos:
         assert np.max(np.abs(u_new - u_ref)) <= 1e-12
 
     def test_diagonal_symbol_at_mode_zero(self):
-        stepper = FrutosStepper(benchmark_grid(16), dt=0.5)
-        assert stepper.lam[0] == pytest.approx(1.0 / 0.25, abs=1e-12)
+        # lam_0 = 1/dt^2 cancels from the mode-0 coefficients: alpha_0 = 2
+        # and beta_0 = -1, so U_0' = U_0 + dt D_0 and D_0' = (U_0' - U_0)/dt
+        dt = 0.5
+        stepper = FrutosStepper(benchmark_grid(16), dt=dt)
+        assert stepper.m[0] == pytest.approx(1.0, abs=1e-15)
+        assert stepper.f[0] == 0.0
+        assert stepper.c[0] == pytest.approx(dt, abs=1e-15)
+        assert stepper.q[0] == pytest.approx(1.0 / dt, abs=1e-15)
+        assert stepper.s[0] == 0.0
+        assert np.allclose(stepper.matrix[0], [[1.0, dt], [0.0, 1.0]], rtol=0, atol=1e-15)
 
     def test_comparable_accuracy_when_stable(self):
         grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
@@ -277,6 +286,51 @@ class TestFrutos:
         prob = zero_problem(grid, power=3)
         with pytest.raises(ValueError):
             bootstrap_frutos(prob, 0.01, params_from_amplitude(0.5))
+
+
+def three_level_textbook(grid, dt):
+    """[[alpha, beta], [1, 0]] per mode: the map of (U, V) = (U^n, U^{n-1})."""
+    k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
+    lam = 1.0 / dt**2 + 0.25 * k2**2
+    alpha = (2.0 / dt**2 - 0.5 * k2**2 - k2) / lam
+    beta = (-1.0 / dt**2 - 0.25 * k2**2) / lam
+    return np.stack([alpha, beta, np.ones_like(k2), np.zeros_like(k2)], axis=-1).reshape(-1, 2, 2)
+
+
+class TestStabilityLadder:
+    """``stepper.matrix`` predicts the stability ladder at dt = 0.1, L = 80."""
+
+    NS = (64, 128, 256, 512)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_both_maps_preserve_area(self, n):
+        for plan in (ProposedStepper, FrutosStepper):
+            det = np.linalg.det(plan(benchmark_grid(n), 0.1).matrix)
+            assert np.max(np.abs(det - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", NS)
+    def test_proposed_never_amplifies(self, n):
+        radius = np.abs(np.linalg.eigvals(ProposedStepper(benchmark_grid(n), 0.1).matrix))
+        assert np.max(radius) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n, peak", [(64, 1.0), (128, 1.0), (256, 1.0102), (512, 1.0512)])
+    def test_three_level_growth_factor(self, n, peak):
+        # modes with k > 2/dt grow: none below N = 255, then up to mode 360
+        radius = np.abs(np.linalg.eigvals(FrutosStepper(benchmark_grid(n), 0.1).matrix)).max(-1)
+        if peak == 1.0:
+            assert np.max(np.abs(radius - 1.0)) <= 1e-12
+        else:
+            assert round(float(np.max(radius)), 4) == peak
+        if n == 512:
+            assert np.argmax(radius) == 360
+
+    @pytest.mark.parametrize("n", NS)
+    def test_three_level_matrix_has_the_textbook_eigenvalues(self, n):
+        # (U, D) with D = (U - V)/dt is a change of variables of (U, V)
+        grid = benchmark_grid(n)
+        got = np.sort_complex(np.linalg.eigvals(FrutosStepper(grid, 0.1).matrix))
+        want = np.sort_complex(np.linalg.eigvals(three_level_textbook(grid, 0.1)))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestRun:
@@ -500,13 +554,16 @@ class TestRunBatch:
         grid = benchmark_grid(16)
         half = grid.half_modes + 1
         dts = np.array([0.1, 0.05, 0.025])
-        assert ProposedStepper(grid, 0.1).a.shape == (half,)
-        batched = ProposedStepper(grid, dts)
-        for name in ("a", "b", "c"):
-            assert getattr(batched, name).shape == (3, half)
-        for row, dt in enumerate(dts):
-            assert np.array_equal(batched.a[row], ProposedStepper(grid, dt).a)
-        assert FrutosStepper(grid, dts).alpha.shape == (3, half)
+        for plan in (ProposedStepper, FrutosStepper):
+            assert plan(grid, 0.1).m.shape == (half,)
+            batched = plan(grid, dts)
+            for name in ("m", "f", "c", "q", "s"):
+                assert getattr(batched, name).shape == (3, half)
+            assert batched.matrix.shape == (3, half, 2, 2)
+            for row, dt in enumerate(dts):
+                solo = plan(grid, dt)
+                for name in ("m", "f", "c", "q", "s"):
+                    assert np.array_equal(getattr(batched, name)[row], getattr(solo, name))
         with pytest.raises(ValueError):
             ProposedStepper(grid, np.array([0.1, -0.1]))
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Solitary-wave parameters, profiles and problem setup."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -142,6 +146,19 @@ class TestProblemSetup:
         with pytest.warns(UserWarning, match="domain boundary") as rec:
             solitary_problem(params_from_amplitude(0.5), grid)
         assert rec[0].filename == __file__
+
+    def test_warning_under_python_m_names_the_cli(self, tmp_path, package_env):
+        # every frame above the package is runpy's, so the warning names
+        # the outermost package frame
+        argv = ["run", "--xmin", "-5", "--xmax", "5", "--N", "16", "--T", "0.1", "--dt", "0.05"]
+        done = subprocess.run(
+            [sys.executable, "-m", "boussinesq.cli", *argv],
+            cwd=tmp_path, env=package_env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        (line,) = [x for x in done.stderr.splitlines() if "UserWarning" in x]
+        assert os.path.join("boussinesq", "cli.py") in line
+        assert "runpy" not in done.stderr
 
     def test_problem_validates_power_and_shapes(self):
         grid = Grid(half_modes=8, length=80.0, x_left=-40.0)
