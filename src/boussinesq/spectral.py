@@ -28,6 +28,11 @@ __all__ = [
     "evaluate_interpolant",
 ]
 
+# Grids of at most this many points transform by two real matrix products,
+# which beat numpy's FFT pair at these short, often prime, lengths; longer
+# grids call np.fft.
+DENSE_MAX_POINTS = 257
+
 # Imaginary residue above this fraction of the field magnitude means the
 # Hermitian symmetry of a supposedly-real field has been corrupted.
 _SYMMETRY_TOL = 1e-10
@@ -78,6 +83,43 @@ class Grid:
     def wavenumbers(self) -> np.ndarray:
         """Physical wavenumbers k_l = 2*pi*l/L, FFT ordering."""
         return 2.0 * np.pi * self.modes / self.length
+
+    @cached_property
+    def _dense_dft(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, w): the (n, 2h) interleaved [Re, Im] rfft matrix and irfft's 1/n, 2/n weights.
+
+        Row j, column k is exp(-2 pi i jk/n), read from one table of the n
+        roots by (jk mod n) on the h x h block; rows j >= h are the
+        conjugates of rows n - j.
+        """
+        n, h = self.num_points, self.half_modes + 1
+        table = np.exp(-2j * np.pi * np.arange(n) / n)
+        j = np.arange(h)
+        block = table[np.outer(j, j) % n]
+        W = np.concatenate([block, block[:0:-1].conj()]).view(float)
+        w = np.full(2 * h, 2.0 / n)
+        w[:2] = 1.0 / n
+        return W, w
+
+    def rfft(self, x: np.ndarray) -> np.ndarray:
+        """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
+
+        Each row of a stack is its own (1, n) product, so a row transforms
+        bit for bit as it would alone.
+        """
+        if self.num_points > DENSE_MAX_POINTS:
+            return np.fft.rfft(x)
+        W, _ = self._dense_dft
+        x = np.ascontiguousarray(x, dtype=float)
+        return (x[..., None, :] @ W)[..., 0, :].view(complex)
+
+    def irfft(self, y: np.ndarray) -> np.ndarray:
+        """Real nodal values of a half spectrum along the last axis, as ``np.fft.irfft``."""
+        if self.num_points > DENSE_MAX_POINTS:
+            return np.fft.irfft(y, self.num_points)
+        W, w = self._dense_dft
+        y = np.ascontiguousarray(y, dtype=complex)
+        return ((y.view(float) * w)[..., None, :] @ W.T)[..., 0, :]
 
 
 def _check_finite(values: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ Two schemes are provided:
 Both implicit solves are diagonal in Fourier space, so both schemes are
 one :class:`LinearStepper` with their own coefficients: it carries two
 rfft half-spectra, maps every mode by the same 2x2 linear update plus a
-forcing by the nonlinearity, and makes one rfft and one irfft per step.
+forcing by the nonlinearity, and makes one forward and one inverse
+transform of the grid per step (:meth:`Grid.rfft`, :meth:`Grid.irfft`).
 A stepper built with an array of step sizes advances one run per row of
 a 2-D carry, so runs that share a grid share every call.
 """
@@ -124,13 +125,14 @@ class LinearStepper:
 
     def start(self, u, psi, u_prev):
         """Spectral carry (u, u_prev, Y, Z, u_prev^p) of nodal fields; psi is None without psi."""
-        y = np.fft.rfft(u)
+        rfft = self.grid.rfft
+        y = rfft(u)
         # Z seeds from psi, or else is the backward difference q (Y - V)
-        z = np.fft.rfft(psi) if self.has_psi else self.q * (y - np.fft.rfft(u_prev))
+        z = rfft(psi) if self.has_psi else self.q * (y - rfft(u_prev))
         return u, u_prev, y, z, _power(u_prev, self.power)
 
     def advance(self, carry):
-        """One step of a spectral carry: one rfft and one irfft."""
+        """One step of a spectral carry: one forward and one inverse transform."""
         u, _, y, z, up_prev = carry
         up = _power(u, self.power)
         w0, w1 = self.weights
@@ -139,12 +141,12 @@ class LinearStepper:
         nl = w0 * up
         nl += w1 * up_prev
         y_new = self.m * y
-        y_new += self.f * np.fft.rfft(nl)
+        y_new += self.f * self.grid.rfft(nl)
         y_new += self.c * z
         z_new = y_new - y
         z_new *= self.q
         z_new -= self.s * z
-        return np.fft.irfft(y_new, self.grid.num_points), u, y_new, z_new, up
+        return self.grid.irfft(y_new), u, y_new, z_new, up
 
     def state(self, carry, step_index: int, row: int) -> SchemeState:
         """State of row ``row`` of a batched carry.
@@ -153,7 +155,7 @@ class LinearStepper:
         finishes does not hold on to the arrays of the whole batch.
         """
         u, u_prev, _, z, _ = (x[row] for x in carry)
-        psi = np.fft.irfft(z, self.grid.num_points) if self.has_psi else None
+        psi = self.grid.irfft(z) if self.has_psi else None
         time = float(step_index * self.dt[row])
         return SchemeState(self.grid, step_index, time, u.copy(), psi, u_prev.copy())
 
@@ -164,7 +166,7 @@ class LinearStepper:
         """
         psi, u_prev = fields if self.has_psi else (None, *fields)
         u_new, _, _, z, _ = self.advance(self.start(u, psi, u_prev))
-        return (u_new, np.fft.irfft(z, self.grid.num_points)) if self.has_psi else u_new
+        return (u_new, self.grid.irfft(z)) if self.has_psi else u_new
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -298,10 +300,10 @@ def run_batch(
 ) -> tuple[RunResult, ...]:
     """Advance one run per step size in ``dts`` to time T, all together.
 
-    The runs are the rows of one 2-D carry, so every step makes one rfft
-    and one irfft for the whole batch.  Each row's result equals that of
-    :func:`run` at its step size bit for bit, and the results come back in
-    the order of ``dts``.  Observers see every row's state, as in
+    The runs are the rows of one 2-D carry, so every step makes one
+    forward and one inverse transform for the whole batch.  Each row's
+    result equals that of :func:`run` at its step size bit for bit, and the
+    results come back in the order of ``dts``.  Observers see every row's state, as in
     :func:`run`; a row that diverges is dropped from the batch with its
     partial state and blow-up step recorded.
     """

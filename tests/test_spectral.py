@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boussinesq.spectral import (
+    DENSE_MAX_POINTS,
     Grid,
     SymmetryError,
     derivative,
@@ -118,6 +119,54 @@ class TestForwardInverse:
         coeffs[1] = 1.0  # no conjugate partner
         with pytest.raises(SymmetryError):
             inverse(grid, coeffs)
+
+
+class TestGridTransforms:
+    """``Grid.rfft``/``Grid.irfft``: matrix products up to DENSE_MAX_POINTS, np.fft above."""
+
+    @staticmethod
+    def samples(rng, grid, shape=()):
+        x = rng.standard_normal((*shape, grid.num_points))
+        y = rng.standard_normal((*shape, grid.half_modes + 1, 2)) @ [1.0, 1j]
+        return x, y
+
+    def test_matches_numpy_at_every_odd_length(self, rng):
+        # 3, 5, ..., 257 points transform densely; 259 is the first FFT length
+        for half in range(1, 130):
+            grid = Grid(half_modes=half, length=80.0, x_left=-40.0)
+            x, y = self.samples(rng, grid)
+            want_y, want_x = np.fft.rfft(x), np.fft.irfft(y, grid.num_points)
+            got_y, got_x = grid.rfft(x), grid.irfft(y)
+            assert np.max(np.abs(got_y - want_y)) <= 1e-13 * np.max(np.abs(want_y)), half
+            assert np.max(np.abs(got_x - want_x)) <= 1e-13 * np.max(np.abs(want_x)), half
+
+    def test_first_fft_length_is_numpy_exactly(self, rng):
+        grid = Grid(half_modes=129, length=80.0)
+        assert grid.num_points == 259 and DENSE_MAX_POINTS == 257
+        x, y = self.samples(rng, grid, (3,))
+        assert np.array_equal(grid.rfft(x), np.fft.rfft(x))
+        assert np.array_equal(grid.irfft(y), np.fft.irfft(y, grid.num_points))
+
+    @pytest.mark.parametrize("half", [16, 128, 129])
+    def test_mode_zero_imaginary_part_is_exactly_zero(self, rng, half):
+        grid = Grid(half_modes=half, length=80.0)
+        x, _ = self.samples(rng, grid, (3,))
+        assert np.all(grid.rfft(x)[:, 0].imag == 0.0)
+        assert np.all(grid.rfft(x[0])[0].imag == 0.0)
+
+    @pytest.mark.parametrize("half", [16, 128, 129])
+    def test_layouts_give_the_values_of_contiguous_rows(self, rng, half):
+        # 1-D rows, row-strided and element-strided stacks all transform
+        # as the rows of a contiguous 2-D array, bit for bit
+        grid = Grid(half_modes=half, length=80.0)
+        for transform, data in zip((grid.rfft, grid.irfft), self.samples(rng, grid, (6,))):
+            wide = np.repeat(data, 2, axis=-1)
+            for x in (data[::2], wide[::2, ::2]):
+                assert not x.flags.c_contiguous
+                want = transform(np.ascontiguousarray(x))
+                assert np.array_equal(transform(x), want)
+                for row in range(len(x)):
+                    assert np.array_equal(transform(x[row]), want[row])
 
 
 class TestDerivative:

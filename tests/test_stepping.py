@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boussinesq.spectral import Grid, derivative, norm2
+from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, norm2
 from boussinesq.stepping import (
     FrutosStepper,
     ProposedStepper,
@@ -387,36 +387,46 @@ class TestRun:
 
     @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
     def test_one_rfft_and_one_irfft_per_step(self, monkeypatch, scheme):
-        grid = benchmark_grid(16)
+        # one Grid.rfft and one Grid.irfft per step, on a grid that
+        # transforms by matrix products (N = 16) and on one that calls
+        # np.fft (N = 256)
         p = params_from_amplitude(0.5)
-        prob = solitary_problem(p, grid)
-        counts = {"rfft": 0, "irfft": 0, "fft": 0, "ifft": 0, "mean": 0}
+        counts = {}
 
-        def counted(owner, name):
+        def counted(owner, name, key):
             fn = getattr(owner, name)
+            counts[key] = 0
 
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[key] += 1
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
 
+        for name in ("rfft", "irfft"):
+            counted(Grid, name, name)
         for name in ("rfft", "irfft", "fft", "ifft"):
-            counted(np.fft, name)
-        counted(np, "mean")
+            counted(np.fft, name, f"np.fft.{name}")
+        counted(np, "mean", "mean")
 
-        def calls(steps, rows):
-            for key in counts:
-                counts[key] = 0
+        def calls(prob, steps, rows):
+            counts.update(dict.fromkeys(counts, 0))
             dts = [0.01] * rows
             run_batch(prob, dts, steps * 0.01, scheme=scheme, params=p, bootstrap_mode="exact")
             return dict(counts)
 
-        # a batch of one is what run() steps; a batch of three steps together
-        for rows in (1, 3):
-            short, long = calls(10, rows), calls(30, rows)
-            per_step = {key: (long[key] - short[key]) / 20 for key in counts}
-            assert per_step == {"rfft": 1, "irfft": 1, "fft": 0, "ifft": 0, "mean": 0}
+        for n, ffts in ((16, 0), (256, 1)):
+            grid = benchmark_grid(n)
+            assert (grid.num_points <= DENSE_MAX_POINTS) == (ffts == 0)
+            prob = solitary_problem(p, grid)
+            # a batch of one is what run() steps; a batch of three steps together
+            for rows in (1, 3):
+                short, long = calls(prob, 10, rows), calls(prob, 30, rows)
+                per_step = {key: (long[key] - short[key]) / 20 for key in counts}
+                assert per_step == {
+                    "rfft": 1, "irfft": 1, "mean": 0,
+                    "np.fft.rfft": ffts, "np.fft.irfft": ffts, "np.fft.fft": 0, "np.fft.ifft": 0,
+                }
 
     def test_zero_steps_returns_initial_state(self):
         prob = zero_problem(benchmark_grid(16))
@@ -496,14 +506,19 @@ class TestRunBatch:
             ("frutos", 2, "exact"),
         ],
     )
-    def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode):
-        prob, p = batch_problem(power=power)
+    def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode, n=64):
+        prob, p = batch_problem(n, power)
         dts, T = (0.02, 0.01, 0.005, 0.0025), 0.4
         kwargs = dict(scheme=scheme, bootstrap_mode=mode, params=p)
         batch = run_batch(prob, dts, T, **kwargs)
         assert len(batch) == len(dts)
         for dt, got in zip(dts, batch):
             assert_same_result(got, run(prob, dt, T, **kwargs))
+
+    def test_rows_equal_solo_runs_bit_for_bit_on_an_fft_grid(self):
+        # batch_problem's N = 64 transforms by matrix products; N = 256 by np.fft
+        assert benchmark_grid(256).num_points > DENSE_MAX_POINTS
+        self.test_rows_equal_solo_runs_bit_for_bit("proposed", 2, "exact", n=256)
 
     def test_results_come_back_in_input_order(self):
         prob, p = batch_problem()
