@@ -4,12 +4,9 @@ convergence/stability experiment harness."""
 
 from .spectral import (
     Grid,
-    SymmetryError,
     derivative,
     evaluate_interpolant,
-    forward,
     inner_product,
-    inverse,
     norm2,
     project,
     sobolev_norm,

@@ -1,10 +1,13 @@
 """Periodic 1-D Fourier collocation on an odd-sized uniform grid.
 
 Everything here works on the 2N+1 point grid over an interval of length L
-with the right endpoint excluded.  Collocation coefficients are stored in
-numpy FFT ordering and normalized so that ``coeffs[0]`` is the arithmetic
-mean of the nodal values; with that convention the discrete L2 inner
-product ``(1/(2N+1)) sum f_i g_i`` and Parseval's identity line up exactly.
+with the right endpoint excluded.  A real field lives on the half spectrum
+l = 0, ..., N, and the grid's own pair :meth:`Grid.rfft`/:meth:`Grid.irfft`
+is the one transform path.  The odd point count leaves no Nyquist mode, so
+each l > 0 also stands for its conjugate partner -l.  Coefficients divided
+by 2N+1 have the mean of the nodal values at l = 0; with that normalization
+the discrete L2 inner product ``(1/(2N+1)) sum f_i g_i`` and Parseval's
+identity, with weight 1 at l = 0 and 2 above, line up exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "SymmetryError",
-    "forward",
-    "inverse",
     "derivative",
     "project",
     "inner_product",
@@ -32,14 +32,6 @@ __all__ = [
 # which beat numpy's FFT pair at these short, often prime, lengths; longer
 # grids call np.fft.
 DENSE_MAX_POINTS = 257
-
-# Imaginary residue above this fraction of the field magnitude means the
-# Hermitian symmetry of a supposedly-real field has been corrupted.
-_SYMMETRY_TOL = 1e-10
-
-
-class SymmetryError(ValueError):
-    """Raised when a real result is requested from non-Hermitian coefficients."""
 
 
 @dataclass(frozen=True)
@@ -75,14 +67,9 @@ class Grid:
         return self.x_left + self.spacing * np.arange(self.num_points)
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers l in FFT ordering: 0, 1, ..., N, -N, ..., -1."""
-        return np.fft.fftfreq(self.num_points, d=1.0 / self.num_points).round().astype(int)
-
-    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Physical wavenumbers k_l = 2*pi*l/L, FFT ordering."""
-        return 2.0 * np.pi * self.modes / self.length
+        """Wavenumbers k_l = 2*pi*l/L of the half spectrum, l = 0, ..., N."""
+        return 2.0 * np.pi * np.arange(self.half_modes + 1) / self.length
 
     @cached_property
     def _dense_dft(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,13 +109,6 @@ class Grid:
         return ((y.view(float) * w)[..., None, :] @ W.T)[..., 0, :]
 
 
-def _check_finite(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("grid function contains non-finite values")
-    return values
-
-
 def _check_shape(grid: Grid, values: np.ndarray) -> None:
     if values.shape != (grid.num_points,):
         raise ValueError(
@@ -136,49 +116,25 @@ def _check_shape(grid: Grid, values: np.ndarray) -> None:
         )
 
 
-def forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Collocation coefficients of the trigonometric interpolant through ``values``.
-
-    Returns a complex array in FFT ordering, scaled by 1/(2N+1) so the
-    zeroth coefficient equals the mean of the values.
-    """
-    values = _check_finite(values)
+def _checked(grid: Grid, values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     _check_shape(grid, values)
-    return np.fft.fft(values) / grid.num_points
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid function contains non-finite values")
+    return values
 
 
-def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real nodal values of the trigonometric polynomial with the given coefficients.
-
-    The imaginary residue is checked against the field magnitude and
-    discarded; a residue above tolerance raises :class:`SymmetryError`
-    rather than silently corrupting the data.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    _check_shape(grid, coeffs)
-    values = np.fft.ifft(coeffs * grid.num_points)
-    scale = np.max(np.abs(values))
-    if scale > 0 and np.max(np.abs(values.imag)) > _SYMMETRY_TOL * scale:
-        raise SymmetryError(
-            "imaginary residue exceeds tolerance; coefficients are not Hermitian"
-        )
-    return values.real.copy()
+def _coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients l = 0, ..., N over 2N+1, so that the zeroth is the mean."""
+    return grid.rfft(_checked(grid, values)) / grid.num_points
 
 
 def derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of the given order: multiply coefficients by (i*k)^order.
-
-    Uses the real-input transform, so the result is exactly real; a
-    full-spectrum route would amplify round-off asymmetry by k^order and
-    trip the symmetry check spuriously at high N and order 4.
-    """
+    """Spectral derivative of the given order: multiply the half spectrum by (i*k)^order."""
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
-    values = _check_finite(values)
-    _check_shape(grid, values)
-    k_half = 2.0 * np.pi * np.arange(grid.half_modes + 1) / grid.length
-    half = np.fft.rfft(values) * (1j * k_half) ** order
-    return np.fft.irfft(half, n=grid.num_points)
+    half = grid.rfft(_checked(grid, values)) * (1j * grid.wavenumbers) ** order
+    return grid.irfft(half)
 
 
 def project(grid: Grid, values: np.ndarray, max_mode: int) -> np.ndarray:
@@ -188,15 +144,16 @@ def project(grid: Grid, values: np.ndarray, max_mode: int) -> np.ndarray:
     """
     if max_mode < 1:
         raise ValueError(f"max_mode must be >= 1, got {max_mode}")
+    values = _checked(grid, values)
     if max_mode >= grid.half_modes:
         warnings.warn(
             f"projection cutoff {max_mode} >= grid half_modes {grid.half_modes}; no-op",
             stacklevel=2,
         )
-        return np.asarray(values, dtype=float).copy()
-    coeffs = forward(grid, values)
-    coeffs[np.abs(grid.modes) > max_mode] = 0.0
-    return inverse(grid, coeffs)
+        return values.copy()
+    half = grid.rfft(values)
+    half[max_mode + 1 :] = 0.0
+    return grid.irfft(half)
 
 
 def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
@@ -220,14 +177,15 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
     """
     if order < 0:
         raise ValueError(f"Sobolev order must be >= 0, got {order}")
-    coeffs = forward(grid, values)
+    energy = np.abs(_coefficients(grid, values)) ** 2
     k2 = grid.wavenumbers**2
     multiplier = np.ones_like(k2)
     power = np.ones_like(k2)
     for _ in range(order):
         power = power * k2
         multiplier = multiplier + power
-    return float(np.sqrt(np.sum(multiplier * np.abs(coeffs) ** 2)))
+    # each l > 0 counts twice, for itself and for -l; the multiplier at l = 0 is 1
+    return float(np.sqrt(2.0 * np.sum(multiplier * energy) - energy[0]))
 
 
 def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -236,10 +194,8 @@ def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.nd
     Dense O(M*N) evaluation; meant for resampling between non-nested grids
     and for reference computations, not for inner solver loops.
     """
-    coeffs = forward(grid, values)
+    coeffs = _coefficients(grid, values)
+    coeffs[1:] *= 2.0  # l and -l give twice the real part
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = np.exp(
-        2j * np.pi * np.outer((x - grid.x_left) / grid.length, grid.modes)
-    )
-    out = phase @ coeffs
-    return out.real
+    phase = np.exp(1j * np.outer(x - grid.x_left, grid.wavenumbers))
+    return (phase @ coeffs).real

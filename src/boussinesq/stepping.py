@@ -70,7 +70,7 @@ class RunResult:
 
 
 def build_implicit_diagonal(grid: Grid, dt) -> np.ndarray:
-    """Fourier symbol of the implicit operator: 2/dt^2 + (k^4 + k^2)/2.
+    """Fourier symbol of the implicit operator on the half spectrum: 2/dt^2 + (k^4 + k^2)/2.
 
     Every entry is positive for any dt and grid, which is what makes the
     proposed scheme unconditionally solvable.  An array ``dt`` broadcasts
@@ -187,8 +187,8 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     if power < 2:
         raise ValueError(f"nonlinearity power must be >= 2, got {power}")
     column = _column(dt)
-    k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
-    lam = build_implicit_diagonal(grid, column)[..., : grid.half_modes + 1]
+    k2 = grid.wavenumbers**2
+    lam = build_implicit_diagonal(grid, column)
     a, b, c = 4.0 / column**2 / lam - 1.0, -k2 / lam, 2.0 / column / lam
     q = (2.0 / column) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
@@ -208,7 +208,7 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     D' = (U' - U)/dt.  D is never reported: the scheme has no psi.
     """
     column = _column(dt)
-    k2 = grid.wavenumbers[: grid.half_modes + 1] ** 2
+    k2 = grid.wavenumbers**2
     k4 = k2**2
     lam = 1.0 / column**2 + 0.25 * k4
     alpha = (2.0 / column**2 - 0.5 * k4 - k2) / lam

@@ -70,6 +70,9 @@ class SweepSpec:
             raise ValueError(f"{self.kind} sweep needs a positive fixed dt")
         if not self.T > 0:
             raise ValueError("final time must be positive")
+        if self.power != 2:
+            # rows are errors against the sech^2 wave, which solves p = 2 only
+            raise ValueError(f"exact references exist for p = 2 only, got p = {self.power}")
 
 
 @dataclass(frozen=True)

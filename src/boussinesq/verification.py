@@ -10,7 +10,7 @@ import numpy as np
 
 from . import spectral
 from .diagnostics import mass
-from .spectral import Grid, forward, inner_product, inverse, sobolev_norm
+from .spectral import Grid, inner_product, sobolev_norm
 from .stepping import ProposedStepper, run, run_batch
 from .waves import GBProblem, params_from_amplitude, solitary_problem
 
@@ -23,9 +23,9 @@ def _round_trip(rng) -> bool:
     for n in (16, 64, 256):
         grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
         f = rng.standard_normal(grid.num_points)
-        for back in (inverse(grid, forward(grid, f)), grid.irfft(grid.rfft(f))):
-            if np.max(np.abs(back - f)) > 1e-12 * max(1.0, np.max(np.abs(f))):
-                return False
+        back = grid.irfft(grid.rfft(f))
+        if np.max(np.abs(back - f)) > 1e-12 * max(1.0, np.max(np.abs(f))):
+            return False
     return True
 
 

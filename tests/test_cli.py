@@ -355,6 +355,20 @@ class TestMainCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "p = 2" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["sweep-time", "--p", "3"], ["run", "--p", "4"]], ids=["sweep-time", "run"]
+    )
+    def test_power_without_exact_reference_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        # the exact solitary wave solves p = 2 only; errors against it at
+        # another p would be printed with fitted orders near 0
+        out = tmp_path / "rows.csv"
+        code = cli.main([*argv, "--N", "32", "--T", "0.1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        want = f"error: exact references exist for p = 2 only, got p = {argv[-1]}\n"
+        assert captured.err == want
+        assert captured.out == "" and not out.exists()
+
     def test_amplitude_out_of_range_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--amplitude", "2"])
         assert code == 2

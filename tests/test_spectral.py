@@ -1,7 +1,8 @@
 """Transform, differentiation and inner-product identities.
 
-The independent oracle throughout is a direct O(N^2) DFT summation,
-kept deliberately separate from the FFT-backed library path.
+The independent oracle throughout is a direct O(N^2) DFT summation over
+the full mode list -N..N, kept deliberately separate from the library's
+one transform path, the grid's half-spectrum pair.
 """
 
 import numpy as np
@@ -10,24 +11,26 @@ import pytest
 from boussinesq.spectral import (
     DENSE_MAX_POINTS,
     Grid,
-    SymmetryError,
     derivative,
     evaluate_interpolant,
-    forward,
     inner_product,
-    inverse,
     norm2,
     project,
     sobolev_norm,
 )
 
 
+def full_modes(grid):
+    """Integer mode numbers l in numpy FFT ordering: 0, 1, ..., N, -N, ..., -1."""
+    return np.concatenate([np.arange(grid.half_modes + 1), np.arange(-grid.half_modes, 0)])
+
+
 def dft_forward(grid, values):
-    """Direct O(N^2) collocation coefficients, same normalization as forward."""
+    """Direct O(N^2) collocation coefficients over the full mode list, scaled by 1/(2N+1)."""
     n = grid.num_points
     i = np.arange(n)
     out = np.empty(n, dtype=complex)
-    for idx, l in enumerate(grid.modes):
+    for idx, l in enumerate(full_modes(grid)):
         out[idx] = np.sum(values * np.exp(-2j * np.pi * l * i / n)) / n
     return out
 
@@ -37,8 +40,13 @@ def dft_inverse(grid, coeffs):
     i = np.arange(n)
     out = np.empty(n, dtype=complex)
     for j in range(n):
-        out[j] = np.sum(coeffs * np.exp(2j * np.pi * grid.modes * i[j] / n))
+        out[j] = np.sum(coeffs * np.exp(2j * np.pi * full_modes(grid) * i[j] / n))
     return out
+
+
+def half_coefficients(grid, values):
+    """The grid pair's half spectrum l = 0..N, scaled like ``dft_forward``."""
+    return grid.rfft(values) / grid.num_points
 
 
 class TestGrid:
@@ -54,11 +62,12 @@ class TestGrid:
         assert grid.nodes[-1] < 40.0
 
     def test_wavenumber_symmetry(self):
+        # the half spectrum l = 0..N; each l > 0 also stands for -l
         grid = Grid(half_modes=6, length=5.0)
         k = grid.wavenumbers
-        assert k[0] == 0.0
-        for l in range(1, 7):
-            assert k[l] == -k[-l]
+        assert k.shape == (7,) and k[0] == 0.0
+        for l in range(7):
+            assert k[l] == pytest.approx(2 * np.pi * l / 5.0, rel=1e-15)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -68,57 +77,112 @@ class TestGrid:
 
 
 class TestForwardInverse:
+    """The grid's forward and inverse pair against the direct full-spectrum DFT."""
+
     def test_constant_is_mode_zero(self):
         grid = Grid(half_modes=8, length=3.0)
-        coeffs = forward(grid, np.ones(grid.num_points))
+        coeffs = half_coefficients(grid, np.ones(grid.num_points))
+        assert coeffs.shape == (9,)
         assert coeffs[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(coeffs[1:])) < 1e-14
 
     def test_single_cosine_splits_into_two_half_modes(self):
+        # the full spectrum holds 1/2 at l = 1 and at l = -1; the half
+        # spectrum keeps the l = 1 half, which stands for both
         grid = Grid(half_modes=8, length=4.0)
-        coeffs = forward(grid, np.cos(2 * np.pi * grid.nodes / 4.0))
+        f = np.cos(2 * np.pi * grid.nodes / 4.0)
+        full = dft_forward(grid, f)
+        assert full[1] == pytest.approx(0.5, abs=1e-14)
+        assert full[-1] == pytest.approx(0.5, abs=1e-14)
+        coeffs = half_coefficients(grid, f)
         assert coeffs[1] == pytest.approx(0.5, abs=1e-14)
-        assert coeffs[-1] == pytest.approx(0.5, abs=1e-14)
-        mask = np.ones(grid.num_points, dtype=bool)
-        mask[[1, -1]] = False
+        mask = np.ones(coeffs.size, dtype=bool)
+        mask[1] = False
         assert np.max(np.abs(coeffs[mask])) < 1e-14
 
     def test_round_trip_matches_direct_dft(self, rng):
         grid = Grid(half_modes=16, length=7.0, x_left=-2.0)
         f = rng.standard_normal(grid.num_points)
-        coeffs = forward(grid, f)
-        assert np.allclose(coeffs, dft_forward(grid, f), atol=1e-13)
-        back = inverse(grid, coeffs)
+        coeffs = half_coefficients(grid, f)
+        assert np.allclose(coeffs, dft_forward(grid, f)[:17], atol=1e-13)
+        back = grid.irfft(grid.rfft(f))
         assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
-        assert np.allclose(dft_inverse(grid, coeffs).real, f, atol=1e-12)
+        full = np.concatenate([coeffs, coeffs[:0:-1].conj()])
+        assert np.allclose(dft_inverse(grid, full).real, f, atol=1e-12)
 
     def test_hermitian_symmetry_of_real_input(self, rng):
+        # the direct DFT at -l is the conjugate of the half spectrum at l
         grid = Grid(half_modes=12, length=1.0)
-        coeffs = forward(grid, rng.standard_normal(grid.num_points))
+        f = rng.standard_normal(grid.num_points)
+        coeffs, full = half_coefficients(grid, f), dft_forward(grid, f)
         for l in range(1, 13):
-            assert coeffs[l] == pytest.approx(np.conj(coeffs[-l]), abs=1e-13)
+            assert coeffs[l] == pytest.approx(np.conj(full[-l]), abs=1e-13)
         assert abs(coeffs[0].imag) < 1e-14
 
     def test_inverse_of_zero_and_constant(self):
         grid = Grid(half_modes=5, length=1.0)
-        assert np.all(inverse(grid, np.zeros(grid.num_points, dtype=complex)) == 0.0)
-        coeffs = np.zeros(grid.num_points, dtype=complex)
-        coeffs[0] = 2.5
-        assert np.allclose(inverse(grid, coeffs), 2.5)
+        assert np.all(grid.irfft(np.zeros(6, dtype=complex)) == 0.0)
+        coeffs = np.zeros(6, dtype=complex)
+        coeffs[0] = 2.5 * grid.num_points
+        assert np.allclose(grid.irfft(coeffs), 2.5)
 
     def test_non_finite_input_rejected(self):
         grid = Grid(half_modes=4, length=1.0)
         bad = np.ones(grid.num_points)
         bad[3] = np.nan
-        with pytest.raises(ValueError):
-            forward(grid, bad)
+        for operator in (
+            lambda f: derivative(grid, f, 2),
+            lambda f: project(grid, f, 2),
+            lambda f: project(grid, f, grid.half_modes),
+            lambda f: sobolev_norm(grid, f, 1),
+            lambda f: evaluate_interpolant(grid, f, grid.nodes),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                operator(bad)
 
-    def test_symmetry_violation_raises(self):
-        grid = Grid(half_modes=4, length=1.0)
-        coeffs = np.zeros(grid.num_points, dtype=complex)
-        coeffs[1] = 1.0  # no conjugate partner
-        with pytest.raises(SymmetryError):
-            inverse(grid, coeffs)
+
+class TestAcrossTransformSwitch:
+    """The operators against the direct DFT on a dense grid and on an FFT grid.
+
+    N = 16 (33 points) transforms by matrix products, N = 200 (401 points)
+    by np.fft; the operators must not be able to tell which.
+    """
+
+    @pytest.fixture(params=[16, 200])
+    def case(self, request, rng):
+        grid = Grid(half_modes=request.param, length=80.0, x_left=-40.0)
+        f = rng.standard_normal(grid.num_points)
+        k = 2 * np.pi * full_modes(grid) / grid.length
+        return grid, f, dft_forward(grid, f), k
+
+    def test_derivative(self, case):
+        grid, f, full, k = case
+        for order in (1, 2, 4):
+            want = dft_inverse(grid, full * (1j * k) ** order).real
+            got = derivative(grid, f, order)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), order
+
+    def test_project(self, case):
+        grid, f, full, _ = case
+        cut = grid.half_modes // 2
+        want = dft_inverse(grid, np.where(np.abs(full_modes(grid)) > cut, 0.0, full)).real
+        assert np.max(np.abs(project(grid, f, cut) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_sobolev_norm(self, case):
+        grid, f, full, k = case
+        for order in range(3):
+            multiplier = sum(k ** (2 * j) for j in range(order + 1))
+            want = np.sqrt(np.sum(multiplier * np.abs(full) ** 2))
+            assert sobolev_norm(grid, f, order) == pytest.approx(want, rel=1e-12), order
+
+    def test_evaluate_interpolant(self, case, rng):
+        grid, f, full, _ = case
+        x = grid.x_left + grid.length * rng.random(50)
+        phase = np.exp(2j * np.pi * np.outer((x - grid.x_left) / grid.length, full_modes(grid)))
+        want = (phase @ full).real
+        assert np.max(np.abs(evaluate_interpolant(grid, f, x) - want)) <= 1e-12 * np.max(
+            np.abs(want)
+        )
 
 
 class TestGridTransforms:
@@ -218,7 +282,7 @@ class TestProject:
         f = rng.standard_normal(grid.num_points)
         # oracle: direct coefficient surgery
         coeffs = dft_forward(grid, f)
-        coeffs[np.abs(grid.modes) > 7] = 0.0
+        coeffs[np.abs(full_modes(grid)) > 7] = 0.0
         expected = dft_inverse(grid, coeffs).real
         assert np.allclose(project(grid, f, 7), expected, atol=1e-12)
 
@@ -292,9 +356,10 @@ class TestIdentities:
     def test_parseval(self, rng, n):
         grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
         f = rng.standard_normal(grid.num_points)
-        coeffs = forward(grid, f)
+        energy = np.abs(half_coefficients(grid, f)) ** 2
+        # each l > 0 stands for l and -l
         assert inner_product(grid, f, f) == pytest.approx(
-            float(np.sum(np.abs(coeffs) ** 2)), abs=1e-12
+            float(energy[0] + 2.0 * np.sum(energy[1:])), abs=1e-12
         )
 
     @pytest.mark.parametrize("n", [16, 64, 256])
