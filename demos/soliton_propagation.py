@@ -1,8 +1,14 @@
 """Propagate a solitary wave across the periodic box and watch the crest.
 
 The amplitude-0.5 wave travels at c0 = sqrt(1 - P^2) ~ 0.8165; after T = 4
-the crest should sit at x = c0*T, and the discrete mass and modified energy
-should be flat to round-off.  Run with `python demos/soliton_propagation.py`.
+the crest should sit at x = c0*T.  The discrete mass moves only by t times
+the (conserved) mass of psi, which is not quite 0 because the box cuts the
+wave's tails: about 8e-12 relative by T = 4.  The "energy" column is
+`modified_energy(u, psi)`, the convergence proof's error functional
+(1/2)(||psi||^2 + ||D^2 u||^2 + ||D u||^2) applied to the solution itself.
+The scheme does not conserve it: it drifts by about 1.7e-6 relative over
+T = 4.  Both relative drifts are printed at the end.  Run with
+`python demos/soliton_propagation.py`.
 """
 
 import numpy as np
@@ -42,6 +48,10 @@ assert not result.diverged
 print(f"\n{'t':>6} {'crest':>10} {'mass':>14} {'energy':>14}")
 for t, crest, m, e in snapshots:
     print(f"{t:6.2f} {crest:10.5f} {m:14.10f} {e:14.10f}")
+
+(_, _, m0, e0), (_, _, m1, e1) = snapshots[0], snapshots[-1]
+print(f"\nrelative drift over T = 4: mass {abs(m1 - m0) / abs(m0):.2e}, "
+      f"energy {abs(e1 - e0) / abs(e0):.2e}")
 
 rec = error_norms(result.state, params)
 print(f"\nfinal errors: |psi|_2 = {rec.err_psi_l2:.3e}, |u|_H2 = {rec.err_u_h2:.3e}")

@@ -3,6 +3,9 @@
 Two weighting conventions coexist on purpose and are never mixed: inner
 products and norms carry the mean weight 1/(2N+1), while the discrete mass
 carries the trapezoidal weight h so that a constant u == 1 has mass L.
+
+Seminorms of a u error come by Parseval from one U = rfft(u) on n = 2N+1 points:
+||D^m u||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2 with w_0 = 1 and w_l = 2 above.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, derivative, norm2
+from .spectral import Grid, _parseval, norm2
 from .stepping import SchemeState
 from .waves import SolitaryWaveParams, solitary_wave, solitary_wave_dt
 
@@ -36,16 +39,16 @@ def mass(grid: Grid, values: np.ndarray) -> float:
 
 
 def modified_energy(grid: Grid, u_err: np.ndarray, psi_err: np.ndarray) -> float:
-    """Energy functional (1/2)(||psi_err||^2 + ||D^2 u_err||^2 + ||D u_err||^2)."""
-    return _energy(
-        norm2(grid, psi_err),
-        norm2(grid, derivative(grid, u_err, 2)),
-        norm2(grid, derivative(grid, u_err, 1)),
-    )
+    """Energy functional (1/2)(||psi_err||^2 + ||D^2 u_err||^2 + ||D u_err||^2), where
+    ||D^m u_err||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2 with U = rfft(u_err)."""
+    return _h2_and_energy(grid, u_err, norm2(grid, psi_err))[1]
 
 
-def _energy(psi_norm: float, d2_norm: float, d1_norm: float) -> float:
-    return 0.5 * (psi_norm**2 + d2_norm**2 + d1_norm**2)
+def _h2_and_energy(grid: Grid, u_err: np.ndarray, psi_norm: float) -> tuple[float, float]:
+    """||D^2 u_err||^2 and the energy, with both seminorms from one forward transform."""
+    k2 = grid.wavenumbers**2
+    d2_squared, d1_squared = _parseval(grid, u_err, (k2 * k2, k2))
+    return d2_squared, 0.5 * (psi_norm**2 + d2_squared + d1_squared)
 
 
 def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
@@ -53,8 +56,9 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
 
     The "H2 error" is the seminorm ||D^2(u - u_e)||_2, the quantity the
     convergence experiments track; the full Sobolev norm is available
-    separately via :func:`boussinesq.spectral.sobolev_norm`.  A state of the
-    three-level scheme has no psi, so its psi error and energy are NaN.
+    separately via :func:`boussinesq.spectral.sobolev_norm`.  It and ||D(u - u_e)||
+    come from one rfft U of the error, as ||D^m u||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2.
+    A state of the three-level scheme has no psi, so its psi error and energy are NaN.
     """
     grid = state.grid
     u_err = state.u_curr - solitary_wave(params, grid.nodes, state.time)
@@ -63,14 +67,14 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
     else:
         psi_exact = solitary_wave_dt(params, grid.nodes, state.time)
         err_psi = norm2(grid, state.psi_curr - psi_exact)
-    err_h2 = norm2(grid, derivative(grid, u_err, 2))
+    d2_squared, energy = _h2_and_energy(grid, u_err, err_psi)
     return ErrorRecord(
         time=state.time,
         err_psi_l2=err_psi,
-        err_u_h2=err_h2,
+        err_u_h2=float(np.sqrt(d2_squared)),
         err_u_l2=norm2(grid, u_err),
         mass=mass(grid, state.u_curr),
-        energy=_energy(err_psi, err_h2, norm2(grid, derivative(grid, u_err, 1))),
+        energy=energy,
     )
 
 

@@ -32,12 +32,13 @@ CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def write_csv(result: SweepResult, path) -> None:
-    """Write one sweep to CSV; temporal sweeps get a fitted-order comment."""
+    """Write one sweep to CSV; temporal sweeps end with the psi and H2 fitted-order comments."""
     lines = [CSV_HEADER]
     for row in result.rows:
         lines.append(",".join(_WRITE[typ](getattr(row, name)) for name, typ in _COLUMNS))
     if result.fitted_orders is not None:
         lines.append(f"# fitted_order={result.fitted_orders['err_psi_l2']!r}")
+        lines.append(f"# fitted_order_u_h2={result.fitted_orders['err_u_h2']!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

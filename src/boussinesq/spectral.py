@@ -177,15 +177,20 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
     """
     if order < 0:
         raise ValueError(f"Sobolev order must be >= 0, got {order}")
-    energy = np.abs(_coefficients(grid, values)) ** 2
     k2 = grid.wavenumbers**2
     multiplier = np.ones_like(k2)
     power = np.ones_like(k2)
     for _ in range(order):
         power = power * k2
         multiplier = multiplier + power
-    # each l > 0 counts twice, for itself and for -l; the multiplier at l = 0 is 1
-    return float(np.sqrt(2.0 * np.sum(multiplier * energy) - energy[0]))
+    return float(np.sqrt(_parseval(grid, values, [multiplier])[0]))
+
+
+def _parseval(grid: Grid, values: np.ndarray, multipliers) -> list[float]:
+    """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for each multiplier M,
+    from one forward transform; w_0 = 1 and w_l = 2 for l > 0, which also stands for -l."""
+    energy = np.abs(_coefficients(grid, values)) ** 2
+    return [float(2.0 * np.sum(m * energy) - m[0] * energy[0]) for m in multipliers]
 
 
 def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:

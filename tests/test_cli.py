@@ -8,7 +8,7 @@ import pytest
 
 import boussinesq.cli as cli
 from boussinesq.reporting import CSV_HEADER, emit_plot_script, read_csv, write_csv
-from boussinesq.sweeps import SweepResult, SweepRow, spatial_spec, temporal_spec
+from boussinesq.sweeps import SweepResult, SweepRow, run_sweep, spatial_spec, temporal_spec
 from boussinesq.verification import run_checks
 
 
@@ -141,9 +141,21 @@ class TestCsv:
         path = tmp_path / "fit.csv"
         write_csv(result, path)
         lines = path.read_text().strip().split("\n")
-        assert len(lines) == 12
-        assert lines[-1].startswith("# fitted_order=")
-        assert float(lines[-1].split("=")[1]) == pytest.approx(2.0001559)
+        assert len(lines) == 13
+        assert lines[-2].startswith("# fitted_order=")
+        assert float(lines[-2].split("=")[1]) == pytest.approx(2.0001559)
+
+    def test_both_fitted_orders_survive_a_temporal_sweep(self, tmp_path):
+        # the H2 order has its own comment line; the psi line keeps its
+        # "# fitted_order=" prefix, which the new prefix does not match
+        result = run_sweep(temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0))
+        path = tmp_path / "temporal.csv"
+        write_csv(result, path)
+        comments = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert comments == [
+            f"# fitted_order={result.fitted_orders['err_psi_l2']!r}",
+            f"# fitted_order_u_h2={result.fitted_orders['err_u_h2']!r}",
+        ]
 
     def test_golden_bytes(self, tmp_path):
         # one row of each kind, pinned to the exact text of the format
@@ -176,7 +188,9 @@ class TestCsv:
             ),
         )
         result = SweepResult(
-            spec=temporal_spec(), rows=rows, fitted_orders={"err_psi_l2": 2.0001559}
+            spec=temporal_spec(),
+            rows=rows,
+            fitted_orders={"err_psi_l2": 2.0001559, "err_u_h2": 1.9980544},
         )
         path = tmp_path / "golden.csv"
         write_csv(result, path)
@@ -191,6 +205,7 @@ class TestCsv:
             "stability,frutos,512,0.1,1000,100.0,inf,inf,inf,inf,true,0.18\n"
             "run,frutos,64,0.01,50,0.5,nan,1.2116e-07,1.4336e-07,0.0,false,0.18\n"
             "# fitted_order=2.0001559\n"
+            "# fitted_order_u_h2=1.9980544\n"
         )
         back = read_csv(path)
         assert back[:4] == list(rows[:4])

@@ -9,9 +9,14 @@ from boussinesq.diagnostics import (
     mass,
     modified_energy,
 )
-from boussinesq.spectral import Grid, derivative, norm2
-from boussinesq.stepping import SchemeState
-from boussinesq.waves import params_from_amplitude, solitary_wave, solitary_wave_dt
+from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, norm2
+from boussinesq.stepping import SchemeState, bootstrap, run
+from boussinesq.waves import (
+    params_from_amplitude,
+    solitary_problem,
+    solitary_wave,
+    solitary_wave_dt,
+)
 
 
 def benchmark_grid(n=64):
@@ -88,6 +93,43 @@ class TestErrorNorms:
             u - solitary_wave(p, grid.nodes, 0.4),
             psi - solitary_wave_dt(p, grid.nodes, 0.4),
         )
+
+    def test_one_forward_transform(self, monkeypatch):
+        # error_norms makes one Grid.rfft and no Grid.irfft, on a grid that
+        # transforms by matrix products (N = 16) and on one that calls np.fft
+        # (N = 256); a run observed by it every step makes four transforms a
+        # step: the stepper's pair, psi's irfft in the state and this rfft
+        counts = dict.fromkeys(("rfft", "irfft"), 0)
+        for name in counts:
+            fn = getattr(Grid, name)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, wrapper)
+
+        def calls(fn, *args, **kwargs):
+            counts.update(rfft=0, irfft=0)
+            fn(*args, **kwargs)
+            return dict(counts)
+
+        p = params_from_amplitude(0.5)
+        observers = (lambda state: error_norms(state, p),)
+        for n in (16, 256):
+            grid = benchmark_grid(n)
+            assert (grid.num_points <= DENSE_MAX_POINTS) == (n == 16)
+            prob = solitary_problem(p, grid)
+            state = bootstrap(prob, 0.01, "exact", p)
+            assert state.psi_curr is not None
+            assert calls(error_norms, state, p) == {"rfft": 1, "irfft": 0}
+            short, long = (
+                calls(run, prob, 0.01, steps * 0.01, params=p, bootstrap_mode="exact",
+                      observers=observers)
+                for steps in (10, 30)
+            )
+            per_step = {key: (long[key] - short[key]) / 20 for key in counts}
+            assert per_step == {"rfft": 2, "irfft": 2}
 
     def test_three_level_state_has_nan_psi_error(self, rng):
         grid = benchmark_grid(64)

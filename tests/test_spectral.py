@@ -11,6 +11,7 @@ import pytest
 from boussinesq.spectral import (
     DENSE_MAX_POINTS,
     Grid,
+    _parseval,
     derivative,
     evaluate_interpolant,
     inner_product,
@@ -174,6 +175,24 @@ class TestAcrossTransformSwitch:
             multiplier = sum(k ** (2 * j) for j in range(order + 1))
             want = np.sqrt(np.sum(multiplier * np.abs(full) ** 2))
             assert sobolev_norm(grid, f, order) == pytest.approx(want, rel=1e-12), order
+
+    def test_parseval_seminorms_match_derivative_route(self, case):
+        # ||D f|| and ||D^2 f|| from one forward transform, against a
+        # derivative's round trip and the nodal norm
+        grid, f, _, _ = case
+        k2 = grid.wavenumbers**2
+        got = np.sqrt(_parseval(grid, f, (k2, k2 * k2)))
+        want = [norm2(grid, derivative(grid, f, m)) for m in (1, 2)]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_parseval_seminorms_of_a_constant_vanish(self, case):
+        grid = case[0]
+        k2 = grid.wavenumbers**2
+        f = np.full(grid.num_points, 0.37)
+        got = np.sqrt(_parseval(grid, f, (k2, k2 * k2)))
+        want = [norm2(grid, derivative(grid, f, m)) for m in (1, 2)]
+        # zero up to the round-off of the transform, which k^2 amplifies
+        assert max(*got, *want) <= 1e-12 * 0.37
 
     def test_evaluate_interpolant(self, case, rng):
         grid, f, full, _ = case
