@@ -13,13 +13,12 @@ one :class:`LinearStepper` with their own coefficients: it carries two
 rfft half-spectra, maps every mode by the same 2x2 linear update plus a
 forcing by the nonlinearity, and makes one forward and one inverse
 transform of the grid per step (:meth:`Grid.rfft`, :meth:`Grid.irfft`).
-A stepper built with an array of step sizes advances one run per row of
-a 2-D carry, so runs that share a grid share every call.
+A batch stacks the steppers of every run on one grid, of any scheme and
+step size, as the rows of one 2-D carry, so those runs share every call.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +93,7 @@ class LinearStepper:
     """Precomputed-plan stepper for a scheme that is linear in each mode.
 
     The state is carried as two rfft half-spectra: Y of u, and Z, which is
-    that of psi when the scheme has psi (``has_psi``).  With the
+    that of psi in the rows that have psi (``has_psi``).  With the
     nonlinearity N = rfft(w0 u^p + w1 u_prev^p), every mode takes
 
         Y' = m Y + f N + c Z
@@ -102,20 +101,31 @@ class LinearStepper:
 
     so the linear part of a step is :attr:`matrix`.  ``dt`` is a float, or
     a 1-D array of step sizes; the coefficients then have one row per step
-    size, shape (rows, half), and the carry holds one run per row.
+    size, shape (rows, half), and the carry holds one run per row.  Columns
+    of weights and a ``has_psi`` flag per row let rows differ in scheme.
     """
 
-    def __init__(self, grid: Grid, dt, power, weights, m, f, c, q, s, has_psi):
+    def __init__(self, grid: Grid, power, dt, w0, w1, m, f, c, q, s, has_psi):
         self.grid = grid
         self.dt = dt
         self.power = power
-        self.weights = weights
-        self.has_psi = has_psi
+        self.w0, self.w1 = (np.full(np.shape(dt) + (1,), w, dtype=float) for w in (w0, w1))
+        # a weight all rows share multiplies as a scalar: cheaper per step than its column
+        self.weights = [w if len(set(w.flat)) > 1 else w.item(0) for w in (self.w0, self.w1)]
+        self.has_psi = np.full(np.shape(dt), has_psi, dtype=bool)
         # held complex and C-ordered, like the spectra, so that the products
         # with them cast nothing and walk both operands in the same order
         self.m, self.f, self.c, self.q, self.s = (
             np.ascontiguousarray(x, dtype=complex) for x in np.broadcast_arrays(m, f, c, q, s)
         )
+
+    def _per_row(self) -> tuple:
+        """The per-row data, in the constructor's order."""
+        return (self.dt, self.w0, self.w1, self.m, self.f, self.c, self.q, self.s, self.has_psi)
+
+    def take(self, keep) -> LinearStepper:
+        """The batch of the rows ``keep`` selects, sliced: the bits of those rows built alone."""
+        return LinearStepper(self.grid, self.power, *(x[keep] for x in self._per_row()))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -124,11 +134,13 @@ class LinearStepper:
         return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^p) of nodal fields; psi is None without psi."""
+        """Spectral carry (u, u_prev, Y, Z, u_prev^p) of nodal rows; one without psi ignores it."""
         rfft = self.grid.rfft
         y = rfft(u)
         # Z seeds from psi, or else is the backward difference q (Y - V)
-        z = rfft(psi) if self.has_psi else self.q * (y - rfft(u_prev))
+        z = 0.0 if self.has_psi.all() else self.q * (y - rfft(u_prev))
+        if self.has_psi.any():
+            z = np.where(self.has_psi[..., None], rfft(psi), z)
         return u, u_prev, y, z, _power(u_prev, self.power)
 
     def advance(self, carry):
@@ -155,7 +167,7 @@ class LinearStepper:
         finishes does not hold on to the arrays of the whole batch.
         """
         u, u_prev, _, z, _ = (x[row] for x in carry)
-        psi = self.grid.irfft(z) if self.has_psi else None
+        psi = self.grid.irfft(z) if self.has_psi[row] else None
         time = float(step_index * self.dt[row])
         return SchemeState(self.grid, step_index, time, u.copy(), psi, u_prev.copy())
 
@@ -192,7 +204,7 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     a, b, c = 4.0 / column**2 / lam - 1.0, -k2 / lam, 2.0 / column / lam
     q = (2.0 / column) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
-    return LinearStepper(grid, dt, power, (1.5, -0.5), a, b, c, q, s, True)
+    return LinearStepper(grid, power, dt, 1.5, -0.5, a, b, c, q, s, True)
 
 
 def FrutosStepper(grid: Grid, dt) -> LinearStepper:
@@ -214,7 +226,7 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     alpha = (2.0 / column**2 - 0.5 * k4 - k2) / lam
     # beta = (-1/dt^2 - k^4/4)/lam is -lam/lam, exactly -1, so c = -beta dt = dt
     m, c = alpha - 1.0, column
-    return LinearStepper(grid, dt, 2, (1.0, 0.0), m, -k2 / lam, c, 1.0 / column, 0.0, False)
+    return LinearStepper(grid, 2, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / column, 0.0, False)
 
 
 def bootstrap(
@@ -267,6 +279,16 @@ def _num_steps(T: float, dt: float) -> int:
     return steps
 
 
+def _solo(problem: GBProblem, scheme: str, dt: float, bootstrap_mode, params):
+    """Initial state and stepper of one run of ``scheme``."""
+    if scheme == "proposed":
+        state = bootstrap(problem, dt, bootstrap_mode, params)
+        return state, ProposedStepper(problem.grid, dt, problem.power)
+    if scheme == "frutos":
+        return bootstrap_frutos(problem, dt, params), FrutosStepper(problem.grid, dt)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def run(
     problem: GBProblem,
     dt: float,
@@ -283,42 +305,32 @@ def run(
     steps (and at step 0 and the final step).  On divergence the partial
     state is returned with the blow-up step recorded; nothing is raised.
     """
-    return run_batch(
-        problem, (dt,), T, scheme, bootstrap_mode, params, observers, stride
-    )[0]
+    return run_batch(problem, ((scheme, dt),), T, bootstrap_mode, params, observers, stride)[0]
 
 
 def run_batch(
     problem: GBProblem,
-    dts,
+    runs,
     T: float,
-    scheme: str = "proposed",
     bootstrap_mode: str = "self_start",
     params: SolitaryWaveParams | None = None,
     observers=(),
     stride: int = 1,
 ) -> tuple[RunResult, ...]:
-    """Advance one run per step size in ``dts`` to time T, all together.
+    """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
 
-    The runs are the rows of one 2-D carry, so every step makes one
-    forward and one inverse transform for the whole batch.  Each row's
-    result equals that of :func:`run` at its step size bit for bit, and the
-    results come back in the order of ``dts``.  Observers see every row's state, as in
-    :func:`run`; a row that diverges is dropped from the batch with its
+    The runs, of any scheme and step size, are the rows of one 2-D carry,
+    so every step makes one forward and one inverse transform for them all.
+    Each row's result equals that of :func:`run` bit for bit, and the results
+    come back in the order of ``runs``.  Observers see every row's state, as
+    in :func:`run`; a row that diverges is dropped from the batch with its
     partial state and blow-up step recorded.
     """
-    steps = [_num_steps(T, dt) for dt in dts]
+    steps = [_num_steps(T, dt) for _, dt in runs]
     # longest first: the rows still running are always a prefix, and the
     # last of them is the next to finish
     order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    if scheme == "proposed":
-        starts = [bootstrap(problem, dts[i], bootstrap_mode, params) for i in order]
-        plan = functools.partial(ProposedStepper, problem.grid, power=problem.power)
-    elif scheme == "frutos":
-        starts = [bootstrap_frutos(problem, dts[i], params) for i in order]
-        plan = functools.partial(FrutosStepper, problem.grid)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    solos = [_solo(problem, *runs[i], bootstrap_mode, params) for i in order]
 
     # ||u||_rms > ceiling  <=>  u.u > n * ceiling^2 for a row; a NaN or inf
     # fails the comparison "u.u <= limit" as well.  np.vdot sums over the
@@ -328,7 +340,7 @@ def run_batch(
     limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
 
     results = [None] * len(steps)
-    for i, state in zip(order, starts):
+    for i, (state, _) in zip(order, solos):
         for obs in observers:
             obs(state)
         if not steps[i]:
@@ -336,14 +348,18 @@ def run_batch(
     rows = [i for i in order if steps[i]]
     if not rows:
         return tuple(results)
-    stepper = plan(np.array([dts[i] for i in rows], dtype=float))
-    live = starts[: len(rows)]
+    live, steppers = zip(*solos[: len(rows)])
+    # each row's own stepper, built with its float dt, is a row of the batch's
+    stepper = LinearStepper(
+        problem.grid, problem.power, *map(np.stack, zip(*(x._per_row() for x in steppers)))
+    )
     carry = stepper.start(
         np.stack([s.u_curr for s in live]),
-        np.stack([s.psi_curr for s in live]) if stepper.has_psi else None,
+        # a row without psi ignores the u that stands in for it
+        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live]),
         np.stack([s.u_prev for s in live]),
     )
-    del starts, live  # the carry holds copies
+    del solos, live, steppers  # the carry holds copies
     last = steps[rows[-1]]
     for n in range(1, steps[rows[0]] + 1):
         carry = stepper.advance(carry)
@@ -370,5 +386,5 @@ def run_batch(
             if not rows:
                 break
             carry = tuple(x[keep] for x in carry)
-            stepper, last = plan(stepper.dt[keep]), steps[rows[-1]]
+            stepper, last = stepper.take(keep), steps[rows[-1]]
     return tuple(results)

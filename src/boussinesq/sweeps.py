@@ -56,6 +56,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
+        if len({"proposed", "frutos"} & {*self.schemes}) < len(self.schemes) or not self.schemes:
+            raise ValueError(f"schemes must be proposed, frutos or both, got {self.schemes}")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
         if self.kind == "temporal":
@@ -79,8 +81,9 @@ class SweepSpec:
 class SweepRow:
     """One run's summary: resolution, step size and final error norms.
 
-    ``wall_seconds`` is the run's stepping time.  Runs stepped together in
-    one batch share the batch's time in proportion to their step counts K,
+    ``wall_seconds`` is the run's stepping time.  All runs on one grid, of
+    any scheme and step size, are stepped in one batch, whose time is shared
+    in proportion to the steps each run took (up to blow-up if it diverged),
     so the rows of a sweep still sum to its stepping time.
     """
 
@@ -143,7 +146,7 @@ def stability_spec(**overrides) -> SweepSpec:
     return replace(base, **overrides)
 
 
-def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, K, result, wall) -> SweepRow:
+def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) -> SweepRow:
     """Summarize one run's result against the exact wave as a sweep row."""
     err_psi = err_h2 = err_l2 = drift = float("inf")
     if not result.diverged:
@@ -156,7 +159,7 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, K, result, wal
         scheme=scheme,
         N=problem.grid.half_modes,
         dt=dt,
-        K=K,
+        K=int(round(spec.T / dt)),
         T=spec.T,
         err_psi_l2=err_psi,
         err_u_h2=err_h2,
@@ -168,30 +171,30 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, K, result, wal
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every (scheme, N) of a spec, with all its step sizes in one batch.
+    """Run every (scheme, N, dt) of a spec, with all the runs on one grid in one batch.
 
-    Rows come scheme by scheme, N by N, then step size by step size.  A
-    row's ``wall_seconds`` is its batch's stepping time times its share of
-    the batch's steps.  Divergence is data: a row that blows up before T
-    is flagged and the sweep goes on.  Orders are fitted for temporal
-    sweeps only.
+    Rows come scheme by scheme, N by N, then step size by step size; the
+    batch's stepping time is split between its rows as :class:`SweepRow`
+    says.  Divergence is data: a row that blows up before T is flagged and
+    the sweep goes on.  Orders are fitted for temporal sweeps only.
     """
     params = params_from_amplitude(spec.amplitude)
     dts = [spec.T / nk for nk in spec.nk_list] if spec.kind == "temporal" else [spec.dt]
-    steps = [int(round(spec.T / dt)) for dt in dts]
-    length = spec.domain[1] - spec.domain[0]
+    runs = [(scheme, dt) for scheme in spec.schemes for dt in dts]
     rows = []
-    for scheme in spec.schemes:
-        for N in spec.N_list:
-            grid = Grid(half_modes=N, length=length, x_left=spec.domain[0])
-            problem = solitary_problem(params, grid, spec.power)
-            start = _time.perf_counter()
-            results = run_batch(problem, dts, spec.T, scheme, spec.bootstrap_mode, params)
-            per_step = (_time.perf_counter() - start) / max(sum(steps), 1)
-            rows.extend(
-                _sweep_row(spec, scheme, problem, params, dt, K, result, per_step * K)
-                for dt, K, result in zip(dts, steps, results)
-            )
+    for N in spec.N_list:
+        grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
+        problem = solitary_problem(params, grid, spec.power)
+        start = _time.perf_counter()
+        results = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
+        taken = sum(result.state.step_index for result in results)
+        per_step = (_time.perf_counter() - start) / max(taken, 1)
+        rows.extend(
+            _sweep_row(spec, scheme, problem, params, dt, res, per_step * res.state.step_index)
+            for (scheme, dt), res in zip(runs, results)
+        )
+    # scheme by scheme; the sort is stable, so N by N and dt by dt within a scheme
+    rows.sort(key=lambda row: spec.schemes.index(row.scheme))
     fitted = None
     if spec.kind == "temporal":
         fitted = {

@@ -89,9 +89,16 @@ def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
 
 def solitary_wave_dt(params: SolitaryWaveParams, x, t: float = 0.0):
     """Exact time derivative of :func:`solitary_wave`."""
+    return _wave_fields(params, x, t)[1]
+
+
+def _wave_fields(params: SolitaryWaveParams, x, t: float):
+    """(u, u_t) of the exact wave from one theta and cosh^2, with the bits of the two functions."""
     th = _theta(params, x, t)
-    sech2 = 1.0 / np.cosh(th) ** 2
-    return -params.amplitude * params.shape * params.speed * sech2 * np.tanh(th)
+    cosh2 = np.cosh(th) ** 2
+    sech2 = 1.0 / cosh2
+    u_t = -params.amplitude * params.shape * params.speed * sech2 * np.tanh(th)
+    return -params.amplitude / cosh2, u_t
 
 
 def solitary_wave_dtt(params: SolitaryWaveParams, x, t: float = 0.0):
@@ -140,8 +147,7 @@ def sample_initial(params: SolitaryWaveParams, grid: Grid):
     this package and ``runpy``, or under ``python -m boussinesq.cli``, where
     there is none, the outermost frame of the package.
     """
-    u0 = solitary_wave(params, grid.nodes, 0.0)
-    v0 = solitary_wave_dt(params, grid.nodes, 0.0)
+    u0, v0 = _wave_fields(params, grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
         warnings.warn(

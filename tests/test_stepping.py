@@ -391,11 +391,15 @@ class TestRun:
         assert result.blowup_step == 762
         assert result.state.step_index == 762
 
-    @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
-    def test_one_rfft_and_one_irfft_per_step(self, monkeypatch, scheme):
+    @pytest.mark.parametrize(
+        "schemes",
+        [("proposed",), ("frutos",), ("proposed", "frutos")],
+        ids=["proposed", "frutos", "mixed"],
+    )
+    def test_one_rfft_and_one_irfft_per_step(self, monkeypatch, schemes):
         # one Grid.rfft and one Grid.irfft per step, on a grid that
         # transforms by matrix products (N = 16) and on one that calls
-        # np.fft (N = 256)
+        # np.fft (N = 256); a mixed batch alternates the schemes by row
         p = params_from_amplitude(0.5)
         counts = {}
 
@@ -417,8 +421,8 @@ class TestRun:
 
         def calls(prob, steps, rows):
             counts.update(dict.fromkeys(counts, 0))
-            dts = [0.01] * rows
-            run_batch(prob, dts, steps * 0.01, scheme=scheme, params=p, bootstrap_mode="exact")
+            runs = [(schemes[row % len(schemes)], 0.01) for row in range(rows)]
+            run_batch(prob, runs, steps * 0.01, params=p, bootstrap_mode="exact")
             return dict(counts)
 
         for n, ffts in ((16, 0), (256, 1)):
@@ -515,11 +519,10 @@ class TestRunBatch:
     def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode, n=64):
         prob, p = batch_problem(n, power)
         dts, T = (0.02, 0.01, 0.005, 0.0025), 0.4
-        kwargs = dict(scheme=scheme, bootstrap_mode=mode, params=p)
-        batch = run_batch(prob, dts, T, **kwargs)
+        batch = run_batch(prob, [(scheme, dt) for dt in dts], T, bootstrap_mode=mode, params=p)
         assert len(batch) == len(dts)
         for dt, got in zip(dts, batch):
-            assert_same_result(got, run(prob, dt, T, **kwargs))
+            assert_same_result(got, run(prob, dt, T, scheme, bootstrap_mode=mode, params=p))
 
     def test_rows_equal_solo_runs_bit_for_bit_on_an_fft_grid(self):
         # batch_problem's N = 64 transforms by matrix products; N = 256 by np.fft
@@ -529,7 +532,8 @@ class TestRunBatch:
     def test_results_come_back_in_input_order(self):
         prob, p = batch_problem()
         dts, T = (0.005, 0.02, 0.0025, 0.01), 0.2
-        batch = run_batch(prob, dts, T, params=p, bootstrap_mode="exact")
+        runs = [("proposed", dt) for dt in dts]
+        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
         assert [r.state.step_index for r in batch] == [40, 10, 80, 20]
         for dt, got in zip(dts, batch):
             assert_same_result(got, run(prob, dt, T, params=p, bootstrap_mode="exact"))
@@ -538,13 +542,14 @@ class TestRunBatch:
         # frutos at N = 512 diverges at dt = 0.1 (step 762) and stays
         # bounded at dt = 0.05 over the same horizon
         prob, p = batch_problem(n=512)
-        kwargs = dict(scheme="frutos", params=p, bootstrap_mode="exact")
-        diverged, bounded = run_batch(prob, (0.1, 0.05), 100.0, **kwargs)
+        kwargs = dict(params=p, bootstrap_mode="exact")
+        runs = (("frutos", 0.1), ("frutos", 0.05))
+        diverged, bounded = run_batch(prob, runs, 100.0, **kwargs)
         assert diverged.diverged and diverged.blowup_step == 762
         assert diverged.state.step_index == 762
-        assert_same_result(diverged, run(prob, 0.1, 100.0, **kwargs))
+        assert_same_result(diverged, run(prob, 0.1, 100.0, "frutos", **kwargs))
         assert not bounded.diverged and bounded.state.step_index == 2000
-        assert_same_result(bounded, run(prob, 0.05, 100.0, **kwargs))
+        assert_same_result(bounded, run(prob, 0.05, 100.0, "frutos", **kwargs))
 
     def test_observers_see_every_row_as_solo_runs_do(self):
         prob, p = batch_problem(n=16)
@@ -556,7 +561,9 @@ class TestRunBatch:
             return sorted(seen, key=lambda x: (x[1], x[0]))
 
         batch = seen_by(
-            lambda obs: run_batch(prob, dts, T, params=p, observers=(obs,), stride=3)
+            lambda obs: run_batch(
+                prob, [("proposed", dt) for dt in dts], T, params=p, observers=(obs,), stride=3
+            )
         )
         solo = seen_by(
             lambda obs: [run(prob, dt, T, params=p, observers=(obs,), stride=3) for dt in dts]
@@ -564,10 +571,39 @@ class TestRunBatch:
         assert [(n, t) for n, t, _ in batch] == [(n, t) for n, t, _ in solo]
         assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(batch, solo))
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_mixed_schemes_equal_solo_runs_bit_for_bit(self, n):
+        # N = 16 transforms by matrix products, N = 256 by np.fft
+        prob, p = batch_problem(n)
+        runs, T = (("proposed", 0.05), ("frutos", 0.05), ("frutos", 0.1), ("proposed", 0.1)), 1.0
+        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
+        for (scheme, dt), got in zip(runs, batch):
+            assert (got.state.psi_curr is None) == (scheme == "frutos")
+            assert_same_result(got, run(prob, dt, T, scheme, params=p, bootstrap_mode="exact"))
+
+    def test_three_level_row_leaves_a_mixed_batch_at_its_blow_up(self):
+        # the published stability point: the three-level row diverges at
+        # step 762, and the proposed row goes on to T as it would alone
+        prob, p = batch_problem(n=512)
+        kwargs = dict(params=p, bootstrap_mode="exact")
+        proposed, frutos = run_batch(prob, (("proposed", 0.1), ("frutos", 0.1)), 100.0, **kwargs)
+        assert frutos.diverged and frutos.blowup_step == 762
+        assert_same_result(frutos, run(prob, 0.1, 100.0, "frutos", **kwargs))
+        assert not proposed.diverged and proposed.state.step_index == 1000
+        assert_same_result(proposed, run(prob, 0.1, 100.0, "proposed", **kwargs))
+
+    def test_unknown_scheme_and_cubic_three_level_row_rejected(self):
+        prob, p = batch_problem(n=16)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            run_batch(prob, (("proposed", 0.1), ("bogus", 0.1)), 1.0, params=p)
+        cubic, _ = batch_problem(n=16, power=3)
+        with pytest.raises(ValueError, match="p = 2"):
+            run_batch(cubic, (("proposed", 0.1), ("frutos", 0.1)), 1.0, params=p)
+
     def test_zero_step_rows_and_empty_batch(self):
         prob, p = batch_problem(n=16)
         assert run_batch(prob, (), 1.0) == ()
-        (result,) = run_batch(prob, (0.1,), 0.0)
+        (result,) = run_batch(prob, (("proposed", 0.1),), 0.0)
         assert result.state.step_index == 0 and not result.diverged
         assert np.array_equal(result.state.psi_curr, prob.initial_ut)
 
@@ -589,3 +625,12 @@ class TestRunBatch:
             ProposedStepper(grid, np.array([0.1, -0.1]))
         with pytest.raises(ValueError):
             FrutosStepper(grid, np.array([0.1, 0.0]))
+
+    def test_take_equals_a_fresh_build_of_the_kept_rows(self):
+        grid = benchmark_grid(16)
+        dts, keep = np.array([0.1, 0.05, 0.025, 0.0125]), [True, False, False, True]
+        for plan in (ProposedStepper, FrutosStepper):
+            taken, fresh = plan(grid, dts).take(keep), plan(grid, dts[keep])
+            for name in ("dt", "w0", "w1", "m", "f", "c", "q", "s", "has_psi"):
+                assert np.array_equal(getattr(taken, name), getattr(fresh, name))
+            assert taken.weights == fresh.weights

@@ -74,6 +74,20 @@ class TestSpecValidation:
             temporal_spec(schemes=("proposed", "frutos"))
         assert temporal_spec(N_list=(64,)).N_list == (64,)
 
+    def test_rejects_empty_schemes(self):
+        with pytest.raises(ValueError, match="schemes"):
+            stability_spec(schemes=())
+
+    def test_rejects_unknown_scheme(self):
+        # before any grid is built, not inside the first batch
+        with pytest.raises(ValueError, match="schemes"):
+            stability_spec(schemes=("proposed", "bogus"))
+
+    def test_rejects_repeated_scheme(self):
+        # rows are keyed by (scheme, N, dt), so a repeat would duplicate rows
+        with pytest.raises(ValueError, match="schemes"):
+            stability_spec(schemes=("proposed", "proposed"))
+
     def test_run_kind_needs_a_fixed_dt(self):
         assert SweepSpec(kind="run", N_list=(32,), dt=0.1).kind == "run"
         with pytest.raises(ValueError):
@@ -140,6 +154,28 @@ class TestReducedSweeps:
         assert not any(row.diverged for row in result.rows)
         # the three-level scheme has no psi
         assert [np.isnan(row.err_psi_l2) for row in result.rows] == [False] * 2 + [True] * 2
+
+    def test_one_batch_per_grid_gives_the_rows_of_single_scheme_sweeps(self):
+        spec = stability_spec(T=0.5, N_list=(16, 32))
+        mixed = run_sweep(spec).rows
+        single = [
+            row
+            for scheme in spec.schemes
+            for row in run_sweep(dataclasses.replace(spec, schemes=(scheme,))).rows
+        ]
+        assert [(row.scheme, row.N) for row in mixed] == [
+            ("proposed", 16), ("proposed", 32), ("frutos", 16), ("frutos", 32)
+        ]
+        # repr compares floats exactly and takes the three-level nan psi error as equal
+        assert [repr(dataclasses.replace(row, wall_seconds=0.0)) for row in mixed] == [
+            repr(dataclasses.replace(row, wall_seconds=0.0)) for row in single
+        ]
+
+    def test_diverged_row_is_charged_up_to_its_blow_up(self):
+        # both schemes share the N = 512 batch; the three-level row leaves at step 762
+        proposed, frutos = run_sweep(stability_spec(N_list=(512,))).rows
+        assert frutos.diverged and not proposed.diverged
+        assert frutos.wall_seconds / proposed.wall_seconds == pytest.approx(762 / 1000, rel=1e-12)
 
     def test_divergent_row_flagged_and_sweep_continues(self):
         # calibrated divergent point for the three-level scheme

@@ -10,6 +10,7 @@ import pytest
 from boussinesq.spectral import Grid, derivative, norm2
 from boussinesq.waves import (
     GBProblem,
+    _wave_fields,
     SolitaryWaveParams,
     nonlinearity,
     params_from_amplitude,
@@ -87,6 +88,19 @@ class TestProfile:
             assert solitary_wave(p, x, t) == pytest.approx(
                 solitary_wave(p, x + p.speed * s, t + s), abs=1e-13
             )
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, 2.5])
+    def test_one_evaluation_fields_equal_the_two_functions(self, t):
+        # error_norms and sample_initial take (u, u_t) from one theta and cosh^2
+        p = params_from_amplitude(0.5, center=1.5)
+        x = Grid(half_modes=64, length=80.0, x_left=-40.0).nodes
+        u, u_t = _wave_fields(p, x, t)
+        assert np.array_equal(u, solitary_wave(p, x, t))
+        assert np.array_equal(u_t, solitary_wave_dt(p, x, t))
+        # solitary_wave_dt reads the helper, so pin u_t to its own expression too
+        th = 0.5 * p.shape * (x - p.center - p.speed * t)
+        sech2 = 1.0 / np.cosh(th) ** 2
+        assert np.array_equal(u_t, -p.amplitude * p.shape * p.speed * sech2 * np.tanh(th))
 
 
 class TestNonlinearity:
