@@ -8,18 +8,16 @@ from .spectral import (
     evaluate_interpolant,
     inner_product,
     norm2,
-    project,
     sobolev_norm,
 )
 from .waves import (
     GBProblem,
     SolitaryWaveParams,
-    nonlinearity,
     params_from_amplitude,
     sample_initial,
+    solitary_fields,
     solitary_problem,
     solitary_wave,
-    solitary_wave_dt,
     solitary_wave_dtt,
 )
 from .stepping import (

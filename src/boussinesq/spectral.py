@@ -12,7 +12,6 @@ identity, with weight 1 at l = 0 and 2 above, line up exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +20,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "derivative",
-    "project",
     "inner_product",
     "norm2",
     "sobolev_norm",
@@ -134,25 +132,6 @@ def derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
     half = grid.rfft(_checked(grid, values)) * (1j * grid.wavenumbers) ** order
-    return grid.irfft(half)
-
-
-def project(grid: Grid, values: np.ndarray, max_mode: int) -> np.ndarray:
-    """Zero out all modes with |l| > max_mode and return nodal values.
-
-    Asking for max_mode >= N cannot remove anything and is a warned no-op.
-    """
-    if max_mode < 1:
-        raise ValueError(f"max_mode must be >= 1, got {max_mode}")
-    values = _checked(grid, values)
-    if max_mode >= grid.half_modes:
-        warnings.warn(
-            f"projection cutoff {max_mode} >= grid half_modes {grid.half_modes}; no-op",
-            stacklevel=2,
-        )
-        return values.copy()
-    half = grid.rfft(values)
-    half[max_mode + 1 :] = 0.0
     return grid.irfft(half)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import Grid
-from .waves import GBProblem, SolitaryWaveParams, _power, solitary_wave
+from .waves import GBProblem, SolitaryWaveParams, _check_power, _power, solitary_wave
 
 __all__ = [
     "SchemeState",
@@ -196,8 +196,7 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     So q_0 = 0 and s_0 = -1 map Q_0 to itself exactly, where the formula
     would add the round-off of U_0' - U_0 to the mean of psi.
     """
-    if power < 2:
-        raise ValueError(f"nonlinearity power must be >= 2, got {power}")
+    _check_power(power)
     column = _column(dt)
     k2 = grid.wavenumbers**2
     lam = build_implicit_diagonal(grid, column)
@@ -273,6 +272,8 @@ def bootstrap_frutos(
 
 
 def _num_steps(T: float, dt: float) -> int:
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, dt):
         raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")

@@ -14,6 +14,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,8 @@ __all__ = [
     "GBProblem",
     "params_from_amplitude",
     "solitary_wave",
-    "solitary_wave_dt",
+    "solitary_fields",
     "solitary_wave_dtt",
-    "nonlinearity",
     "sample_initial",
     "solitary_problem",
 ]
@@ -34,20 +34,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude A, shape P, speed c0 and initial crest location x0."""
+    """Amplitude A and initial crest location x0; shape P and speed c0 follow from A."""
 
     amplitude: float
-    shape: float
-    speed: float
     center: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.shape <= 1:
-            raise ValueError(f"shape parameter must lie in (0, 1], got {self.shape}")
-        if abs(self.amplitude - 1.5 * self.shape**2) > 1e-14:
-            raise ValueError("amplitude inconsistent with shape: A != 3P^2/2")
-        if abs(self.speed - np.sqrt(1.0 - self.shape**2)) > 1e-14:
-            raise ValueError("speed inconsistent with shape: c0 != sqrt(1-P^2)")
+        if not 0 < self.amplitude <= 1.5:
+            raise ValueError(
+                f"amplitude must lie in (0, 3/2] for a real wave speed, got {self.amplitude}"
+            )
+
+    @cached_property
+    def shape(self) -> float:
+        """P = sqrt(2A/3), in (0, 1]."""
+        return np.sqrt(2.0 * self.amplitude / 3.0)
+
+    @cached_property
+    def speed(self) -> float:
+        """c0 = sqrt(1 - P^2)."""
+        return np.sqrt(max(1.0 - self.shape**2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -60,22 +66,15 @@ class GBProblem:
     initial_ut: np.ndarray
 
     def __post_init__(self):
-        if self.power < 2:
-            raise ValueError(f"nonlinearity power must be >= 2, got {self.power}")
+        _check_power(self.power)
         n = self.grid.num_points
         if self.initial_u.shape != (n,) or self.initial_ut.shape != (n,):
             raise ValueError("initial data does not match the grid size")
 
 
 def params_from_amplitude(amplitude: float, center: float = 0.0) -> SolitaryWaveParams:
-    """Build consistent solitary-wave parameters from the amplitude alone."""
-    if not 0 < amplitude <= 1.5:
-        raise ValueError(
-            f"amplitude must lie in (0, 3/2] for a real wave speed, got {amplitude}"
-        )
-    shape = np.sqrt(2.0 * amplitude / 3.0)
-    speed = np.sqrt(max(1.0 - shape**2, 0.0))
-    return SolitaryWaveParams(amplitude=amplitude, shape=shape, speed=speed, center=center)
+    """Solitary-wave parameters of the given amplitude and initial crest location."""
+    return SolitaryWaveParams(amplitude, center)
 
 
 def _theta(params: SolitaryWaveParams, x, t):
@@ -87,13 +86,8 @@ def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
     return -params.amplitude / np.cosh(_theta(params, x, t)) ** 2
 
 
-def solitary_wave_dt(params: SolitaryWaveParams, x, t: float = 0.0):
-    """Exact time derivative of :func:`solitary_wave`."""
-    return _wave_fields(params, x, t)[1]
-
-
-def _wave_fields(params: SolitaryWaveParams, x, t: float):
-    """(u, u_t) of the exact wave from one theta and cosh^2, with the bits of the two functions."""
+def solitary_fields(params: SolitaryWaveParams, x, t: float):
+    """Exact (u, u_t) from one theta and cosh^2; u has the bits of :func:`solitary_wave`."""
     th = _theta(params, x, t)
     cosh2 = np.cosh(th) ** 2
     sech2 = 1.0 / cosh2
@@ -114,11 +108,10 @@ def solitary_wave_dtt(params: SolitaryWaveParams, x, t: float = 0.0):
     )
 
 
-def nonlinearity(values: np.ndarray, power: int) -> np.ndarray:
-    """Pointwise power u_i^p of the nonlinear flux."""
-    if power < 2:
-        raise ValueError(f"nonlinearity power must be >= 2, got {power}")
-    return _power(np.asarray(values, dtype=float), power)
+def _check_power(power) -> None:
+    """Reject a nonlinearity power that :func:`_power` cannot take."""
+    if not isinstance(power, (int, np.integer)) or power < 2:
+        raise ValueError(f"nonlinearity power must be an integer >= 2, got {power!r}")
 
 
 def _power(values: np.ndarray, power: int) -> np.ndarray:
@@ -147,7 +140,7 @@ def sample_initial(params: SolitaryWaveParams, grid: Grid):
     this package and ``runpy``, or under ``python -m boussinesq.cli``, where
     there is none, the outermost frame of the package.
     """
-    u0, v0 = _wave_fields(params, grid.nodes, 0.0)
+    u0, v0 = solitary_fields(params, grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
         warnings.warn(

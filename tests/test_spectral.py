@@ -16,7 +16,6 @@ from boussinesq.spectral import (
     evaluate_interpolant,
     inner_product,
     norm2,
-    project,
     sobolev_norm,
 )
 
@@ -133,8 +132,6 @@ class TestForwardInverse:
         bad[3] = np.nan
         for operator in (
             lambda f: derivative(grid, f, 2),
-            lambda f: project(grid, f, 2),
-            lambda f: project(grid, f, grid.half_modes),
             lambda f: sobolev_norm(grid, f, 1),
             lambda f: evaluate_interpolant(grid, f, grid.nodes),
         ):
@@ -162,12 +159,6 @@ class TestAcrossTransformSwitch:
             want = dft_inverse(grid, full * (1j * k) ** order).real
             got = derivative(grid, f, order)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), order
-
-    def test_project(self, case):
-        grid, f, full, _ = case
-        cut = grid.half_modes // 2
-        want = dft_inverse(grid, np.where(np.abs(full_modes(grid)) > cut, 0.0, full)).real
-        assert np.max(np.abs(project(grid, f, cut) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sobolev_norm(self, case):
         grid, f, full, k = case
@@ -283,34 +274,6 @@ class TestDerivative:
         f = np.exp(np.sin(2 * np.pi * (grid.nodes + 40.0) / 80.0))
         twice = derivative(grid, derivative(grid, f, 2), 2)
         assert np.max(np.abs(twice - derivative(grid, f, 4))) < 1e-10
-
-
-class TestProject:
-    def test_resolved_mode_unchanged(self):
-        grid = Grid(half_modes=8, length=1.0)
-        f = np.cos(2 * np.pi * grid.nodes)
-        assert np.allclose(project(grid, f, 1), f, atol=1e-13)
-
-    def test_mode_above_cutoff_removed(self):
-        grid = Grid(half_modes=8, length=1.0)
-        f = np.cos(2 * np.pi * 5 * grid.nodes)
-        assert np.max(np.abs(project(grid, f, 4))) < 1e-13
-
-    def test_cutoff_below_n_strips_top_modes(self, rng):
-        grid = Grid(half_modes=8, length=1.0)
-        f = rng.standard_normal(grid.num_points)
-        # oracle: direct coefficient surgery
-        coeffs = dft_forward(grid, f)
-        coeffs[np.abs(full_modes(grid)) > 7] = 0.0
-        expected = dft_inverse(grid, coeffs).real
-        assert np.allclose(project(grid, f, 7), expected, atol=1e-12)
-
-    def test_cutoff_at_or_above_n_warns(self, rng):
-        grid = Grid(half_modes=8, length=1.0)
-        f = rng.standard_normal(grid.num_points)
-        with pytest.warns(UserWarning):
-            out = project(grid, f, 8)
-        assert np.array_equal(out, f)
 
 
 class TestInnerProduct:

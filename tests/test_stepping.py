@@ -69,6 +69,11 @@ class TestProposedStep:
             assert np.all(u == 0.0)
             assert np.all(psi == 0.0)
 
+    @pytest.mark.parametrize("power", [1, 2.5, 3.0])
+    def test_power_not_an_integer_above_one_rejected(self, power):
+        with pytest.raises(ValueError, match="an integer >= 2"):
+            ProposedStepper(benchmark_grid(8), 0.1, power)
+
     def test_one_step_dispersion_error_is_third_order(self):
         # tiny-amplitude single mode: the nonlinearity is negligible and
         # the exact solution is eps*cos(kx)cos(wt) with w = sqrt(k^4+k^2).
@@ -448,6 +453,14 @@ class TestRun:
         prob = zero_problem(benchmark_grid(16))
         with pytest.raises(ValueError):
             run(prob, dt=0.3, T=1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf"), -0.1])
+    def test_bad_time_step_rejected_before_dividing(self, dt):
+        prob = zero_problem(benchmark_grid(16))
+        with pytest.raises(ValueError, match="time step must be positive"):
+            run(prob, dt, 1.0)
+        with pytest.raises(ValueError, match="time step must be positive"):
+            run_batch(prob, (("proposed", 0.1), ("proposed", dt)), 1.0)
 
     def test_zero_data_observers_see_zero_norms(self):
         grid = benchmark_grid(16)

@@ -1,0 +1,109 @@
+"""The package's public surface: what the benchmark calls exists, and nothing exported is dead.
+
+Both tests read source with ``ast`` rather than running it: the benchmark's
+call sites in ``benchmarks/workloads.py`` and ``benchmarks/layers.py``, and
+the uses of every ``__all__`` name across ``src/``, ``demos/`` and
+``benchmarks/``.
+"""
+
+import ast
+import functools
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "boussinesq"
+BENCHMARK_FILES = ("workloads.py", "layers.py")
+
+# Public names no program calls, kept on purpose.
+UNREFERENCED_ON_PURPOSE = {
+    # the exact u_tt that criterion 9 and test_discrete_pde_residual check
+    # the discrete equation against
+    "solitary_wave_dtt",
+}
+
+
+def benchmark_calls() -> list[tuple[str, str, str, int, list[str]]]:
+    """(where, module, name, positional count, keywords) of every ``bq.<module>.<name>(...)``."""
+    calls = []
+    for filename in BENCHMARK_FILES:
+        tree = ast.parse((ROOT / "benchmarks" / filename).read_text())
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "bq"
+            ):
+                keywords = [k.arg for k in node.keywords]
+                where = f"{filename}:{node.lineno}"
+                calls.append((where, func.value.attr, func.attr, len(node.args), keywords))
+    return calls
+
+
+BENCHMARK_CALLS = benchmark_calls()
+
+
+def test_benchmark_calls_are_found():
+    called = {(module, name) for _, module, name, _, _ in BENCHMARK_CALLS}
+    assert {("stepping", "run"), ("waves", "solitary_wave"), ("cli", "main")} <= called
+
+
+@pytest.mark.parametrize(
+    "where, module, name, positional, keywords",
+    BENCHMARK_CALLS,
+    ids=[f"{w}-{m}.{n}" for w, m, n, _, _ in BENCHMARK_CALLS],
+)
+def test_benchmark_call_binds(where, module, name, positional, keywords):
+    target = getattr(importlib.import_module(f"boussinesq.{module}"), name, None)
+    assert target is not None, f"{where} calls boussinesq.{module}.{name}, which is gone"
+    # raises TypeError if a positional slot or a keyword the call passes is gone
+    inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+@functools.cache
+def loaded_names(path: Path, own_module: bool) -> set[tuple[str, str | None]]:
+    """(name, enclosing top-level definition) of every Name or Attribute read in a file.
+
+    The enclosing definition is recorded only for the module's own file, so
+    that a function's use of itself does not count as a use.
+    """
+    out = set()
+    for statement in ast.parse(path.read_text()).body:
+        owner = getattr(statement, "name", None) if own_module else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((node.id, owner))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add((node.attr, owner))
+    return out
+
+
+def exported() -> list[tuple[str, str]]:
+    """(module, name) of every ``__all__`` entry of the package's modules, bar the exemptions."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            module = importlib.import_module(f"boussinesq.{path.stem}")
+            out += [
+                (path.stem, name)
+                for name in getattr(module, "__all__", ())
+                if name not in UNREFERENCED_ON_PURPOSE
+            ]
+    return out
+
+
+@pytest.mark.parametrize("module, name", exported(), ids=lambda x: x)
+def test_every_exported_name_is_used(module, name):
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("benchmarks/*.py")]:
+        if path == PACKAGE / "__init__.py":
+            continue
+        own = path == PACKAGE / f"{module}.py"
+        if any(ref == name and owner != name for ref, owner in loaded_names(path, own)):
+            return
+    pytest.fail(f"{module}.{name} is exported but used nowhere in src/, demos/ or benchmarks/")

@@ -10,14 +10,14 @@ import pytest
 from boussinesq.spectral import Grid, derivative, norm2
 from boussinesq.waves import (
     GBProblem,
-    _wave_fields,
     SolitaryWaveParams,
-    nonlinearity,
+    _check_power,
+    _power,
     params_from_amplitude,
     sample_initial,
+    solitary_fields,
     solitary_problem,
     solitary_wave,
-    solitary_wave_dt,
     solitary_wave_dtt,
 )
 
@@ -40,8 +40,9 @@ class TestParams:
             params_from_amplitude(0.0)
 
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            SolitaryWaveParams(amplitude=0.5, shape=0.5, speed=0.5)
+        # P and c0 are derived from A, so only the amplitude range can be wrong
+        with pytest.raises(ValueError, match="amplitude"):
+            SolitaryWaveParams(amplitude=2.0)
 
 
 class TestProfile:
@@ -56,19 +57,19 @@ class TestProfile:
 
     def test_time_derivative_vanishes_at_crest(self):
         p = params_from_amplitude(0.5)
-        assert solitary_wave_dt(p, p.center, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert solitary_fields(p, p.center, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_stationary_wave_has_zero_time_derivative(self):
         p = params_from_amplitude(1.5)
         x = np.linspace(-10, 10, 31)
-        assert np.max(np.abs(solitary_wave_dt(p, x, 2.0))) == 0.0
+        assert np.max(np.abs(solitary_fields(p, x, 2.0)[1])) == 0.0
 
     def test_time_derivative_matches_finite_difference(self):
         p = params_from_amplitude(0.5)
         h = 1e-6
         for x, t in [(0.7, 0.3), (-2.1, 1.0), (5.0, 2.5)]:
             fd = (solitary_wave(p, x, t + h) - solitary_wave(p, x, t - h)) / (2 * h)
-            assert solitary_wave_dt(p, x, t) == pytest.approx(fd, abs=1e-8)
+            assert solitary_fields(p, x, t)[1] == pytest.approx(fd, abs=1e-8)
 
     def test_second_time_derivative_matches_finite_difference(self):
         p = params_from_amplitude(0.5)
@@ -94,10 +95,9 @@ class TestProfile:
         # error_norms and sample_initial take (u, u_t) from one theta and cosh^2
         p = params_from_amplitude(0.5, center=1.5)
         x = Grid(half_modes=64, length=80.0, x_left=-40.0).nodes
-        u, u_t = _wave_fields(p, x, t)
+        u, u_t = solitary_fields(p, x, t)
         assert np.array_equal(u, solitary_wave(p, x, t))
-        assert np.array_equal(u_t, solitary_wave_dt(p, x, t))
-        # solitary_wave_dt reads the helper, so pin u_t to its own expression too
+        # pin u_t to its own expression
         th = 0.5 * p.shape * (x - p.center - p.speed * t)
         sech2 = 1.0 / np.cosh(th) ** 2
         assert np.array_equal(u_t, -p.amplitude * p.shape * p.speed * sech2 * np.tanh(th))
@@ -105,14 +105,14 @@ class TestProfile:
 
 class TestNonlinearity:
     def test_zero(self):
-        assert np.all(nonlinearity(np.zeros(5), 2) == 0.0)
+        assert np.all(_power(np.zeros(5), 2) == 0.0)
 
     def test_even_power_of_negative_one(self):
-        assert np.all(nonlinearity(-np.ones(5), 2) == 1.0)
+        assert np.all(_power(-np.ones(5), 2) == 1.0)
 
     def test_matches_loop_oracle(self, rng):
         f = rng.standard_normal(17)
-        out = nonlinearity(f, 3)
+        out = _power(f, 3)
         for i in range(17):
             # vectorized pow may round the last bit differently than scalar pow
             assert out[i] == pytest.approx(f[i] ** 3, rel=1e-15, abs=0.0)
@@ -120,15 +120,18 @@ class TestNonlinearity:
     @pytest.mark.parametrize("power", [3, 4, 5])
     def test_repeated_products_match_pow(self, rng, power):
         f = rng.standard_normal(1025)
-        assert np.allclose(nonlinearity(f, power), f**power, rtol=1e-14, atol=0.0)
+        assert np.allclose(_power(f, power), f**power, rtol=1e-14, atol=0.0)
 
     def test_square_is_exact(self, rng):
         f = rng.standard_normal(1025)
-        assert np.array_equal(nonlinearity(f, 2), f * f)
+        assert np.array_equal(_power(f, 2), f * f)
 
     def test_power_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            nonlinearity(np.ones(3), 1)
+        # the one check of GBProblem and ProposedStepper
+        for power in (1, 0, 2.0, 2.5, True):
+            with pytest.raises(ValueError, match="an integer >= 2"):
+                _check_power(power)
+        _check_power(np.int64(3))
 
 
 class TestProblemSetup:
@@ -179,6 +182,8 @@ class TestProblemSetup:
         z = np.zeros(grid.num_points)
         with pytest.raises(ValueError):
             GBProblem(power=1, grid=grid, initial_u=z, initial_ut=z)
+        with pytest.raises(ValueError, match="an integer >= 2"):
+            GBProblem(power=3.0, grid=grid, initial_u=z, initial_ut=z)
         with pytest.raises(ValueError):
             GBProblem(power=2, grid=grid, initial_u=z[:-1], initial_ut=z)
 
@@ -192,6 +197,6 @@ class TestProblemSetup:
         rhs = (
             -derivative(grid, u, 4)
             + derivative(grid, u, 2)
-            + derivative(grid, nonlinearity(u, 2), 2)
+            + derivative(grid, u**2, 2)
         )
         assert norm2(grid, utt - rhs) <= 1e-6
