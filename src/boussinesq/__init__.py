@@ -14,7 +14,6 @@ from .waves import (
     GBProblem,
     SolitaryWaveParams,
     params_from_amplitude,
-    sample_initial,
     solitary_fields,
     solitary_problem,
     solitary_wave,
@@ -37,6 +36,7 @@ from .sweeps import (
     SweepRow,
     SweepSpec,
     fit_order,
+    run_spec,
     run_sweep,
     spatial_spec,
     stability_spec,

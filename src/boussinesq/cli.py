@@ -1,20 +1,21 @@
 """Command-line driver for single runs, convergence sweeps and verification.
 
 Exit codes: 0 on success, 1 on runtime or I/O failure, 2 on usage errors,
-including inputs the solver rejects (printed as one ``error:`` line).
+including values the spec or the solver rejects (printed as one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
+from dataclasses import replace
 
 from .reporting import emit_plot_script, write_csv
 from .sweeps import (
     SweepResult,
     SweepSpec,
+    run_spec,
     run_sweep,
     spatial_spec,
     stability_spec,
@@ -25,27 +26,29 @@ from .verification import run_checks
 __all__ = ["build_parser", "parse_args", "main"]
 
 
-def _add_common_flags(sub, N_default):
-    sub.add_argument("--N", type=int, default=N_default, help="half mode count")
-    sub.add_argument("--T", type=float, default=4.0, help="final time")
-    sub.add_argument("--amplitude", type=float, default=0.5, help="solitary wave amplitude")
+def _add_subcommand(subs, name: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand with the flags every experiment takes.
+
+    A flag left out is absent from the namespace, so the default of the
+    subcommand's spec builder holds.
+    """
+    sub = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    sub.add_argument("--N", type=int, help="half mode count")
+    sub.add_argument("--T", type=float, help="final time")
+    sub.add_argument("--amplitude", type=float, help="solitary wave amplitude")
+    sub.add_argument("--p", type=int, help="nonlinearity power (only 2 has an exact reference)")
+    sub.add_argument("--xmin", type=float, help="left domain boundary")
+    sub.add_argument("--xmax", type=float, help="right domain boundary")
     sub.add_argument(
-        "--p", type=int, default=2, help="nonlinearity power (only 2 has an exact reference)"
+        "--bootstrap", choices=("exact", "self-start"), help="how to seed the u^{-1} level"
     )
-    sub.add_argument("--xmin", type=float, default=-40.0, help="left domain boundary")
-    sub.add_argument("--xmax", type=float, default=40.0, help="right domain boundary")
-    sub.add_argument(
-        "--bootstrap",
-        choices=("exact", "self-start"),
-        default="exact",
-        help="how to seed the u^{-1} level",
-    )
-    sub.add_argument("--out", default=None, help="CSV output path")
+    sub.add_argument("--out", help="CSV output path")
     sub.add_argument(
         "--emit-plot",
         action="store_true",
         help="also write a plot script next to the CSV",
     )
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,67 +58,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    run_p = subs.add_parser("run", help="single solitary-wave run")
-    _add_common_flags(run_p, N_default=512)
-    run_p.add_argument("--dt", type=float, default=None, help="time step")
-    run_p.add_argument("--nk", type=int, default=None, help="number of time steps")
-    run_p.add_argument(
-        "--scheme", choices=("proposed", "frutos"), default="proposed", help="time scheme"
-    )
+    run_p = _add_subcommand(subs, "run", "single solitary-wave run")
+    steps = run_p.add_mutually_exclusive_group()
+    steps.add_argument("--dt", type=float, help="time step")
+    steps.add_argument("--nk", type=int, help="number of time steps")
+    run_p.add_argument("--scheme", choices=("proposed", "frutos"), help="time scheme")
 
-    space_p = subs.add_parser("sweep-space", help="spatial spectral-accuracy sweep")
-    _add_common_flags(space_p, N_default=None)
-    space_p.add_argument("--dt", type=float, default=1e-4, help="fixed time step")
+    space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep")
+    space_p.add_argument("--dt", type=float, help="fixed time step")
 
-    time_p = subs.add_parser("sweep-time", help="temporal second-order sweep")
-    _add_common_flags(time_p, N_default=512)
+    _add_subcommand(subs, "sweep-time", "temporal second-order sweep")
 
-    stab_p = subs.add_parser("stability", help="proposed vs three-level stability map")
-    _add_common_flags(stab_p, N_default=None)
-    stab_p.add_argument("--dt", type=float, default=0.1, help="fixed time step")
-    # the contrast needs a long horizon; see sweeps.stability_spec
-    stab_p.set_defaults(T=100.0)
+    stab_p = _add_subcommand(subs, "stability", "proposed vs three-level stability map")
+    stab_p.add_argument("--dt", type=float, help="fixed time step")
 
     subs.add_parser("verify", help="fast invariant self-checks")
     return parser
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "verify":
-        return args
-    if args.subcommand == "run":
-        if args.dt is not None and args.nk is not None:
-            parser.error("--dt and --nk are mutually exclusive")
-        if args.dt is None and args.nk is None:
-            args.dt = 4e-3
-        elif args.dt is None:
-            if args.nk <= 0:
-                parser.error("--nk must be positive")
-            args.dt = args.T / args.nk
-    if getattr(args, "dt", None) is not None and args.dt <= 0:
-        parser.error("--dt must be positive")
-    if args.T <= 0:
-        parser.error("--T must be positive")
-    if args.xmin >= args.xmax:
-        parser.error("--xmin must be below --xmax")
-    return args
+    return build_parser().parse_args(argv)
 
 
 def _write_outputs(result: SweepResult, args) -> None:
-    if args.out:
-        write_csv(result, args.out)
-        print(f"wrote {args.out}")
-        if args.emit_plot:
-            base, _ = os.path.splitext(args.out)
-            emit_plot_script(result, base + "_plot.py", os.path.basename(args.out))
+    out = getattr(args, "out", None)
+    if out:
+        write_csv(result, out)
+        print(f"wrote {out}")
+        if getattr(args, "emit_plot", False):
+            base, _ = os.path.splitext(out)
+            emit_plot_script(result, base + "_plot.py", os.path.basename(out))
             print(f"wrote {base}_plot.py")
 
 
-# subcommand -> builder of its spec from the overrides the flags give
+# subcommand -> builder of its spec, the one home of its defaults
 _SPEC_BUILDERS = {
-    "run": functools.partial(SweepSpec, "run"),
+    "run": run_spec,
     "sweep-space": spatial_spec,
     "sweep-time": temporal_spec,
     "stability": stability_spec,
@@ -123,20 +101,26 @@ _SPEC_BUILDERS = {
 
 
 def _spec_from_args(args) -> SweepSpec:
-    overrides = dict(
-        T=args.T,
-        amplitude=args.amplitude,
-        domain=(args.xmin, args.xmax),
-        power=args.p,
-        bootstrap_mode=args.bootstrap.replace("-", "_"),
-    )
-    if getattr(args, "dt", None) is not None:  # sweep-time steps by nk_list
-        overrides["dt"] = args.dt
-    if args.N is not None:
+    """The subcommand's spec, with the fields of the given flags overridden."""
+    given = vars(args)
+    spec = _SPEC_BUILDERS[args.subcommand]()
+    overrides = {
+        field: given[flag]
+        for flag, field in (("T", "T"), ("amplitude", "amplitude"), ("p", "power"), ("dt", "dt"))
+        if flag in given
+    }
+    if "N" in given:
         overrides["N_list"] = (args.N,)
-    if args.subcommand == "run":
+    if "nk" in given:
+        overrides.update(nk_list=(args.nk,), dt=None)
+    if "xmin" in given or "xmax" in given:
+        xmin, xmax = spec.domain
+        overrides["domain"] = (given.get("xmin", xmin), given.get("xmax", xmax))
+    if "bootstrap" in given:
+        overrides["bootstrap_mode"] = args.bootstrap.replace("-", "_")
+    if "scheme" in given:
         overrides["schemes"] = (args.scheme,)
-    return _SPEC_BUILDERS[args.subcommand](**overrides)
+    return replace(spec, **overrides)
 
 
 def _print_rows(result: SweepResult) -> None:
@@ -181,7 +165,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # inputs the parser accepts but the solver rejects
+    except ValueError as exc:  # values the spec or the solver rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -274,6 +274,8 @@ def bootstrap_frutos(
 def _num_steps(T: float, dt: float) -> int:
     if not 0 < dt < np.inf:
         raise ValueError(f"time step must be positive and finite, got {dt}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"final time must be nonnegative and finite, got {T}")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, dt):
         raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")

@@ -3,7 +3,9 @@
 Default constants reproduce the published study: domain (-40, 40),
 amplitude 0.5, final time T = 4; the spatial sweep fixes dt = 1e-4 over
 N = 32..128 in steps of 8, the temporal sweep fixes N = 512 over
-N_K = 100..1000 steps in increments of 100.
+N_K = 100..1000 steps in increments of 100, and a single run steps
+dt = 4e-3 at N = 512.  The four spec builders are the only home of these
+defaults: the CLI overrides only the fields whose flags it is given.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import numpy as np
 from .diagnostics import error_norms, mass
 from .spectral import Grid
 from .stepping import run_batch
-from .waves import params_from_amplitude, solitary_problem
+from .waves import _problem, params_from_amplitude
 
 __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepResult",
+    "run_spec",
     "spatial_spec",
     "temporal_spec",
     "stability_spec",
@@ -35,9 +38,10 @@ class SweepSpec:
     """Configuration of one experiment: the (scheme, N, dt) runs it makes.
 
     ``kind`` is "spatial", "temporal", "stability" or "run" (one CLI run).
-    A temporal sweep steps T / nk for every nk in ``nk_list`` at its one N
-    with its one scheme; every other kind steps the fixed ``dt`` at every
-    N of ``N_list`` with every scheme of ``schemes``.
+    Every N of ``N_list`` is run with every scheme of ``schemes``, stepping
+    either the fixed ``dt`` or T / nk for every nk of ``nk_list``: exactly
+    one of the two is given.  A temporal sweep steps by ``nk_list`` at its
+    one N with its one scheme.
     """
 
     kind: str
@@ -60,18 +64,25 @@ class SweepSpec:
             raise ValueError(f"schemes must be proposed, frutos or both, got {self.schemes}")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
-        if self.kind == "temporal":
-            # the orders are fitted over all rows, so they must share N and scheme
-            if len(self.N_list) != 1 or len(self.schemes) != 1:
-                raise ValueError("a temporal sweep needs exactly one N and one scheme")
-            if not self.nk_list:
-                raise ValueError("temporal sweep needs nk_list")
-            if list(self.nk_list) != sorted(set(self.nk_list)):
-                raise ValueError("nk_list must be strictly increasing")
-        elif self.dt is None or not self.dt > 0:
-            raise ValueError(f"{self.kind} sweep needs a positive fixed dt")
-        if not self.T > 0:
-            raise ValueError("final time must be positive")
+        if (self.dt is None) == (self.nk_list is None):
+            raise ValueError("give exactly one of a fixed dt and nk_list")
+        if self.nk_list is not None:
+            nks = list(self.nk_list)
+            if not nks or nks[0] <= 0 or nks != sorted(set(nks)):
+                raise ValueError(
+                    f"step counts must be positive and strictly increasing, got {self.nk_list}"
+                )
+        elif not self.dt > 0:
+            raise ValueError(f"time step must be positive, got {self.dt}")
+        # the orders are fitted over all rows, so they must share N and scheme
+        if self.kind == "temporal" and (
+            len(self.N_list) != 1 or len(self.schemes) != 1 or self.nk_list is None
+        ):
+            raise ValueError("a temporal sweep needs nk_list, exactly one N and one scheme")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"final time must be positive and finite, got {self.T}")
+        if not -np.inf < self.domain[0] < self.domain[1] < np.inf:
+            raise ValueError(f"domain must be finite with xmin < xmax, got {self.domain}")
         if self.power != 2:
             # rows are errors against the sech^2 wave, which solves p = 2 only
             raise ValueError(f"exact references exist for p = 2 only, got p = {self.power}")
@@ -108,6 +119,12 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
     fitted_orders: dict | None = None
+
+
+def run_spec(**overrides) -> SweepSpec:
+    """One run of the proposed scheme: N = 512, dt = 4e-3."""
+    base = SweepSpec(kind="run", N_list=(512,), dt=4e-3)
+    return replace(base, **overrides)
 
 
 def spatial_spec(**overrides) -> SweepSpec:
@@ -179,12 +196,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the sweep goes on.  Orders are fitted for temporal sweeps only.
     """
     params = params_from_amplitude(spec.amplitude)
-    dts = [spec.T / nk for nk in spec.nk_list] if spec.kind == "temporal" else [spec.dt]
+    dts = [spec.T / nk for nk in spec.nk_list] if spec.nk_list else [spec.dt]
     runs = [(scheme, dt) for scheme in spec.schemes for dt in dts]
     rows = []
     for N in spec.N_list:
         grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
-        problem = solitary_problem(params, grid, spec.power)
+        problem = _problem(params, grid, spec.power)
         start = _time.perf_counter()
         results = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
         taken = sum(result.state.step_index for result in results)

@@ -10,8 +10,6 @@ with amplitude, shape and speed tied by A = 3 P^2 / 2 and c0 = sqrt(1 - P^2).
 
 from __future__ import annotations
 
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +25,6 @@ __all__ = [
     "solitary_wave",
     "solitary_fields",
     "solitary_wave_dtt",
-    "sample_initial",
     "solitary_problem",
 ]
 
@@ -128,17 +125,13 @@ def _power(values: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def sample_initial(params: SolitaryWaveParams, grid: Grid):
-    """Sample (u, u_t) at t = 0 on the grid nodes.
+def _problem(params: SolitaryWaveParams, grid: Grid, power: int) -> GBProblem:
+    """The solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
 
     Warns when the wave is not effectively supported inside the domain,
-    since periodization error then stops being negligible.  The warning
-    points at the caller that chose the domain: the first frame outside
-    this package and ``runpy``, or under ``python -m boussinesq.cli``, where
-    there is none, the outermost frame of the package.
+    since periodization error then stops being negligible.  Only
+    :func:`solitary_problem` and ``sweeps.run_sweep`` call this, directly,
+    so the warning names the line that called one of them.
     """
     u0, v0 = solitary_fields(params, grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
@@ -146,28 +139,11 @@ def sample_initial(params: SolitaryWaveParams, grid: Grid):
         warnings.warn(
             f"solitary wave magnitude {edge:.3e} at the domain boundary; "
             "periodization error may be significant",
-            stacklevel=_caller_level(),
+            stacklevel=3,
         )
-    return u0, v0
-
-
-def _caller_level() -> int:
-    """``stacklevel``, counted from this function's caller, of the frame a warning names.
-
-    That is the first frame outside this package and ``runpy``, or else the
-    outermost frame of the package.
-    """
-    frame, level, outermost = sys._getframe(1), 1, 1
-    while frame is not None:
-        if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-            outermost = level
-        elif frame.f_globals.get("__name__") != "runpy":
-            return level
-        frame, level = frame.f_back, level + 1
-    return outermost
+    return GBProblem(power=power, grid=grid, initial_u=u0, initial_ut=v0)
 
 
 def solitary_problem(params: SolitaryWaveParams, grid: Grid, power: int = 2) -> GBProblem:
     """Convenience constructor for the solitary-wave benchmark problem."""
-    u0, v0 = sample_initial(params, grid)
-    return GBProblem(power=power, grid=grid, initial_u=u0, initial_ut=v0)
+    return _problem(params, grid, power)

@@ -8,7 +8,15 @@ import pytest
 
 import boussinesq.cli as cli
 from boussinesq.reporting import CSV_HEADER, emit_plot_script, read_csv, write_csv
-from boussinesq.sweeps import SweepResult, SweepRow, run_sweep, spatial_spec, temporal_spec
+from boussinesq.sweeps import (
+    SweepResult,
+    SweepRow,
+    run_spec,
+    run_sweep,
+    spatial_spec,
+    stability_spec,
+    temporal_spec,
+)
 from boussinesq.verification import run_checks
 
 
@@ -32,27 +40,36 @@ def make_row(**overrides):
 
 
 class TestParseArgs:
+    @pytest.mark.parametrize(
+        "subcommand, builder",
+        [
+            ("run", run_spec),
+            ("sweep-space", spatial_spec),
+            ("sweep-time", temporal_spec),
+            ("stability", stability_spec),
+        ],
+        ids=["run", "sweep-space", "sweep-time", "stability"],
+    )
+    def test_defaults_come_from_the_spec_builders(self, subcommand, builder):
+        assert cli._spec_from_args(cli.parse_args([subcommand])) == builder()
+
     def test_sweep_time_defaults(self):
-        args = cli.parse_args(["sweep-time"])
-        assert args.N == 512
-        assert args.T == 4.0
-        assert args.amplitude == 0.5
-        spec = cli._spec_from_args(args)
-        assert spec.kind == "temporal" and spec.N_list == (512,)
+        spec = cli._spec_from_args(cli.parse_args(["sweep-time"]))
+        assert spec == temporal_spec()
+        assert (spec.kind, spec.N_list, spec.T, spec.amplitude) == ("temporal", (512,), 4.0, 0.5)
         assert spec.nk_list == tuple(range(100, 1100, 100))
 
     def test_sweep_space_defaults(self):
-        args = cli.parse_args(["sweep-space"])
-        assert args.dt == 1e-4
-        spec = cli._spec_from_args(args)
+        spec = cli._spec_from_args(cli.parse_args(["sweep-space"]))
+        assert spec == spatial_spec()
         assert spec.kind == "spatial"
         assert spec.N_list == tuple(range(32, 136, 8))
         assert spec.dt == 1e-4
 
-    def test_zero_dt_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["run", "--dt", "0"])
-        assert exc.value.code == 2
+    def test_zero_dt_is_usage_error(self, capsys):
+        assert cli.main(["run", "--dt", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_conflicting_dt_and_nk(self):
         with pytest.raises(SystemExit) as exc:
@@ -60,8 +77,10 @@ class TestParseArgs:
         assert exc.value.code == 2
 
     def test_nk_sets_step_from_final_time(self):
-        args = cli.parse_args(["run", "--nk", "100", "--T", "2"])
-        assert args.dt == pytest.approx(0.02)
+        spec = cli._spec_from_args(cli.parse_args(["run", "--nk", "100", "--T", "2", "--N", "16"]))
+        assert (spec.nk_list, spec.dt) == ((100,), None)
+        (row,) = run_sweep(spec).rows
+        assert (row.dt, row.K) == (2.0 / 100, 100)
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -92,10 +111,11 @@ class TestParseArgs:
             cli.parse_args([subcommand, "--stride", "10"])
         assert exc.value.code == 2
 
-    def test_bad_domain(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["run", "--xmin", "10", "--xmax", "-10"])
-        assert exc.value.code == 2
+    def test_bad_domain(self, capsys):
+        assert cli.main(["run", "--xmin", "10", "--xmax", "-10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain must be finite with xmin < xmax")
+        assert err.count("\n") == 1
 
 
 class TestCsv:
@@ -400,6 +420,26 @@ class TestMainCommands:
         assert (row.kind, row.scheme, row.N, row.K) == ("run", "frutos", 32, 5)
         assert line.startswith("completed: scheme=frutos N=32 dt=0.1 K=5 err_psi_l2=nan ")
         assert f"err_u_h2={row.err_u_h2:.3e}" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--dt", "0"],
+            ["run", "--T", "0"],
+            ["run", "--T", "inf"],
+            ["run", "--nk", "0"],
+            ["run", "--xmin", "10", "--xmax", "-10"],
+            ["sweep-space", "--dt", "-1"],
+            ["stability", "--T", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "rows.csv"
+        assert cli.main([*argv, "--N", "16", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
     def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])

@@ -462,6 +462,14 @@ class TestRun:
         with pytest.raises(ValueError, match="time step must be positive"):
             run_batch(prob, (("proposed", 0.1), ("proposed", dt)), 1.0)
 
+    @pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
+    def test_bad_final_time_rejected_before_dividing(self, T):
+        prob = zero_problem(benchmark_grid(16))
+        with pytest.raises(ValueError, match="final time must be nonnegative and finite"):
+            run(prob, 0.1, T)
+        with pytest.raises(ValueError, match="final time must be nonnegative and finite"):
+            run_batch(prob, (("proposed", 0.1), ("proposed", 0.2)), T)
+
     def test_zero_data_observers_see_zero_norms(self):
         grid = benchmark_grid(16)
         prob = zero_problem(grid)

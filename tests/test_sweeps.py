@@ -64,6 +64,9 @@ class TestSpecValidation:
             SweepSpec(kind="temporal", N_list=(64,), nk_list=None)
         with pytest.raises(ValueError):
             SweepSpec(kind="spatial", N_list=(32,), dt=-1.0)
+        for nk_list in ((0, 100), (-100, 100)):
+            with pytest.raises(ValueError, match="step counts must be positive"):
+                temporal_spec(nk_list=nk_list, N_list=(16,), T=0.4)
 
     def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
         # the fitted orders pool every row, so a temporal sweep may not mix
@@ -92,6 +95,8 @@ class TestSpecValidation:
         assert SweepSpec(kind="run", N_list=(32,), dt=0.1).kind == "run"
         with pytest.raises(ValueError):
             SweepSpec(kind="run", N_list=(32,))
+        with pytest.raises(ValueError, match="exactly one of a fixed dt and nk_list"):
+            SweepSpec(kind="run", N_list=(32,), dt=0.1, nk_list=(10,))
 
 
 class TestReducedSweeps:

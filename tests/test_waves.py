@@ -14,7 +14,6 @@ from boussinesq.waves import (
     _check_power,
     _power,
     params_from_amplitude,
-    sample_initial,
     solitary_fields,
     solitary_problem,
     solitary_wave,
@@ -92,7 +91,7 @@ class TestProfile:
 
     @pytest.mark.parametrize("t", [0.0, -0.1, 2.5])
     def test_one_evaluation_fields_equal_the_two_functions(self, t):
-        # error_norms and sample_initial take (u, u_t) from one theta and cosh^2
+        # error_norms and solitary_problem take (u, u_t) from one theta and cosh^2
         p = params_from_amplitude(0.5, center=1.5)
         x = Grid(half_modes=64, length=80.0, x_left=-40.0).nodes
         u, u_t = solitary_fields(p, x, t)
@@ -138,25 +137,25 @@ class TestProblemSetup:
     def test_benchmark_boundary_values_negligible(self):
         grid = Grid(half_modes=128, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)
-        u0, v0 = sample_initial(p, grid)
+        u0, v0 = solitary_fields(p, grid.nodes, 0.0)
         assert abs(u0[0]) < 1e-9
 
     def test_stationary_wave_has_zero_velocity_samples(self):
         grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
-        u0, v0 = sample_initial(params_from_amplitude(1.5), grid)
+        u0, v0 = solitary_fields(params_from_amplitude(1.5), grid.nodes, 0.0)
         assert np.max(np.abs(v0)) == 0.0
 
     def test_minimum_sits_at_node_nearest_center(self):
         grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5, center=1.3)
-        u0, _ = sample_initial(p, grid)
+        u0, _ = solitary_fields(p, grid.nodes, 0.0)
         node = grid.nodes[np.argmin(u0)]
         assert abs(node - 1.3) <= 0.5 * grid.spacing + 1e-12
 
     def test_unsupported_wave_warns(self):
         grid = Grid(half_modes=16, length=10.0, x_left=-5.0)
         with pytest.warns(UserWarning):
-            sample_initial(params_from_amplitude(0.5), grid)
+            solitary_problem(params_from_amplitude(0.5), grid)
 
     def test_unsupported_wave_warning_points_at_the_caller(self):
         grid = Grid(half_modes=16, length=10.0, x_left=-5.0)
@@ -165,8 +164,8 @@ class TestProblemSetup:
         assert rec[0].filename == __file__
 
     def test_warning_under_python_m_names_the_cli(self, tmp_path, package_env):
-        # every frame above the package is runpy's, so the warning names
-        # the outermost package frame
+        # every frame above the package is runpy's; the warning names the
+        # line of cli.py that calls run_sweep
         argv = ["run", "--xmin", "-5", "--xmax", "5", "--N", "16", "--T", "0.1", "--dt", "0.05"]
         done = subprocess.run(
             [sys.executable, "-m", "boussinesq.cli", *argv],
