@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 
 from .reporting import emit_plot_script, write_csv
+from .stepping import SCHEMES
 from .sweeps import (
     SweepResult,
     SweepSpec,
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     steps = run_p.add_mutually_exclusive_group()
     steps.add_argument("--dt", type=float, help="time step")
     steps.add_argument("--nk", type=int, help="number of time steps")
-    run_p.add_argument("--scheme", choices=("proposed", "frutos"), help="time scheme")
+    run_p.add_argument("--scheme", choices=SCHEMES, help="time scheme")
 
     space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep")
     space_p.add_argument("--dt", type=float, help="fixed time step")
@@ -150,6 +151,8 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             return _cmd_verify()
+        if getattr(args, "emit_plot", False) and not getattr(args, "out", None):
+            raise ValueError("--emit-plot needs --out")
         result = run_sweep(_spec_from_args(args))
         if args.subcommand == "run":
             row = result.rows[0]

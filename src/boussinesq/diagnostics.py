@@ -30,7 +30,6 @@ class ErrorRecord:
     err_u_h2: float
     err_u_l2: float
     mass: float
-    energy: float
 
 
 def mass(grid: Grid, values: np.ndarray) -> float:
@@ -41,14 +40,9 @@ def mass(grid: Grid, values: np.ndarray) -> float:
 def modified_energy(grid: Grid, u_err: np.ndarray, psi_err: np.ndarray) -> float:
     """Energy functional (1/2)(||psi_err||^2 + ||D^2 u_err||^2 + ||D u_err||^2), where
     ||D^m u_err||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2 with U = rfft(u_err)."""
-    return _h2_and_energy(grid, u_err, norm2(grid, psi_err))[1]
-
-
-def _h2_and_energy(grid: Grid, u_err: np.ndarray, psi_norm: float) -> tuple[float, float]:
-    """||D^2 u_err||^2 and the energy, with both seminorms from one forward transform."""
     k2 = grid.wavenumbers**2
     d2_squared, d1_squared = _parseval(grid, u_err, (k2 * k2, k2))
-    return d2_squared, 0.5 * (psi_norm**2 + d2_squared + d1_squared)
+    return 0.5 * (norm2(grid, psi_err) ** 2 + d2_squared + d1_squared)
 
 
 def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
@@ -56,9 +50,9 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
 
     The "H2 error" is the seminorm ||D^2(u - u_e)||_2, the quantity the
     convergence experiments track; the full Sobolev norm is available
-    separately via :func:`boussinesq.spectral.sobolev_norm`.  It and ||D(u - u_e)||
-    come from one rfft U of the error, as ||D^m u||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2.
-    A state of the three-level scheme has no psi, so its psi error and energy are NaN.
+    separately via :func:`boussinesq.spectral.sobolev_norm`.  It comes from one
+    rfft U of the error, as ||D^2 u||^2 = (1/n^2) sum_l w_l k_l^4 |U_l|^2.
+    A state of the three-level scheme has no psi, so its psi error is NaN.
     """
     grid = state.grid
     u_exact, psi_exact = solitary_fields(params, grid.nodes, state.time)
@@ -67,14 +61,14 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
         err_psi = float("nan")
     else:
         err_psi = norm2(grid, state.psi_curr - psi_exact)
-    d2_squared, energy = _h2_and_energy(grid, u_err, err_psi)
+    k2 = grid.wavenumbers**2
+    (d2_squared,) = _parseval(grid, u_err, (k2 * k2,))
     return ErrorRecord(
         time=state.time,
         err_psi_l2=err_psi,
         err_u_h2=float(np.sqrt(d2_squared)),
         err_u_l2=norm2(grid, u_err),
         mass=mass(grid, state.u_curr),
-        energy=energy,
     )
 
 

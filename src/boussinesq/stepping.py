@@ -27,6 +27,7 @@ from .spectral import Grid
 from .waves import GBProblem, SolitaryWaveParams, _check_power, _power, solitary_wave
 
 __all__ = [
+    "SCHEMES",
     "SchemeState",
     "RunResult",
     "build_implicit_diagonal",
@@ -38,6 +39,9 @@ __all__ = [
     "run",
     "run_batch",
 ]
+
+# the time schemes a run can step
+SCHEMES = ("proposed", "frutos")
 
 # A run is declared divergent once the L2 norm of u exceeds this multiple
 # of its initial value (or any value goes non-finite).
@@ -61,11 +65,14 @@ class SchemeState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final state of a run plus its divergence flag."""
+    """Final state of a run, and the step at which it blew up if it diverged."""
 
     state: SchemeState
-    diverged: bool
     blowup_step: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.blowup_step is not None
 
 
 def build_implicit_diagonal(grid: Grid, dt) -> np.ndarray:
@@ -86,6 +93,9 @@ def _column(dt) -> np.ndarray:
     column = np.asarray(dt, dtype=float)[..., None]
     if column.ndim > 2 or not np.all(column > 0):
         raise ValueError(f"time steps must be positive, in a float or a 1-D array, got {dt}")
+    with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(4.0 / column**2)):
+            raise ValueError(f"time step too small: 1/dt^2 overflows, got dt = {dt}")
     return column
 
 
@@ -347,7 +357,7 @@ def run_batch(
         for obs in observers:
             obs(state)
         if not steps[i]:
-            results[i] = RunResult(state=state, diverged=False)
+            results[i] = RunResult(state)
     rows = [i for i in order if steps[i]]
     if not rows:
         return tuple(results)
@@ -376,13 +386,13 @@ def run_batch(
         for pos, i in enumerate(rows):
             if not (bounded or np.vdot(u[pos], u[pos]) <= limit):
                 state = stepper.state(carry, n, pos)
-                results[i] = RunResult(state=state, diverged=True, blowup_step=n)
+                results[i] = RunResult(state, blowup_step=n)
             elif watched or n == steps[i]:
                 state = stepper.state(carry, n, pos)
                 for obs in observers:
                     obs(state)
                 if n == steps[i]:
-                    results[i] = RunResult(state=state, diverged=False)
+                    results[i] = RunResult(state)
             keep.append(results[i] is None)
         if not all(keep):
             rows = [i for i, k in zip(rows, keep) if k]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import error_norms, mass
 from .spectral import Grid
-from .stepping import run_batch
+from .stepping import SCHEMES, run_batch
 from .waves import _problem, params_from_amplitude
 
 __all__ = [
@@ -60,7 +60,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
-        if len({"proposed", "frutos"} & {*self.schemes}) < len(self.schemes) or not self.schemes:
+        if len({*SCHEMES} & {*self.schemes}) < len(self.schemes) or not self.schemes:
             raise ValueError(f"schemes must be proposed, frutos or both, got {self.schemes}")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
@@ -158,7 +158,7 @@ def stability_spec(**overrides) -> SweepSpec:
         N_list=(64, 128, 256, 512),
         dt=0.1,
         T=100.0,
-        schemes=("proposed", "frutos"),
+        schemes=SCHEMES,
     )
     return replace(base, **overrides)
 

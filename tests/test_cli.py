@@ -441,6 +441,24 @@ class TestMainCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_step_too_small_for_one_over_dt_squared_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep-time", "--N", "16", "--T", "1e-300", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: time step too small")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("out", [None, ""])
+    def test_emit_plot_without_out_is_one_error_line(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--emit-plot", "--N", "16", "--T", "0.1", "--dt", "0.05"]
+        assert cli.main(argv + ([] if out is None else ["--out", out])) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --emit-plot needs --out\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])
         assert code == 2

@@ -1,5 +1,7 @@
 """Scheme mechanics: implicit diagonal, stepping, bootstrap and run control."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,14 @@ class TestImplicitDiagonal:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             build_implicit_diagonal(benchmark_grid(8), 0.0)
+
+    @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper])
+    def test_step_too_small_for_one_over_dt_squared_rejected(self, build):
+        # 4/dt^2 overflows below about 1.5e-154: one error, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time step too small.*1e-155"):
+                build(benchmark_grid(16), 1e-155)
 
 
 class TestProposedStep:

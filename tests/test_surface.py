@@ -1,15 +1,18 @@
 """The package's public surface: what the benchmark calls exists, and nothing exported is dead.
 
-Both tests read source with ``ast`` rather than running it: the benchmark's
-call sites in ``benchmarks/workloads.py`` and ``benchmarks/layers.py``, and
-the uses of every ``__all__`` name across ``src/``, ``demos/`` and
-``benchmarks/``.
+The call and use tests read source with ``ast`` rather than running it: the
+benchmark's call sites in ``benchmarks/workloads.py`` and
+``benchmarks/layers.py``, and the uses of every ``__all__`` name across
+``src/``, ``demos/`` and ``benchmarks/``.  Public names live in their
+modules only: the package namespace holds nothing but its submodules.
 """
 
 import ast
 import functools
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,13 @@ def test_every_exported_name_is_used(module, name):
         if any(ref == name and owner != name for ref, owner in loaded_names(path, own)):
             return
     pytest.fail(f"{module}.{name} is exported but used nowhere in src/, demos/ or benchmarks/")
+
+
+def test_importing_one_module_loads_no_other(package_env):
+    code = "import sys, boussinesq.spectral\nprint(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=package_env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = [name for name in done.stdout.split() if name.startswith("boussinesq")]
+    assert loaded == ["boussinesq", "boussinesq.spectral"]
