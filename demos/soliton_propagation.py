@@ -39,11 +39,11 @@ def watch(state):
     )
 
 
-result = run(
+final = run(
     problem, dt=4e-3, T=4.0, params=params, bootstrap_mode="exact",
     observers=(watch,), stride=200,
 )
-assert not result.diverged
+assert not final.diverged
 
 print(f"\n{'t':>6} {'crest':>10} {'mass':>14} {'energy':>14}")
 for t, crest, m, e in snapshots:
@@ -53,7 +53,7 @@ for t, crest, m, e in snapshots:
 print(f"\nrelative drift over T = 4: mass {abs(m1 - m0) / abs(m0):.2e}, "
       f"energy {abs(e1 - e0) / abs(e0):.2e}")
 
-rec = error_norms(result.state, params)
+rec = error_norms(final, params)
 print(f"\nfinal errors: |psi|_2 = {rec.err_psi_l2:.3e}, |u|_H2 = {rec.err_u_h2:.3e}")
-print(f"crest at {crest_position(grid, result.state.u_curr):.5f}, "
+print(f"crest at {crest_position(grid, final.u_curr):.5f}, "
       f"exact c0*T = {params.speed * 4.0:.5f}")

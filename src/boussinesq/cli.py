@@ -24,7 +24,7 @@ from .sweeps import (
 )
 from .verification import run_checks
 
-__all__ = ["build_parser", "parse_args", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def _add_subcommand(subs, name: str, summary: str) -> argparse.ArgumentParser:
@@ -44,11 +44,6 @@ def _add_subcommand(subs, name: str, summary: str) -> argparse.ArgumentParser:
         "--bootstrap", choices=("exact", "self-start"), help="how to seed the u^{-1} level"
     )
     sub.add_argument("--out", help="CSV output path")
-    sub.add_argument(
-        "--emit-plot",
-        action="store_true",
-        help="also write a plot script next to the CSV",
-    )
     return sub
 
 
@@ -67,18 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep")
     space_p.add_argument("--dt", type=float, help="fixed time step")
-
-    _add_subcommand(subs, "sweep-time", "temporal second-order sweep")
+    time_p = _add_subcommand(subs, "sweep-time", "temporal second-order sweep")
+    # a plot joins the rows in order: a convergence curve for the two sweeps only
+    for sweep in (space_p, time_p):
+        sweep.add_argument(
+            "--emit-plot", action="store_true", help="also write a plot script next to the CSV"
+        )
 
     stab_p = _add_subcommand(subs, "stability", "proposed vs three-level stability map")
     stab_p.add_argument("--dt", type=float, help="fixed time step")
 
     subs.add_parser("verify", help="fast invariant self-checks")
     return parser
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
 
 
 def _write_outputs(result: SweepResult, args) -> None:
@@ -147,7 +142,7 @@ def _cmd_verify() -> int:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "verify":
             return _cmd_verify()

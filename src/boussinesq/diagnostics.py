@@ -23,13 +23,11 @@ __all__ = ["ErrorRecord", "error_norms", "mass", "modified_energy", "crest_posit
 
 @dataclass(frozen=True)
 class ErrorRecord:
-    """One row of run diagnostics at a fixed time."""
+    """Error norms of one state against the exact wave at its time."""
 
-    time: float
     err_psi_l2: float
     err_u_h2: float
     err_u_l2: float
-    mass: float
 
 
 def mass(grid: Grid, values: np.ndarray) -> float:
@@ -64,11 +62,9 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
     k2 = grid.wavenumbers**2
     (d2_squared,) = _parseval(grid, u_err, (k2 * k2,))
     return ErrorRecord(
-        time=state.time,
         err_psi_l2=err_psi,
         err_u_h2=float(np.sqrt(d2_squared)),
         err_u_l2=norm2(grid, u_err),
-        mass=mass(grid, state.u_curr),
     )
 
 

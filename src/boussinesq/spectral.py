@@ -48,8 +48,13 @@ class Grid:
     def __post_init__(self):
         if self.half_modes < 1:
             raise ValueError(f"half_modes must be >= 1, got {self.half_modes}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        # the nodes, and k_N^4 in the steppers' symbols and the H2 seminorm, must be finite
+        with np.errstate(all="ignore"):
+            finite = np.all(np.isfinite([self.nodes[-1], self.wavenumbers[-1] ** 4]))
+        if not (self.length > 0 and finite):
+            raise ValueError(
+                f"length {self.length} is not positive or leaves nodes or k_N^4 non-finite"
+            )
 
     @property
     def num_points(self) -> int:

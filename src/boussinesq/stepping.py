@@ -29,7 +29,6 @@ from .waves import GBProblem, SolitaryWaveParams, _check_power, _power, solitary
 __all__ = [
     "SCHEMES",
     "SchemeState",
-    "RunResult",
     "build_implicit_diagonal",
     "LinearStepper",
     "ProposedStepper",
@@ -53,6 +52,7 @@ class SchemeState:
     """State of either scheme: (u^n, psi^n) plus u^{n-1}.
 
     The three-level scheme has no psi variable; its ``psi_curr`` is None.
+    A run that stops at its blow-up step returns that state, ``diverged``.
     """
 
     grid: Grid
@@ -61,18 +61,12 @@ class SchemeState:
     u_curr: np.ndarray
     psi_curr: np.ndarray | None
     u_prev: np.ndarray
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Final state of a run, and the step at which it blew up if it diverged."""
-
-    state: SchemeState
-    blowup_step: int | None = None
+    diverged: bool = False
 
     @property
-    def diverged(self) -> bool:
-        return self.blowup_step is not None
+    def blowup_step(self) -> int | None:
+        """The step a diverged run blew up at, or None."""
+        return self.step_index if self.diverged else None
 
 
 def build_implicit_diagonal(grid: Grid, dt) -> np.ndarray:
@@ -272,12 +266,17 @@ def bootstrap(
     )
 
 
-def bootstrap_frutos(
-    problem: GBProblem, dt: float, params: SolitaryWaveParams
-) -> SchemeState:
+def bootstrap_frutos(problem: GBProblem, dt: float, params: SolitaryWaveParams) -> SchemeState:
     """Initial state for the three-level scheme: exact-started, with no psi."""
+    return _three_level_start(problem, dt, "exact", params)
+
+
+def _three_level_start(problem: GBProblem, dt: float, mode: str, params) -> SchemeState:
+    """:func:`bootstrap_frutos` in a start mode; u^{-1} := u^0 would start the scheme at rest."""
     if problem.power != 2:
         raise ValueError("the three-level reference scheme only supports p = 2")
+    if mode != "exact":
+        raise ValueError(f"the three-level scheme needs the exact start, got bootstrap {mode!r}")
     return replace(bootstrap(problem, dt, "exact", params), psi_curr=None)
 
 
@@ -298,7 +297,8 @@ def _solo(problem: GBProblem, scheme: str, dt: float, bootstrap_mode, params):
         state = bootstrap(problem, dt, bootstrap_mode, params)
         return state, ProposedStepper(problem.grid, dt, problem.power)
     if scheme == "frutos":
-        return bootstrap_frutos(problem, dt, params), FrutosStepper(problem.grid, dt)
+        state = _three_level_start(problem, dt, bootstrap_mode, params)
+        return state, FrutosStepper(problem.grid, dt)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -311,12 +311,12 @@ def run(
     params: SolitaryWaveParams | None = None,
     observers=(),
     stride: int = 1,
-) -> RunResult:
+) -> SchemeState:
     """Advance the problem to time T, watching for blow-up: a batch of one.
 
     Observers are callables invoked with the current state every ``stride``
-    steps (and at step 0 and the final step).  On divergence the partial
-    state is returned with the blow-up step recorded; nothing is raised.
+    steps (and at step 0 and the final step).  On divergence the state at
+    the blow-up step is returned, marked ``diverged``; nothing is raised.
     """
     return run_batch(problem, ((scheme, dt),), T, bootstrap_mode, params, observers, stride)[0]
 
@@ -329,15 +329,15 @@ def run_batch(
     params: SolitaryWaveParams | None = None,
     observers=(),
     stride: int = 1,
-) -> tuple[RunResult, ...]:
+) -> tuple[SchemeState, ...]:
     """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
 
     The runs, of any scheme and step size, are the rows of one 2-D carry,
     so every step makes one forward and one inverse transform for them all.
-    Each row's result equals that of :func:`run` bit for bit, and the results
-    come back in the order of ``runs``.  Observers see every row's state, as
-    in :func:`run`; a row that diverges is dropped from the batch with its
-    partial state and blow-up step recorded.
+    Each row's final state equals that of :func:`run` bit for bit, and the
+    states come back in the order of ``runs``.  Observers see every row's
+    state, as in :func:`run`; a row that diverges is dropped from the batch,
+    and its state at the blow-up step is marked ``diverged``.
     """
     steps = [_num_steps(T, dt) for _, dt in runs]
     # longest first: the rows still running are always a prefix, and the
@@ -357,7 +357,7 @@ def run_batch(
         for obs in observers:
             obs(state)
         if not steps[i]:
-            results[i] = RunResult(state)
+            results[i] = state
     rows = [i for i in order if steps[i]]
     if not rows:
         return tuple(results)
@@ -385,14 +385,13 @@ def run_batch(
         keep = []
         for pos, i in enumerate(rows):
             if not (bounded or np.vdot(u[pos], u[pos]) <= limit):
-                state = stepper.state(carry, n, pos)
-                results[i] = RunResult(state, blowup_step=n)
+                results[i] = replace(stepper.state(carry, n, pos), diverged=True)
             elif watched or n == steps[i]:
                 state = stepper.state(carry, n, pos)
                 for obs in observers:
                     obs(state)
                 if n == steps[i]:
-                    results[i] = RunResult(state)
+                    results[i] = state
             keep.append(results[i] is None)
         if not all(keep):
             rows = [i for i, k in zip(rows, keep) if k]

@@ -163,14 +163,14 @@ def stability_spec(**overrides) -> SweepSpec:
     return replace(base, **overrides)
 
 
-def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) -> SweepRow:
-    """Summarize one run's result against the exact wave as a sweep row."""
+def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -> SweepRow:
+    """Summarize one run's final state against the exact wave as a sweep row."""
     err_psi = err_h2 = err_l2 = drift = float("inf")
-    if not result.diverged:
-        record = error_norms(result.state, params)
+    if not final.diverged:
+        record = error_norms(final, params)
         err_psi, err_h2, err_l2 = record.err_psi_l2, record.err_u_h2, record.err_u_l2
         mass0 = mass(problem.grid, problem.initial_u)
-        drift = abs(record.mass - mass0) / max(abs(mass0), 1e-300)
+        drift = abs(mass(problem.grid, final.u_curr) - mass0) / max(abs(mass0), 1e-300)
     return SweepRow(
         kind=spec.kind,
         scheme=scheme,
@@ -182,7 +182,7 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, result, wall) 
         err_u_h2=err_h2,
         err_u_l2=err_l2,
         mass_drift=drift,
-        diverged=result.diverged,
+        diverged=final.diverged,
         wall_seconds=wall,
     )
 
@@ -203,12 +203,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
         problem = _problem(params, grid, spec.power)
         start = _time.perf_counter()
-        results = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
-        taken = sum(result.state.step_index for result in results)
+        finals = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
+        taken = sum(final.step_index for final in finals)
         per_step = (_time.perf_counter() - start) / max(taken, 1)
         rows.extend(
-            _sweep_row(spec, scheme, problem, params, dt, res, per_step * res.state.step_index)
-            for (scheme, dt), res in zip(runs, results)
+            _sweep_row(spec, scheme, problem, params, dt, final, per_step * final.step_index)
+            for (scheme, dt), final in zip(runs, finals)
         )
     # scheme by scheme; the sort is stable, so N by N and dt by dt within a scheme
     rows.sort(key=lambda row: spec.schemes.index(row.scheme))

@@ -3,7 +3,7 @@
 The equation is u_tt = -u_xxxx + u_xx + (u^p)_xx with integer p >= 2.
 For p = 2 it admits the traveling trough
 
-    u(x, t) = -A sech^2((P/2)(x - x0 - c0 t)),
+    u(x, t) = -A sech^2((P/2)(x - c0 t)),
 
 with amplitude, shape and speed tied by A = 3 P^2 / 2 and c0 = sqrt(1 - P^2).
 """
@@ -31,10 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude A and initial crest location x0; shape P and speed c0 follow from A."""
+    """Amplitude A of a wave with its crest at x = 0 at t = 0; shape P and speed c0 follow."""
 
     amplitude: float
-    center: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.amplitude <= 1.5:
@@ -69,24 +68,29 @@ class GBProblem:
             raise ValueError("initial data does not match the grid size")
 
 
-def params_from_amplitude(amplitude: float, center: float = 0.0) -> SolitaryWaveParams:
-    """Solitary-wave parameters of the given amplitude and initial crest location."""
-    return SolitaryWaveParams(amplitude, center)
+def params_from_amplitude(amplitude: float) -> SolitaryWaveParams:
+    """Solitary-wave parameters of the given amplitude."""
+    return SolitaryWaveParams(amplitude)
 
 
 def _theta(params: SolitaryWaveParams, x, t):
-    return 0.5 * params.shape * (np.asarray(x, dtype=float) - params.center - params.speed * t)
+    return 0.5 * params.shape * (np.asarray(x, dtype=float) - params.speed * t)
+
+
+def _cosh2(th):
+    with np.errstate(over="ignore"):  # inf far out on a wide domain, where 1/inf = 0 is right
+        return np.cosh(th) ** 2
 
 
 def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
-    """Exact traveling trough -A sech^2((P/2)(x - x0 - c0 t))."""
-    return -params.amplitude / np.cosh(_theta(params, x, t)) ** 2
+    """Exact traveling trough -A sech^2((P/2)(x - c0 t))."""
+    return -params.amplitude / _cosh2(_theta(params, x, t))
 
 
 def solitary_fields(params: SolitaryWaveParams, x, t: float):
     """Exact (u, u_t) from one theta and cosh^2; u has the bits of :func:`solitary_wave`."""
     th = _theta(params, x, t)
-    cosh2 = np.cosh(th) ** 2
+    cosh2 = _cosh2(th)
     sech2 = 1.0 / cosh2
     u_t = -params.amplitude * params.shape * params.speed * sech2 * np.tanh(th)
     return -params.amplitude / cosh2, u_t
@@ -95,7 +99,7 @@ def solitary_fields(params: SolitaryWaveParams, x, t: float):
 def solitary_wave_dtt(params: SolitaryWaveParams, x, t: float = 0.0):
     """Exact second time derivative of :func:`solitary_wave`."""
     th = _theta(params, x, t)
-    sech2 = 1.0 / np.cosh(th) ** 2
+    sech2 = 1.0 / _cosh2(th)
     tanh2 = np.tanh(th) ** 2
     # d^2/dtheta^2 of -A sech^2 is 2A sech^2 (sech^2 - 2 tanh^2); each time
     # derivative contributes a factor -c0 P / 2 on theta.

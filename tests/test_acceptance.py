@@ -239,7 +239,7 @@ def test_criterion_8_traveling_wave_fidelity():
     problem = solitary_problem(params, grid)
     result = run(problem, 4e-3, 4.0, params=params, bootstrap_mode="exact")
     assert not result.diverged
-    crest = crest_position(grid, result.state.u_curr)
+    crest = crest_position(grid, result.u_curr)
     target = params.speed * 4.0
     ok = abs(crest - target) <= grid.spacing
     assert report(

@@ -51,16 +51,16 @@ class TestParseArgs:
         ids=["run", "sweep-space", "sweep-time", "stability"],
     )
     def test_defaults_come_from_the_spec_builders(self, subcommand, builder):
-        assert cli._spec_from_args(cli.parse_args([subcommand])) == builder()
+        assert cli._spec_from_args(cli.build_parser().parse_args([subcommand])) == builder()
 
     def test_sweep_time_defaults(self):
-        spec = cli._spec_from_args(cli.parse_args(["sweep-time"]))
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["sweep-time"]))
         assert spec == temporal_spec()
         assert (spec.kind, spec.N_list, spec.T, spec.amplitude) == ("temporal", (512,), 4.0, 0.5)
         assert spec.nk_list == tuple(range(100, 1100, 100))
 
     def test_sweep_space_defaults(self):
-        spec = cli._spec_from_args(cli.parse_args(["sweep-space"]))
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["sweep-space"]))
         assert spec == spatial_spec()
         assert spec.kind == "spatial"
         assert spec.N_list == tuple(range(32, 136, 8))
@@ -73,28 +73,30 @@ class TestParseArgs:
 
     def test_conflicting_dt_and_nk(self):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["run", "--dt", "0.01", "--nk", "100"])
+            cli.build_parser().parse_args(["run", "--dt", "0.01", "--nk", "100"])
         assert exc.value.code == 2
 
     def test_nk_sets_step_from_final_time(self):
-        spec = cli._spec_from_args(cli.parse_args(["run", "--nk", "100", "--T", "2", "--N", "16"]))
+        args = cli.build_parser().parse_args(["run", "--nk", "100", "--T", "2", "--N", "16"])
+        spec = cli._spec_from_args(args)
         assert (spec.nk_list, spec.dt) == ((100,), None)
         (row,) = run_sweep(spec).rows
         assert (row.dt, row.K) == (2.0 / 100, 100)
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["run", "--frobnicate"])
+            cli.build_parser().parse_args(["run", "--frobnicate"])
         assert exc.value.code == 2
 
     def test_run_spec_carries_the_flags(self):
-        args = cli.parse_args(["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"])
+        argv = ["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"]
+        args = cli.build_parser().parse_args(argv)
         spec = cli._spec_from_args(args)
         assert (spec.kind, spec.N_list, spec.dt) == ("run", (64,), 0.01)
         assert spec.schemes == ("frutos",)
 
     def test_stability_defaults(self):
-        spec = cli._spec_from_args(cli.parse_args(["stability"]))
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["stability"]))
         assert (spec.kind, spec.dt, spec.T) == ("stability", 0.1, 100.0)
         assert spec.schemes == ("proposed", "frutos")
 
@@ -108,7 +110,7 @@ class TestParseArgs:
     @pytest.mark.parametrize("subcommand", ["run", "sweep-space", "sweep-time", "stability"])
     def test_no_stride_flag(self, subcommand):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args([subcommand, "--stride", "10"])
+            cli.build_parser().parse_args([subcommand, "--stride", "10"])
         assert exc.value.code == 2
 
     def test_bad_domain(self, capsys):
@@ -378,7 +380,7 @@ class TestMainCommands:
 
     def test_unwritable_plot_script_is_one_runtime_error(self, tmp_path, capsys):
         (tmp_path / "x_plot.py").mkdir()  # a directory where the script would go
-        argv = ["run", "--N", "32", "--dt", "0.1", "--T", "0.5", "--emit-plot"]
+        argv = ["sweep-space", "--N", "32", "--dt", "0.1", "--T", "0.5", "--emit-plot"]
         assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -453,11 +455,57 @@ class TestMainCommands:
     @pytest.mark.parametrize("out", [None, ""])
     def test_emit_plot_without_out_is_one_error_line(self, tmp_path, monkeypatch, capsys, out):
         monkeypatch.chdir(tmp_path)
-        argv = ["run", "--emit-plot", "--N", "16", "--T", "0.1", "--dt", "0.05"]
+        argv = ["sweep-space", "--emit-plot", "--N", "16", "--T", "0.1", "--dt", "0.05"]
         assert cli.main(argv + ([] if out is None else ["--out", out])) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --emit-plot needs --out\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", ["run", "stability"])
+    def test_plot_flag_only_on_the_convergence_sweeps(self, tmp_path, subcommand):
+        # a plot draws each error column as one curve through the rows in
+        # order: a run has one point, and a stability map joins two schemes
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, "--emit-plot", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scheme", "frutos", "--N", "16", "--dt", "0.05", "--T", "0.5"],
+            ["stability", "--N", "16", "--T", "0.5"],
+        ],
+        ids=["run", "stability"],
+    )
+    def test_self_started_three_level_row_is_one_error_line(self, tmp_path, capsys, argv):
+        # u^{-1} := u^0 would start the three-level scheme at rest
+        out = tmp_path / "rows.csv"
+        assert cli.main([*argv, "--bootstrap", "self-start", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the three-level scheme needs the exact start")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "domain",
+        [("0", "1e-100"), ("0", "1e-300"), ("-1e308", "1e308")],
+        ids=["k4-overflows", "k2-overflows", "length-overflows"],
+    )
+    def test_domain_length_out_of_float_range_is_one_error_line(self, tmp_path, capsys, domain):
+        out = tmp_path / "rows.csv"
+        argv = ["run", "--N", "16", "--T", "0.1", "--dt", "0.05", "--out", str(out)]
+        assert cli.main([*argv, f"--xmin={domain[0]}", f"--xmax={domain[1]}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: length ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_domain_runs_without_overflow_warnings(self, capsys):
+        # cosh of the far nodes' theta overflows, and sech^2 = 1/inf = 0 is right
+        assert cli.main(["run", "--T", "0.1", "--xmin=-5000", "--xmax=5000"]) == 0
+        assert capsys.readouterr().out.startswith("completed: ")
 
     def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])

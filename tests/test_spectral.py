@@ -69,11 +69,18 @@ class TestGrid:
         for l in range(7):
             assert k[l] == pytest.approx(2 * np.pi * l / 5.0, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Grid(half_modes=0, length=1.0)
         with pytest.raises(ValueError):
             Grid(half_modes=4, length=-1.0)
+        # at N = 16, lengths 1e-100 and 1e-300 take k_N^4 and k_N^2 past the largest float
+        domains = [(np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan), (1.0, -np.inf), (1e-100, 0.0),
+                   (1e-300, 0.0)]
+        for length, x_left in domains:
+            with pytest.raises(ValueError, match="length"):
+                Grid(half_modes=16, length=length, x_left=x_left)
 
 
 class TestForwardInverse:

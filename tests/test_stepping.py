@@ -130,7 +130,7 @@ class TestProposedStep:
         def final_h2_error(dt):
             result = run(prob, dt, 4.0, params=p, bootstrap_mode="exact")
             assert not result.diverged
-            u_err = result.state.u_curr - solitary_wave(p, grid.nodes, 4.0)
+            u_err = result.u_curr - solitary_wave(p, grid.nodes, 4.0)
             return norm2(grid, derivative(grid, u_err, 2))
 
         ratio = final_h2_error(4e-3) / final_h2_error(2e-3)
@@ -236,7 +236,7 @@ class TestBootstrap:
         def final_error(mode):
             result = run(prob, 4e-3, 4.0, params=p, bootstrap_mode=mode)
             assert not result.diverged
-            return norm2(grid, result.state.u_curr - solitary_wave(p, grid.nodes, 4.0))
+            return norm2(grid, result.u_curr - solitary_wave(p, grid.nodes, 4.0))
 
         ratio = final_error("self_start") / final_error("exact")
         assert 0.5 <= ratio <= 2.0
@@ -285,7 +285,7 @@ class TestFrutos:
         for scheme in ("proposed", "frutos"):
             result = run(prob, 4e-3, 4.0, scheme=scheme, params=p, bootstrap_mode="exact")
             assert not result.diverged
-            u_err = result.state.u_curr - solitary_wave(p, grid.nodes, 4.0)
+            u_err = result.u_curr - solitary_wave(p, grid.nodes, 4.0)
             errs[scheme] = norm2(grid, derivative(grid, u_err, 2))
         assert errs["frutos"] <= 10.0 * errs["proposed"]
 
@@ -298,7 +298,7 @@ class TestFrutos:
         assert isinstance(start, SchemeState) and start.psi_curr is None
         assert np.array_equal(start.u_curr, exact.u_curr)
         assert np.array_equal(start.u_prev, exact.u_prev)
-        final = run(prob, 0.05, 0.5, scheme="frutos", params=p).state
+        final = run(prob, 0.05, 0.5, scheme="frutos", bootstrap_mode="exact", params=p)
         assert isinstance(final, SchemeState) and final.psi_curr is None
         assert final.step_index == 10
 
@@ -307,6 +307,12 @@ class TestFrutos:
         prob = zero_problem(grid, power=3)
         with pytest.raises(ValueError):
             bootstrap_frutos(prob, 0.01, params_from_amplitude(0.5))
+
+    def test_self_start_refused(self):
+        # run's default start, u^{-1} := u^0, would start the scheme at rest
+        prob = zero_problem(benchmark_grid(16))
+        with pytest.raises(ValueError, match="needs the exact start"):
+            run(prob, 0.01, 0.1, "frutos")
 
 
 def three_level_textbook(grid, dt):
@@ -364,7 +370,7 @@ class TestRun:
         prob = solitary_problem(p, grid, power=power)
         dt, steps = 4e-3, 500
         result = run(prob, dt, steps * dt, scheme=scheme, params=p, bootstrap_mode="exact")
-        assert not result.diverged and result.state.step_index == steps
+        assert not result.diverged and result.step_index == steps
         if scheme == "frutos":
             state = bootstrap_frutos(prob, dt, p)
             stepper = FrutosStepper(grid, dt)
@@ -377,9 +383,9 @@ class TestRun:
             u, psi, u_prev = state.u_curr, state.psi_curr, state.u_prev
             for _ in range(steps):
                 u, psi, u_prev = (*stepper.step_arrays(u, psi, u_prev), u)
-            assert np.max(np.abs(result.state.psi_curr - psi)) <= 1e-10
-        assert np.max(np.abs(result.state.u_curr - u)) <= 1e-10
-        assert np.max(np.abs(result.state.u_prev - u_prev)) <= 1e-10
+            assert np.max(np.abs(result.psi_curr - psi)) <= 1e-10
+        assert np.max(np.abs(result.u_curr - u)) <= 1e-10
+        assert np.max(np.abs(result.u_prev - u_prev)) <= 1e-10
 
     def test_mass_grows_linearly_with_mean_velocity(self):
         # the k = 0 mode obeys mass(t) = mass(0) + t * mass(psi), and the
@@ -391,8 +397,8 @@ class TestRun:
         prob = GBProblem(power=2, grid=grid, initial_u=u0, initial_ut=psi0)
         result = run(prob, dt=1e-3, T=0.999)
         m0, rate = mass(grid, u0), mass(grid, psi0)
-        assert abs(mass(grid, result.state.u_curr) - m0 - 0.999 * rate) <= 1e-12 * abs(m0)
-        assert abs(mass(grid, result.state.psi_curr) - rate) <= 1e-14 * abs(rate)
+        assert abs(mass(grid, result.u_curr) - m0 - 0.999 * rate) <= 1e-12 * abs(m0)
+        assert abs(mass(grid, result.psi_curr) - rate) <= 1e-14 * abs(rate)
 
     def test_frutos_blow_up_step(self):
         # the three-level scheme's published divergence at N = 512, dt = 0.1
@@ -404,7 +410,7 @@ class TestRun:
         )
         assert result.diverged
         assert result.blowup_step == 762
-        assert result.state.step_index == 762
+        assert result.step_index == 762
 
     @pytest.mark.parametrize(
         "schemes",
@@ -456,7 +462,7 @@ class TestRun:
     def test_zero_steps_returns_initial_state(self):
         prob = zero_problem(benchmark_grid(16))
         result = run(prob, dt=0.1, T=0.0)
-        assert result.state.step_index == 0
+        assert result.step_index == 0
         assert not result.diverged
 
     def test_non_multiple_final_time_rejected(self):
@@ -501,7 +507,7 @@ class TestRun:
         prob = solitary_problem(p, grid)
         result = run(prob, 4e-3, 4.0, params=p, bootstrap_mode="exact")
         assert not result.diverged
-        assert crest_position(grid, result.state.u_curr) == pytest.approx(
+        assert crest_position(grid, result.u_curr) == pytest.approx(
             p.speed * 4.0, abs=grid.spacing
         )
 
@@ -526,14 +532,14 @@ def batch_problem(n=64, power=2):
 
 def assert_same_result(got, want):
     assert got.diverged == want.diverged and got.blowup_step == want.blowup_step
-    assert got.state.step_index == want.state.step_index
-    assert got.state.time == want.state.time
+    assert got.step_index == want.step_index
+    assert got.time == want.time
     for field in ("u_curr", "psi_curr", "u_prev"):
-        want_field = getattr(want.state, field)
+        want_field = getattr(want, field)
         if want_field is None:  # the three-level scheme has no psi
-            assert getattr(got.state, field) is None
+            assert getattr(got, field) is None
         else:
-            assert np.array_equal(getattr(got.state, field), want_field)
+            assert np.array_equal(getattr(got, field), want_field)
 
 
 class TestRunBatch:
@@ -565,7 +571,7 @@ class TestRunBatch:
         dts, T = (0.005, 0.02, 0.0025, 0.01), 0.2
         runs = [("proposed", dt) for dt in dts]
         batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
-        assert [r.state.step_index for r in batch] == [40, 10, 80, 20]
+        assert [r.step_index for r in batch] == [40, 10, 80, 20]
         for dt, got in zip(dts, batch):
             assert_same_result(got, run(prob, dt, T, params=p, bootstrap_mode="exact"))
 
@@ -577,9 +583,9 @@ class TestRunBatch:
         runs = (("frutos", 0.1), ("frutos", 0.05))
         diverged, bounded = run_batch(prob, runs, 100.0, **kwargs)
         assert diverged.diverged and diverged.blowup_step == 762
-        assert diverged.state.step_index == 762
+        assert diverged.step_index == 762
         assert_same_result(diverged, run(prob, 0.1, 100.0, "frutos", **kwargs))
-        assert not bounded.diverged and bounded.state.step_index == 2000
+        assert not bounded.diverged and bounded.step_index == 2000
         assert_same_result(bounded, run(prob, 0.05, 100.0, "frutos", **kwargs))
 
     def test_observers_see_every_row_as_solo_runs_do(self):
@@ -609,7 +615,7 @@ class TestRunBatch:
         runs, T = (("proposed", 0.05), ("frutos", 0.05), ("frutos", 0.1), ("proposed", 0.1)), 1.0
         batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
         for (scheme, dt), got in zip(runs, batch):
-            assert (got.state.psi_curr is None) == (scheme == "frutos")
+            assert (got.psi_curr is None) == (scheme == "frutos")
             assert_same_result(got, run(prob, dt, T, scheme, params=p, bootstrap_mode="exact"))
 
     def test_three_level_row_leaves_a_mixed_batch_at_its_blow_up(self):
@@ -620,7 +626,7 @@ class TestRunBatch:
         proposed, frutos = run_batch(prob, (("proposed", 0.1), ("frutos", 0.1)), 100.0, **kwargs)
         assert frutos.diverged and frutos.blowup_step == 762
         assert_same_result(frutos, run(prob, 0.1, 100.0, "frutos", **kwargs))
-        assert not proposed.diverged and proposed.state.step_index == 1000
+        assert not proposed.diverged and proposed.step_index == 1000
         assert_same_result(proposed, run(prob, 0.1, 100.0, "proposed", **kwargs))
 
     def test_unknown_scheme_and_cubic_three_level_row_rejected(self):
@@ -635,8 +641,8 @@ class TestRunBatch:
         prob, p = batch_problem(n=16)
         assert run_batch(prob, (), 1.0) == ()
         (result,) = run_batch(prob, (("proposed", 0.1),), 0.0)
-        assert result.state.step_index == 0 and not result.diverged
-        assert np.array_equal(result.state.psi_curr, prob.initial_ut)
+        assert result.step_index == 0 and not result.diverged
+        assert np.array_equal(result.psi_curr, prob.initial_ut)
 
     def test_array_step_sizes_shape_the_coefficients(self):
         grid = benchmark_grid(16)

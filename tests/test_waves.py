@@ -46,9 +46,9 @@ class TestParams:
 
 class TestProfile:
     def test_trough_value_at_crest(self):
-        p = params_from_amplitude(0.5, center=3.0)
+        p = params_from_amplitude(0.5)
         t = 1.7
-        assert solitary_wave(p, 3.0 + p.speed * t, t) == pytest.approx(-0.5, abs=1e-15)
+        assert solitary_wave(p, p.speed * t, t) == pytest.approx(-0.5, abs=1e-15)
 
     def test_exponential_decay(self):
         p = params_from_amplitude(0.5)
@@ -56,7 +56,7 @@ class TestProfile:
 
     def test_time_derivative_vanishes_at_crest(self):
         p = params_from_amplitude(0.5)
-        assert solitary_fields(p, p.center, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
+        assert solitary_fields(p, 0.0, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_stationary_wave_has_zero_time_derivative(self):
         p = params_from_amplitude(1.5)
@@ -92,12 +92,13 @@ class TestProfile:
     @pytest.mark.parametrize("t", [0.0, -0.1, 2.5])
     def test_one_evaluation_fields_equal_the_two_functions(self, t):
         # error_norms and solitary_problem take (u, u_t) from one theta and cosh^2
-        p = params_from_amplitude(0.5, center=1.5)
-        x = Grid(half_modes=64, length=80.0, x_left=-40.0).nodes
+        # the crest sits 1.5 right of the middle of the domain
+        p = params_from_amplitude(0.5)
+        x = Grid(half_modes=64, length=80.0, x_left=-40.0 - 1.5).nodes
         u, u_t = solitary_fields(p, x, t)
         assert np.array_equal(u, solitary_wave(p, x, t))
         # pin u_t to its own expression
-        th = 0.5 * p.shape * (x - p.center - p.speed * t)
+        th = 0.5 * p.shape * (x - p.speed * t)
         sech2 = 1.0 / np.cosh(th) ** 2
         assert np.array_equal(u_t, -p.amplitude * p.shape * p.speed * sech2 * np.tanh(th))
 
@@ -146,11 +147,11 @@ class TestProblemSetup:
         assert np.max(np.abs(v0)) == 0.0
 
     def test_minimum_sits_at_node_nearest_center(self):
-        grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
-        p = params_from_amplitude(0.5, center=1.3)
-        u0, _ = solitary_fields(p, grid.nodes, 0.0)
+        # the crest at x = 0 sits 1.3 right of the middle of the domain
+        grid = Grid(half_modes=64, length=80.0, x_left=-40.0 - 1.3)
+        u0, _ = solitary_fields(params_from_amplitude(0.5), grid.nodes, 0.0)
         node = grid.nodes[np.argmin(u0)]
-        assert abs(node - 1.3) <= 0.5 * grid.spacing + 1e-12
+        assert abs(node) <= 0.5 * grid.spacing + 1e-12
 
     def test_unsupported_wave_warns(self):
         grid = Grid(half_modes=16, length=10.0, x_left=-5.0)
