@@ -85,8 +85,8 @@ def build_implicit_diagonal(grid: Grid, dt) -> np.ndarray:
 def _column(dt) -> np.ndarray:
     """Step sizes as a column against the modes: shape (m, 1), or (1,) for a float."""
     column = np.asarray(dt, dtype=float)[..., None]
-    if column.ndim > 2 or not np.all(column > 0):
-        raise ValueError(f"time steps must be positive, in a float or a 1-D array, got {dt}")
+    if column.ndim > 2 or not np.all((column > 0) & (column < np.inf)):
+        raise ValueError(f"time step must be positive and finite (a float or 1-D array), got {dt}")
     with np.errstate(all="ignore"):
         if not np.all(np.isfinite(4.0 / column**2)):
             raise ValueError(f"time step too small: 1/dt^2 overflows, got dt = {dt}")
@@ -232,6 +232,25 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     return LinearStepper(grid, 2, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / column, 0.0, False)
 
 
+def _check_run(scheme: str, dt, T, bootstrap_mode: str, power: int) -> int:
+    """Steps of one run to time T: the one home of the rules a run must keep."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}: the schemes are {', '.join(SCHEMES)}")
+    if bootstrap_mode not in ("exact", "self_start"):
+        raise ValueError(f"unknown bootstrap mode {bootstrap_mode!r}")
+    if scheme == "frutos" and power != 2:
+        raise ValueError("the three-level reference scheme only supports p = 2")
+    if scheme == "frutos" and bootstrap_mode != "exact":  # u^{-1} := u^0 would start it at rest
+        raise ValueError(f"the three-level scheme needs the exact start, got {bootstrap_mode!r}")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"final time must be nonnegative and finite, got {T}")
+    _column(dt)
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * max(T, dt):
+        raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")
+    return steps
+
+
 def bootstrap(
     problem: GBProblem,
     dt: float,
@@ -246,60 +265,21 @@ def bootstrap(
     ``exact`` samples the attached solitary wave at t = -dt and is used for
     reference runs.
     """
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    _check_run("proposed", dt, 0.0, mode, problem.power)  # a start is a run of no steps
     if mode == "self_start":
         u_prev = problem.initial_u.copy()
-    elif mode == "exact":
-        if params is None:
-            raise ValueError("exact bootstrap requires solitary-wave parameters")
-        u_prev = solitary_wave(params, problem.grid.nodes, -dt)
+    elif params is None:
+        raise ValueError("exact bootstrap requires solitary-wave parameters")
     else:
-        raise ValueError(f"unknown bootstrap mode {mode!r}")
-    return SchemeState(
-        grid=problem.grid,
-        step_index=0,
-        time=0.0,
-        u_curr=problem.initial_u.copy(),
-        psi_curr=problem.initial_ut.copy(),
-        u_prev=u_prev,
-    )
+        u_prev = solitary_wave(params, problem.grid.nodes, -dt)
+    u, psi = problem.initial_u.copy(), problem.initial_ut.copy()
+    return SchemeState(problem.grid, 0, 0.0, u, psi, u_prev)
 
 
 def bootstrap_frutos(problem: GBProblem, dt: float, params: SolitaryWaveParams) -> SchemeState:
-    """Initial state for the three-level scheme: exact-started, with no psi."""
-    return _three_level_start(problem, dt, "exact", params)
-
-
-def _three_level_start(problem: GBProblem, dt: float, mode: str, params) -> SchemeState:
-    """:func:`bootstrap_frutos` in a start mode; u^{-1} := u^0 would start the scheme at rest."""
-    if problem.power != 2:
-        raise ValueError("the three-level reference scheme only supports p = 2")
-    if mode != "exact":
-        raise ValueError(f"the three-level scheme needs the exact start, got bootstrap {mode!r}")
+    """Initial state for the three-level scheme: the proposed scheme's exact start, with no psi."""
+    _check_run("frutos", dt, 0.0, "exact", problem.power)
     return replace(bootstrap(problem, dt, "exact", params), psi_curr=None)
-
-
-def _num_steps(T: float, dt: float) -> int:
-    if not 0 < dt < np.inf:
-        raise ValueError(f"time step must be positive and finite, got {dt}")
-    if not 0 <= T < np.inf:
-        raise ValueError(f"final time must be nonnegative and finite, got {T}")
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * max(T, dt):
-        raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")
-    return steps
-
-
-def _solo(problem: GBProblem, scheme: str, dt: float, bootstrap_mode, params):
-    """Initial state and stepper of one run of ``scheme``."""
-    if scheme == "proposed":
-        state = bootstrap(problem, dt, bootstrap_mode, params)
-        return state, ProposedStepper(problem.grid, dt, problem.power)
-    if scheme == "frutos":
-        state = _three_level_start(problem, dt, bootstrap_mode, params)
-        return state, FrutosStepper(problem.grid, dt)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def run(
@@ -339,11 +319,12 @@ def run_batch(
     state, as in :func:`run`; a row that diverges is dropped from the batch,
     and its state at the blow-up step is marked ``diverged``.
     """
-    steps = [_num_steps(T, dt) for _, dt in runs]
-    # longest first: the rows still running are always a prefix, and the
-    # last of them is the next to finish
-    order = sorted(range(len(steps)), key=steps.__getitem__, reverse=True)
-    solos = [_solo(problem, *runs[i], bootstrap_mode, params) for i in order]
+    steps = [_check_run(scheme, dt, T, bootstrap_mode, problem.power) for scheme, dt in runs]
+    states = [
+        bootstrap_frutos(problem, dt, params) if scheme == "frutos"
+        else bootstrap(problem, dt, bootstrap_mode, params)
+        for scheme, dt in runs
+    ]
 
     # ||u||_rms > ceiling  <=>  u.u > n * ceiling^2 for a row; a NaN or inf
     # fails the comparison "u.u <= limit" as well.  np.vdot sums over the
@@ -352,29 +333,34 @@ def run_batch(
     norm0 = float(np.sqrt(np.mean(problem.initial_u**2)))
     limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
 
-    results = [None] * len(steps)
-    for i, (state, _) in zip(order, solos):
+    for state in states:
         for obs in observers:
             obs(state)
-        if not steps[i]:
-            results[i] = state
-    rows = [i for i in order if steps[i]]
+    # a run of no steps ends where it starts
+    results = [None if n else state for n, state in zip(steps, states)]
+    rows = [i for i, n in enumerate(steps) if n]
     if not rows:
         return tuple(results)
-    live, steppers = zip(*solos[: len(rows)])
     # each row's own stepper, built with its float dt, is a row of the batch's
+    steppers = [
+        FrutosStepper(problem.grid, dt) if scheme == "frutos"
+        else ProposedStepper(problem.grid, dt, problem.power)
+        for scheme, dt in (runs[i] for i in rows)
+    ]
     stepper = LinearStepper(
         problem.grid, problem.power, *map(np.stack, zip(*(x._per_row() for x in steppers)))
     )
+    live = [states[i] for i in rows]
     carry = stepper.start(
         np.stack([s.u_curr for s in live]),
         # a row without psi ignores the u that stands in for it
         np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live]),
         np.stack([s.u_prev for s in live]),
     )
-    del solos, live, steppers  # the carry holds copies
-    last = steps[rows[-1]]
-    for n in range(1, steps[rows[0]] + 1):
+    del states, live, steppers  # the carry holds copies
+    # the next row to finish is the one with the fewest steps
+    last = min(steps[i] for i in rows)
+    for n in range(1, max(steps[i] for i in rows) + 1):
         carry = stepper.advance(carry)
         u = carry[0]
         bounded = np.vdot(u, u) <= limit
@@ -398,5 +384,5 @@ def run_batch(
             if not rows:
                 break
             carry = tuple(x[keep] for x in carry)
-            stepper, last = stepper.take(keep), steps[rows[-1]]
+            stepper, last = stepper.take(keep), min(steps[i] for i in rows)
     return tuple(results)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import error_norms, mass
 from .spectral import Grid
-from .stepping import SCHEMES, run_batch
+from .stepping import SCHEMES, _check_run, run_batch
 from .waves import _problem, params_from_amplitude
 
 __all__ = [
@@ -41,7 +41,9 @@ class SweepSpec:
     Every N of ``N_list`` is run with every scheme of ``schemes``, stepping
     either the fixed ``dt`` or T / nk for every nk of ``nk_list``: exactly
     one of the two is given.  A temporal sweep steps by ``nk_list`` at its
-    one N with its one scheme.
+    one N with its one scheme.  A spec that constructs runs: its own rules,
+    then stepping's rules on each run, then each grid and the amplitude are
+    checked here.
     """
 
     kind: str
@@ -60,7 +62,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
-        if len({*SCHEMES} & {*self.schemes}) < len(self.schemes) or not self.schemes:
+        if len(set(self.schemes)) < len(self.schemes) or not self.schemes:
             raise ValueError(f"schemes must be proposed, frutos or both, got {self.schemes}")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
@@ -72,20 +74,33 @@ class SweepSpec:
                 raise ValueError(
                     f"step counts must be positive and strictly increasing, got {self.nk_list}"
                 )
-        elif not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
         # the orders are fitted over all rows, so they must share N and scheme
         if self.kind == "temporal" and (
             len(self.N_list) != 1 or len(self.schemes) != 1 or self.nk_list is None
         ):
             raise ValueError("a temporal sweep needs nk_list, exactly one N and one scheme")
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"final time must be positive and finite, got {self.T}")
+        if not self.T > 0:
+            raise ValueError(f"final time must be positive, got {self.T}")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:
             raise ValueError(f"domain must be finite with xmin < xmax, got {self.domain}")
         if self.power != 2:
             # rows are errors against the sech^2 wave, which solves p = 2 only
             raise ValueError(f"exact references exist for p = 2 only, got p = {self.power}")
+        for scheme, dt in self.runs:
+            _check_run(scheme, dt, self.T, self.bootstrap_mode, self.power)
+        for N in self.N_list:
+            self._grid(N)
+        params_from_amplitude(self.amplitude)
+
+    @property
+    def runs(self) -> list[tuple[str, float]]:
+        """The (scheme, dt) of every run on each grid."""
+        dts = [self.T / nk for nk in self.nk_list] if self.nk_list else [self.dt]
+        return [(scheme, dt) for scheme in self.schemes for dt in dts]
+
+    def _grid(self, N: int) -> Grid:
+        """The grid of the runs at half mode count N."""
+        return Grid(half_modes=N, length=self.domain[1] - self.domain[0], x_left=self.domain[0])
 
 
 @dataclass(frozen=True)
@@ -196,12 +211,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     the sweep goes on.  Orders are fitted for temporal sweeps only.
     """
     params = params_from_amplitude(spec.amplitude)
-    dts = [spec.T / nk for nk in spec.nk_list] if spec.nk_list else [spec.dt]
-    runs = [(scheme, dt) for scheme in spec.schemes for dt in dts]
+    runs = spec.runs
     rows = []
     for N in spec.N_list:
-        grid = Grid(half_modes=N, length=spec.domain[1] - spec.domain[0], x_left=spec.domain[0])
-        problem = _problem(params, grid, spec.power)
+        problem = _problem(params, spec._grid(N), spec.power)
         start = _time.perf_counter()
         finals = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
         taken = sum(final.step_index for final in finals)
@@ -215,7 +228,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     fitted = None
     if spec.kind == "temporal":
         fitted = {
-            key: fit_order(dts, [getattr(row, key) for row in rows])
+            key: fit_order([row.dt for row in rows], [getattr(row, key) for row in rows])
             for key in ("err_psi_l2", "err_u_h2")
         }
     return SweepResult(spec=spec, rows=tuple(rows), fitted_orders=fitted)

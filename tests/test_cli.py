@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import boussinesq.cli as cli
+from boussinesq import spectral, sweeps
 from boussinesq.reporting import CSV_HEADER, emit_plot_script, read_csv, write_csv
 from boussinesq.sweeps import (
     SweepResult,
@@ -305,21 +307,23 @@ class TestVerify:
         assert all(ok for _, ok in results)
         assert len(results) == 7
 
-    def test_sign_fault_in_second_derivative_detected(self):
-        from boussinesq import spectral
+    def test_sign_fault_in_second_derivative_detected(self, monkeypatch):
+        derivative = spectral.derivative
 
         def broken_derivative(grid, values, order=1):
-            out = spectral.derivative(grid, values, order)
+            out = derivative(grid, values, order)
             return -out if order == 2 else out
 
-        results = dict(run_checks(derivative=broken_derivative))
+        monkeypatch.setattr(spectral, "derivative", broken_derivative)
+        results = dict(run_checks())
         assert results["summation by parts"] is False
 
-    def test_injected_derivative_reaches_only_summation_by_parts(self):
+    def test_injected_derivative_reaches_only_summation_by_parts(self, monkeypatch):
         def constant_derivative(grid, values, order=1):
             return np.ones_like(values)
 
-        results = dict(run_checks(derivative=constant_derivative))
+        monkeypatch.setattr(spectral, "derivative", constant_derivative)
+        results = dict(run_checks())
         assert [name for name, ok in results.items() if not ok] == ["summation by parts"]
 
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
@@ -442,6 +446,34 @@ class TestMainCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--N", "16", "--dt", "0.3", "--T", "1", "--xmin=-5", "--xmax=5"],
+            ["run", "--N", "16", "--dt", "inf", "--xmin=-5", "--xmax=5"],
+            ["run", "--N", "16", "--dt", "1e-160", "--T", "1e-159", "--xmin=-5", "--xmax=5"],
+            ["stability", "--bootstrap", "self-start", "--N", "16", "--T", "0.5",
+             "--xmin=-5", "--xmax=5"],
+            ["sweep-space", "--xmin=0", "--xmax=3e-75", "--T", "0.0004"],
+        ],
+        ids=["off-step-grid", "dt-inf", "dt-squared-overflows", "three-level-self-start",
+             "k4-overflows-at-a-larger-N"],
+    )
+    def test_bad_spec_is_one_error_line_before_anything_is_built(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # each domain cuts the wave, so a problem built would warn first
+        built, problem = [], sweeps._problem
+        monkeypatch.setattr(sweeps, "_problem", lambda *args: built.append(args) or problem(*args))
+        out = tmp_path / "rows.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+        assert caught == [] and built == []
 
     @pytest.mark.filterwarnings("error")
     def test_step_too_small_for_one_over_dt_squared_is_one_error_line(self, tmp_path, capsys):

@@ -98,6 +98,54 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="exactly one of a fixed dt and nk_list"):
             SweepSpec(kind="run", N_list=(32,), dt=0.1, nk_list=(10,))
 
+    def test_rejects_unknown_bootstrap_mode(self):
+        with pytest.raises(ValueError, match="unknown bootstrap mode 'bogus'"):
+            SweepSpec(kind="run", N_list=(16,), dt=0.1, T=0.5, bootstrap_mode="bogus")
+
+
+def draw_spec(rng) -> dict:
+    """SweepSpec fields over the ranges the CLI accepts, log-uniform where they span decades."""
+    T = 10 ** rng.uniform(-8, 3)
+    length = 10 ** rng.uniform(-160, 160)
+    x_left = -length * rng.uniform()
+    steps = int(rng.integers(1, 40))
+    return dict(
+        kind="run",
+        N_list=(int(rng.integers(1, 48)),),
+        T=T,
+        amplitude=10 ** rng.uniform(-6, np.log10(1.5)),
+        domain=(x_left, x_left + length),
+        schemes=[("proposed",), ("frutos",), ("proposed", "frutos")][rng.integers(3)],
+        bootstrap_mode=["exact", "self_start"][rng.integers(2)],
+        **(dict(nk_list=(steps,)) if rng.integers(2) else dict(dt=T / steps)),
+    )
+
+
+def test_accepted_specs_run_to_finite_rows():
+    # a spec either raises ValueError when made, or runs with no numpy
+    # RuntimeWarning to rows whose errors are finite (psi is NaN only
+    # where the three-level scheme has none)
+    rng = np.random.default_rng(17)
+    ran = 0
+    for _ in range(300):
+        fields = draw_spec(rng)
+        try:
+            spec = SweepSpec(**fields)
+        except ValueError:
+            continue
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="solitary wave magnitude")
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_sweep(spec).rows
+        ran += 1
+        for row in rows:
+            if not row.diverged:
+                errors = [row.err_u_h2, row.err_u_l2, row.mass_drift]
+                if row.scheme == "proposed":
+                    errors.append(row.err_psi_l2)
+                assert np.all(np.isfinite(errors)), (fields, row)
+    assert ran >= 100
+
 
 class TestReducedSweeps:
     def test_spatial_errors_fall_with_resolution(self):
