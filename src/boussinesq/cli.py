@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .reporting import emit_plot_script, write_csv
 from .stepping import SCHEMES
@@ -27,13 +26,14 @@ from .verification import run_checks
 __all__ = ["build_parser", "main"]
 
 
-def _add_subcommand(subs, name: str, summary: str) -> argparse.ArgumentParser:
-    """A subcommand with the flags every experiment takes.
+def _add_subcommand(subs, name: str, summary: str, builder) -> argparse.ArgumentParser:
+    """A subcommand with the flags every experiment takes, carrying its spec builder.
 
     A flag left out is absent from the namespace, so the default of the
     subcommand's spec builder holds.
     """
     sub = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    sub.set_defaults(builder=builder)
     sub.add_argument("--N", type=int, help="half mode count")
     sub.add_argument("--T", type=float, help="final time")
     sub.add_argument("--amplitude", type=float, help="solitary wave amplitude")
@@ -54,22 +54,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    run_p = _add_subcommand(subs, "run", "single solitary-wave run")
+    run_p = _add_subcommand(subs, "run", "single solitary-wave run", run_spec)
     steps = run_p.add_mutually_exclusive_group()
     steps.add_argument("--dt", type=float, help="time step")
     steps.add_argument("--nk", type=int, help="number of time steps")
     run_p.add_argument("--scheme", choices=SCHEMES, help="time scheme")
 
-    space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep")
+    space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep", spatial_spec)
     space_p.add_argument("--dt", type=float, help="fixed time step")
-    time_p = _add_subcommand(subs, "sweep-time", "temporal second-order sweep")
+    time_p = _add_subcommand(subs, "sweep-time", "temporal second-order sweep", temporal_spec)
     # a plot joins the rows in order: a convergence curve for the two sweeps only
     for sweep in (space_p, time_p):
         sweep.add_argument(
             "--emit-plot", action="store_true", help="also write a plot script next to the CSV"
         )
 
-    stab_p = _add_subcommand(subs, "stability", "proposed vs three-level stability map")
+    stab_p = _add_subcommand(
+        subs, "stability", "proposed vs three-level stability map", stability_spec
+    )
     stab_p.add_argument("--dt", type=float, help="fixed time step")
 
     subs.add_parser("verify", help="fast invariant self-checks")
@@ -87,19 +89,9 @@ def _write_outputs(result: SweepResult, args) -> None:
             print(f"wrote {base}_plot.py")
 
 
-# subcommand -> builder of its spec, the one home of its defaults
-_SPEC_BUILDERS = {
-    "run": run_spec,
-    "sweep-space": spatial_spec,
-    "sweep-time": temporal_spec,
-    "stability": stability_spec,
-}
-
-
 def _spec_from_args(args) -> SweepSpec:
-    """The subcommand's spec, with the fields of the given flags overridden."""
+    """The subcommand's spec, made by its builder with the fields of the given flags."""
     given = vars(args)
-    spec = _SPEC_BUILDERS[args.subcommand]()
     overrides = {
         field: given[flag]
         for flag, field in (("T", "T"), ("amplitude", "amplitude"), ("p", "power"), ("dt", "dt"))
@@ -110,13 +102,14 @@ def _spec_from_args(args) -> SweepSpec:
     if "nk" in given:
         overrides.update(nk_list=(args.nk,), dt=None)
     if "xmin" in given or "xmax" in given:
-        xmin, xmax = spec.domain
+        # no builder sets the domain, so a bound not given keeps the field's default
+        xmin, xmax = SweepSpec.domain
         overrides["domain"] = (given.get("xmin", xmin), given.get("xmax", xmax))
     if "bootstrap" in given:
         overrides["bootstrap_mode"] = args.bootstrap.replace("-", "_")
     if "scheme" in given:
         overrides["schemes"] = (args.scheme,)
-    return replace(spec, **overrides)
+    return args.builder(**overrides)
 
 
 def _print_rows(result: SweepResult) -> None:

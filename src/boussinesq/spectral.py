@@ -32,6 +32,12 @@ __all__ = [
 DENSE_MAX_POINTS = 257
 
 
+def _check_integer(value, least: int, what: str) -> None:
+    """Reject a value that is not an int or numpy integer >= least; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with 2N+1 points on (x_left, x_left + length).
@@ -46,8 +52,7 @@ class Grid:
     x_left: float = 0.0
 
     def __post_init__(self):
-        if self.half_modes < 1:
-            raise ValueError(f"half_modes must be >= 1, got {self.half_modes}")
+        _check_integer(self.half_modes, 1, "half_modes")
         # the nodes, and k_N^4 in the steppers' symbols and the H2 seminorm, must be finite
         with np.errstate(all="ignore"):
             finite = np.all(np.isfinite([self.nodes[-1], self.wavenumbers[-1] ** 4]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import Grid, _check_integer
 from .waves import GBProblem, SolitaryWaveParams, _check_power, _power, solitary_wave
 
 __all__ = [
@@ -295,8 +295,9 @@ def run(
     """Advance the problem to time T, watching for blow-up: a batch of one.
 
     Observers are callables invoked with the current state every ``stride``
-    steps (and at step 0 and the final step).  On divergence the state at
-    the blow-up step is returned, marked ``diverged``; nothing is raised.
+    steps (and at step 0 and the final step); ``stride`` is an integer >= 1.
+    On divergence the state at the blow-up step is returned, marked
+    ``diverged``; nothing is raised.
     """
     return run_batch(problem, ((scheme, dt),), T, bootstrap_mode, params, observers, stride)[0]
 
@@ -319,6 +320,7 @@ def run_batch(
     state, as in :func:`run`; a row that diverges is dropped from the batch,
     and its state at the blow-up step is marked ``diverged``.
     """
+    _check_integer(stride, 1, "observer stride")
     steps = [_check_run(scheme, dt, T, bootstrap_mode, problem.power) for scheme, dt in runs]
     states = [
         bootstrap_frutos(problem, dt, params) if scheme == "frutos"

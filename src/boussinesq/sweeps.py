@@ -4,19 +4,22 @@ Default constants reproduce the published study: domain (-40, 40),
 amplitude 0.5, final time T = 4; the spatial sweep fixes dt = 1e-4 over
 N = 32..128 in steps of 8, the temporal sweep fixes N = 512 over
 N_K = 100..1000 steps in increments of 100, and a single run steps
-dt = 4e-3 at N = 512.  The four spec builders are the only home of these
-defaults: the CLI overrides only the fields whose flags it is given.
+dt = 4e-3 at N = 512.  These defaults live in ``SweepSpec``'s field
+defaults and the four spec builders only.  Each builder makes its spec in
+one construction, from its defaults merged with the fields it is given;
+each CLI subcommand carries its builder and gives it the fields of the
+flags it was given, so a command makes one spec.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import error_norms, mass
-from .spectral import Grid
+from .spectral import Grid, _check_integer
 from .stepping import SCHEMES, _check_run, run_batch
 from .waves import _problem, params_from_amplitude
 
@@ -74,6 +77,8 @@ class SweepSpec:
                 raise ValueError(
                     f"step counts must be positive and strictly increasing, got {self.nk_list}"
                 )
+            for nk in nks:
+                _check_integer(nk, 1, "a step count")
         # the orders are fitted over all rows, so they must share N and scheme
         if self.kind == "temporal" and (
             len(self.N_list) != 1 or len(self.schemes) != 1 or self.nk_list is None
@@ -138,24 +143,20 @@ class SweepResult:
 
 def run_spec(**overrides) -> SweepSpec:
     """One run of the proposed scheme: N = 512, dt = 4e-3."""
-    base = SweepSpec(kind="run", N_list=(512,), dt=4e-3)
-    return replace(base, **overrides)
+    defaults = dict(kind="run", N_list=(512,), dt=4e-3)
+    return SweepSpec(**{**defaults, **overrides})
 
 
 def spatial_spec(**overrides) -> SweepSpec:
     """The published spatial-accuracy sweep: N = 32..128 step 8, dt = 1e-4."""
-    base = SweepSpec(kind="spatial", N_list=tuple(range(32, 136, 8)), dt=1e-4)
-    return replace(base, **overrides)
+    defaults = dict(kind="spatial", N_list=tuple(range(32, 136, 8)), dt=1e-4)
+    return SweepSpec(**{**defaults, **overrides})
 
 
 def temporal_spec(**overrides) -> SweepSpec:
     """The published temporal-accuracy sweep: N = 512, N_K = 100..1000 step 100."""
-    base = SweepSpec(
-        kind="temporal",
-        N_list=(512,),
-        nk_list=tuple(range(100, 1100, 100)),
-    )
-    return replace(base, **overrides)
+    defaults = dict(kind="temporal", N_list=(512,), nk_list=tuple(range(100, 1100, 100)))
+    return SweepSpec(**{**defaults, **overrides})
 
 
 def stability_spec(**overrides) -> SweepSpec:
@@ -168,14 +169,8 @@ def stability_spec(**overrides) -> SweepSpec:
     than the accuracy experiments use; T = 100 at dt = 0.1 trips it at
     N = 512 while every proposed-scheme run stays bounded.
     """
-    base = SweepSpec(
-        kind="stability",
-        N_list=(64, 128, 256, 512),
-        dt=0.1,
-        T=100.0,
-        schemes=SCHEMES,
-    )
-    return replace(base, **overrides)
+    defaults = dict(kind="stability", N_list=(64, 128, 256, 512), dt=0.1, T=100.0, schemes=SCHEMES)
+    return SweepSpec(**{**defaults, **overrides})
 
 
 def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -> SweepRow:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import Grid, _check_integer
 
 __all__ = [
     "SolitaryWaveParams",
@@ -111,8 +111,7 @@ def solitary_wave_dtt(params: SolitaryWaveParams, x, t: float = 0.0):
 
 def _check_power(power) -> None:
     """Reject a nonlinearity power that :func:`_power` cannot take."""
-    if not isinstance(power, (int, np.integer)) or power < 2:
-        raise ValueError(f"nonlinearity power must be an integer >= 2, got {power!r}")
+    _check_integer(power, 2, "nonlinearity power")
 
 
 def _power(values: np.ndarray, power: int) -> np.ndarray:

@@ -115,6 +115,32 @@ class TestParseArgs:
             cli.build_parser().parse_args([subcommand, "--stride", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--N", "16", "--dt", "0.05", "--T", "0.1"],
+            ["sweep-space", "--N", "16", "--dt", "0.05", "--T", "0.1"],
+            ["sweep-time", "--N", "16", "--T", "0.1"],
+            ["stability", "--N", "16", "--T", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_makes_one_spec(self, monkeypatch, capsys, argv):
+        # each spec made checks every run and builds every grid again
+        made, check = [], sweeps.SweepSpec.__post_init__
+        monkeypatch.setattr(
+            sweeps.SweepSpec, "__post_init__", lambda spec: made.append(spec) or check(spec)
+        )
+        assert cli.main(argv) == 0
+        assert len(made) == 1
+
+    @pytest.mark.parametrize(
+        "flag, domain", [("--xmax=41", (-40.0, 41.0)), ("--xmin=-39", (-39.0, 40.0))]
+    )
+    def test_one_sided_domain_keeps_the_default_other_bound(self, flag, domain):
+        spec = cli._spec_from_args(cli.build_parser().parse_args(["run", flag]))
+        assert spec.domain == domain
+
     def test_bad_domain(self, capsys):
         assert cli.main(["run", "--xmin", "10", "--xmax", "-10"]) == 2
         err = capsys.readouterr().err

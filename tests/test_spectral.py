@@ -82,6 +82,13 @@ class TestGrid:
             with pytest.raises(ValueError, match="length"):
                 Grid(half_modes=16, length=length, x_left=x_left)
 
+    @pytest.mark.parametrize("half_modes", [16.5, 16.0, True])
+    def test_half_modes_not_an_integer_rejected(self, half_modes):
+        # a float would size the spectrum by float arithmetic, and a bool is not a count
+        with pytest.raises(ValueError, match="half_modes must be an integer >= 1"):
+            Grid(half_modes=half_modes, length=80.0)
+        assert Grid(half_modes=np.int64(16), length=80.0).num_points == 33
+
 
 class TestForwardInverse:
     """The grid's forward and inverse pair against the direct full-spectrum DFT."""

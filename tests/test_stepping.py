@@ -501,6 +501,16 @@ class TestRun:
         assert len(norms) > 1
         assert all(v == 0.0 for v in norms)
 
+    @pytest.mark.parametrize("stride", [0, -1, True, 1.5, None])
+    def test_stride_not_a_positive_integer_rejected_before_observing(self, stride):
+        prob = zero_problem(benchmark_grid(16))
+        seen = []
+        with pytest.raises(ValueError, match="observer stride must be an integer >= 1"):
+            run(prob, 0.05, 0.1, observers=(seen.append,), stride=stride)
+        with pytest.raises(ValueError, match="observer stride must be an integer >= 1"):
+            run_batch(prob, (("proposed", 0.05),), 0.1, observers=(seen.append,), stride=stride)
+        assert seen == []
+
     def test_crest_travels_at_wave_speed(self):
         grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)

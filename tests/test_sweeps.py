@@ -68,6 +68,15 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="step counts must be positive"):
                 temporal_spec(nk_list=nk_list, N_list=(16,), T=0.4)
 
+    def test_rejects_a_grid_size_or_step_count_that_is_not_an_integer(self):
+        # refused when made, so that run_sweep never indexes a spectrum by a float
+        with pytest.raises(ValueError, match="half_modes must be an integer >= 1, got 16.5"):
+            SweepSpec(kind="run", N_list=(16.5,), dt=0.05, T=0.1)
+        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got 2.5"):
+            SweepSpec(kind="run", N_list=(16,), nk_list=(2.5,), T=0.1)
+        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got 2.0"):
+            temporal_spec(N_list=(16,), nk_list=(1, 2.0), T=0.1)
+
     def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
         # the fitted orders pool every row, so a temporal sweep may not mix
         # resolutions or schemes
