@@ -69,28 +69,29 @@ class SchemeState:
         return self.step_index if self.diverged else None
 
 
-def build_implicit_diagonal(grid: Grid, dt) -> np.ndarray:
+def build_implicit_diagonal(grid: Grid, dt: float) -> np.ndarray:
     """Fourier symbol of the implicit operator on the half spectrum: 2/dt^2 + (k^4 + k^2)/2.
 
-    Every entry is positive for any dt and grid, which is what makes the
-    proposed scheme unconditionally solvable.  An array ``dt`` broadcasts
-    against the wavenumbers.
+    Every entry is positive for any grid and any step that :func:`_check_dt`
+    accepts, which is what makes the proposed scheme unconditionally
+    solvable.
     """
-    if not np.all(np.asarray(dt) > 0):
-        raise ValueError(f"time step must be positive, got {dt}")
     k2 = grid.wavenumbers**2
-    return 2.0 / dt**2 + 0.5 * (k2**2 + k2)
+    return 2.0 / _check_dt(dt) ** 2 + 0.5 * (k2**2 + k2)
 
 
-def _column(dt) -> np.ndarray:
-    """Step sizes as a column against the modes: shape (m, 1), or (1,) for a float."""
-    column = np.asarray(dt, dtype=float)[..., None]
-    if column.ndim > 2 or not np.all((column > 0) & (column < np.inf)):
-        raise ValueError(f"time step must be positive and finite (a float or 1-D array), got {dt}")
+def _check_dt(dt) -> np.ndarray:
+    """The one rule for a step size: one positive float whose dt^2 and 1/dt^2 are finite."""
+    step = np.asarray(dt, dtype=float)
+    if step.ndim or not 0 < step < np.inf:
+        raise ValueError(f"time step must be positive and finite (a float), got {dt}")
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(4.0 / column**2)):
+        square = step**2
+        if not np.isfinite(4.0 / square):
             raise ValueError(f"time step too small: 1/dt^2 overflows, got dt = {dt}")
-    return column
+    if not np.isfinite(square):
+        raise ValueError(f"time step too large: dt^2 overflows, got dt = {dt}")
+    return step  # as an array, step**2 rounds as step*step does; a float's pow can be an ulp off
 
 
 class LinearStepper:
@@ -103,10 +104,10 @@ class LinearStepper:
         Y' = m Y + f N + c Z
         Z' = q (Y' - Y) - s Z
 
-    so the linear part of a step is :attr:`matrix`.  ``dt`` is a float, or
-    a 1-D array of step sizes; the coefficients then have one row per step
-    size, shape (rows, half), and the carry holds one run per row.  Columns
-    of weights and a ``has_psi`` flag per row let rows differ in scheme.
+    so the linear part of a step is :attr:`matrix`.  A builder makes the
+    stepper of one run, for one float ``dt``; a batch is :meth:`stack` of
+    its rows' steppers, with coefficients of shape (rows, half) and a run
+    per row of the carry.  Per-row weights and ``has_psi`` mix schemes.
     """
 
     def __init__(self, grid: Grid, power, dt, w0, w1, m, f, c, q, s, has_psi):
@@ -123,13 +124,11 @@ class LinearStepper:
             np.ascontiguousarray(x, dtype=complex) for x in np.broadcast_arrays(m, f, c, q, s)
         )
 
-    def _per_row(self) -> tuple:
-        """The per-row data, in the constructor's order."""
-        return (self.dt, self.w0, self.w1, self.m, self.f, self.c, self.q, self.s, self.has_psi)
-
-    def take(self, keep) -> LinearStepper:
-        """The batch of the rows ``keep`` selects, sliced: the bits of those rows built alone."""
-        return LinearStepper(self.grid, self.power, *(x[keep] for x in self._per_row()))
+    @classmethod
+    def stack(cls, steppers) -> LinearStepper:
+        """The batch whose rows are ``steppers``, the one-run steppers of a grid, in order."""
+        rows = [(x.dt, x.w0, x.w1, x.m, x.f, x.c, x.q, x.s, x.has_psi) for x in steppers]
+        return cls(steppers[0].grid, steppers[0].power, *map(np.stack, zip(*rows)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -201,11 +200,11 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     would add the round-off of U_0' - U_0 to the mean of psi.
     """
     _check_power(power)
-    column = _column(dt)
+    dt = _check_dt(dt)
     k2 = grid.wavenumbers**2
-    lam = build_implicit_diagonal(grid, column)
-    a, b, c = 4.0 / column**2 / lam - 1.0, -k2 / lam, 2.0 / column / lam
-    q = (2.0 / column) * (k2 > 0)
+    lam = build_implicit_diagonal(grid, dt)
+    a, b, c = 4.0 / dt**2 / lam - 1.0, -k2 / lam, 2.0 / dt / lam
+    q = (2.0 / dt) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
     return LinearStepper(grid, power, dt, 1.5, -0.5, a, b, c, q, s, True)
 
@@ -222,14 +221,14 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     difference, so U' = (alpha + beta) U + gamma rfft(u^2) - beta dt D and
     D' = (U' - U)/dt.  D is never reported: the scheme has no psi.
     """
-    column = _column(dt)
+    dt = _check_dt(dt)
     k2 = grid.wavenumbers**2
     k4 = k2**2
-    lam = 1.0 / column**2 + 0.25 * k4
-    alpha = (2.0 / column**2 - 0.5 * k4 - k2) / lam
+    lam = 1.0 / dt**2 + 0.25 * k4
+    alpha = (2.0 / dt**2 - 0.5 * k4 - k2) / lam
     # beta = (-1/dt^2 - k^4/4)/lam is -lam/lam, exactly -1, so c = -beta dt = dt
-    m, c = alpha - 1.0, column
-    return LinearStepper(grid, 2, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / column, 0.0, False)
+    m, c = alpha - 1.0, dt
+    return LinearStepper(grid, 2, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / dt, 0.0, False)
 
 
 def _check_run(scheme: str, dt, T, bootstrap_mode: str, power: int) -> int:
@@ -244,7 +243,7 @@ def _check_run(scheme: str, dt, T, bootstrap_mode: str, power: int) -> int:
         raise ValueError(f"the three-level scheme needs the exact start, got {bootstrap_mode!r}")
     if not 0 <= T < np.inf:
         raise ValueError(f"final time must be nonnegative and finite, got {T}")
-    _column(dt)
+    _check_dt(dt)
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(T, dt):
         raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")
@@ -349,9 +348,7 @@ def run_batch(
         else ProposedStepper(problem.grid, dt, problem.power)
         for scheme, dt in (runs[i] for i in rows)
     ]
-    stepper = LinearStepper(
-        problem.grid, problem.power, *map(np.stack, zip(*(x._per_row() for x in steppers)))
-    )
+    stepper = LinearStepper.stack(steppers)
     live = [states[i] for i in rows]
     carry = stepper.start(
         np.stack([s.u_curr for s in live]),
@@ -359,7 +356,7 @@ def run_batch(
         np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live]),
         np.stack([s.u_prev for s in live]),
     )
-    del states, live, steppers  # the carry holds copies
+    del states, live  # the carry holds copies
     # the next row to finish is the one with the fewest steps
     last = min(steps[i] for i in rows)
     for n in range(1, max(steps[i] for i in rows) + 1):
@@ -386,5 +383,6 @@ def run_batch(
             if not rows:
                 break
             carry = tuple(x[keep] for x in carry)
-            stepper, last = stepper.take(keep), min(steps[i] for i in rows)
+            steppers = [x for x, k in zip(steppers, keep) if k]
+            stepper, last = LinearStepper.stack(steppers), min(steps[i] for i in rows)
     return tuple(results)

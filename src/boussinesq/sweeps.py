@@ -67,23 +67,28 @@ class SweepSpec:
             raise ValueError("N_list must be nonempty")
         if len(set(self.schemes)) < len(self.schemes) or not self.schemes:
             raise ValueError(f"schemes must be proposed, frutos or both, got {self.schemes}")
+        # every entry is an integer before any is compared
+        for N in self.N_list:
+            _check_integer(N, 1, "half_modes")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ValueError("N_list must be strictly increasing")
         if (self.dt is None) == (self.nk_list is None):
             raise ValueError("give exactly one of a fixed dt and nk_list")
         if self.nk_list is not None:
             nks = list(self.nk_list)
+            for nk in nks:
+                # a count below 1 is left to the order rule's message
+                if not (isinstance(nk, (int, np.integer)) and nk < 1):
+                    _check_integer(nk, 1, "a step count")
             if not nks or nks[0] <= 0 or nks != sorted(set(nks)):
                 raise ValueError(
                     f"step counts must be positive and strictly increasing, got {self.nk_list}"
                 )
-            for nk in nks:
-                _check_integer(nk, 1, "a step count")
-        # the orders are fitted over all rows, so they must share N and scheme
+        # the orders are fitted over all rows: one N and scheme, two step sizes at least
         if self.kind == "temporal" and (
-            len(self.N_list) != 1 or len(self.schemes) != 1 or self.nk_list is None
+            len(self.N_list) != 1 or len(self.schemes) != 1 or len(self.nk_list or ()) < 2
         ):
-            raise ValueError("a temporal sweep needs nk_list, exactly one N and one scheme")
+            raise ValueError("a temporal sweep needs two or more step counts, one N, one scheme")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:

@@ -479,12 +479,13 @@ class TestMainCommands:
             ["run", "--N", "16", "--dt", "0.3", "--T", "1", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "inf", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "1e-160", "--T", "1e-159", "--xmin=-5", "--xmax=5"],
+            ["run", "--N", "16", "--dt", "1e155", "--T", "1e155", "--xmin=-5", "--xmax=5"],
             ["stability", "--bootstrap", "self-start", "--N", "16", "--T", "0.5",
              "--xmin=-5", "--xmax=5"],
             ["sweep-space", "--xmin=0", "--xmax=3e-75", "--T", "0.0004"],
         ],
-        ids=["off-step-grid", "dt-inf", "dt-squared-overflows", "three-level-self-start",
-             "k4-overflows-at-a-larger-N"],
+        ids=["off-step-grid", "dt-inf", "dt-squared-overflows", "huge-dt-squared-overflows",
+             "three-level-self-start", "k4-overflows-at-a-larger-N"],
     )
     def test_bad_spec_is_one_error_line_before_anything_is_built(
         self, tmp_path, monkeypatch, capsys, argv

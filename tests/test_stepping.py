@@ -8,6 +8,7 @@ import pytest
 from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, norm2
 from boussinesq.stepping import (
     FrutosStepper,
+    LinearStepper,
     ProposedStepper,
     SchemeState,
     bootstrap,
@@ -654,30 +655,21 @@ class TestRunBatch:
         assert result.step_index == 0 and not result.diverged
         assert np.array_equal(result.psi_curr, prob.initial_ut)
 
-    def test_array_step_sizes_shape_the_coefficients(self):
+    def test_stack_rows_equal_the_steppers_built_alone(self):
         grid = benchmark_grid(16)
-        half = grid.half_modes + 1
-        dts = np.array([0.1, 0.05, 0.025])
-        for plan in (ProposedStepper, FrutosStepper):
-            assert plan(grid, 0.1).m.shape == (half,)
-            batched = plan(grid, dts)
-            for name in ("m", "f", "c", "q", "s"):
-                assert getattr(batched, name).shape == (3, half)
-            assert batched.matrix.shape == (3, half, 2, 2)
-            for row, dt in enumerate(dts):
-                solo = plan(grid, dt)
-                for name in ("m", "f", "c", "q", "s"):
-                    assert np.array_equal(getattr(batched, name)[row], getattr(solo, name))
-        with pytest.raises(ValueError):
-            ProposedStepper(grid, np.array([0.1, -0.1]))
-        with pytest.raises(ValueError):
-            FrutosStepper(grid, np.array([0.1, 0.0]))
-
-    def test_take_equals_a_fresh_build_of_the_kept_rows(self):
-        grid = benchmark_grid(16)
-        dts, keep = np.array([0.1, 0.05, 0.025, 0.0125]), [True, False, False, True]
-        for plan in (ProposedStepper, FrutosStepper):
-            taken, fresh = plan(grid, dts).take(keep), plan(grid, dts[keep])
+        steppers = [ProposedStepper(grid, dt) for dt in (0.1, 0.05, 0.025)]
+        steppers.append(FrutosStepper(grid, 0.05))
+        batch = LinearStepper.stack(steppers)
+        assert batch.matrix.shape == (4, grid.half_modes + 1, 2, 2)
+        for row, solo in enumerate(steppers):
             for name in ("dt", "w0", "w1", "m", "f", "c", "q", "s", "has_psi"):
-                assert np.array_equal(getattr(taken, name), getattr(fresh, name))
-            assert taken.weights == fresh.weights
+                assert np.array_equal(getattr(batch, name)[row], getattr(solo, name))
+        # a weight the rows share is a scalar, one that differs a column
+        assert LinearStepper.stack(steppers[:3]).weights == [1.5, -0.5]
+        assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
+
+    @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper, build_implicit_diagonal])
+    def test_an_array_of_step_sizes_is_rejected(self, build):
+        # a stepper is built for one run; a batch is the stack of its rows' steppers
+        with pytest.raises(ValueError, match="a float"):
+            build(benchmark_grid(16), np.array([0.1, 0.05]))

@@ -3,8 +3,10 @@
 The call and use tests read source with ``ast`` rather than running it: the
 benchmark's call sites in ``benchmarks/workloads.py`` and
 ``benchmarks/layers.py``, and the uses of every ``__all__`` name across
-``src/``, ``demos/`` and ``benchmarks/``.  Public names live in their
-modules only: the package namespace holds nothing but its submodules.
+``src/``, ``demos/`` and ``benchmarks/``.  The method calls on what the
+benchmark builds are run, since ``ast`` cannot tell what they bind to.
+Public names live in their modules only: the package namespace holds
+nothing but its submodules.
 """
 
 import ast
@@ -67,6 +69,22 @@ def test_benchmark_call_binds(where, module, name, positional, keywords):
     assert target is not None, f"{where} calls boussinesq.{module}.{name}, which is gone"
     # raises TypeError if a positional slot or a keyword the call passes is gone
     inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_benchmark_method_calls_run(monkeypatch):
+    # the steppers the benchmark builds are called through methods, which
+    # the signature check above cannot see
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    importlib.import_module("boussinesq.cli")  # as the benchmark does, loads every module
+    bq = sys.modules["boussinesq"]
+    for workload in workloads.WORKLOADS.values():
+        workloads.setup(bq, workload, 0.0)
+    _, state, stepper = workloads.build_run(bq, 0.0, "proposed", 16, 0.01)
+    u, psi = stepper.step_arrays(state.u_curr, state.psi_curr, state.u_prev)
+    assert u.shape == psi.shape == (33,)
+    _, state, stepper = workloads.build_run(bq, 0.0, "frutos", 16, 0.01)
+    assert stepper.step_arrays(state.u_curr, state.u_prev).shape == (33,)
 
 
 @functools.cache

@@ -76,6 +76,11 @@ class TestSpecValidation:
             SweepSpec(kind="run", N_list=(16,), nk_list=(2.5,), T=0.1)
         with pytest.raises(ValueError, match="a step count must be an integer >= 1, got 2.0"):
             temporal_spec(N_list=(16,), nk_list=(1, 2.0), T=0.1)
+        # checked before the sort and the sign test compare them
+        with pytest.raises(ValueError, match="half_modes must be an integer >= 1, got '32'"):
+            SweepSpec(kind="run", N_list=(16, "32"), dt=0.05, T=0.1)
+        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got '10'"):
+            SweepSpec(kind="run", N_list=(16,), nk_list=("10",), T=0.1)
 
     def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
         # the fitted orders pool every row, so a temporal sweep may not mix
@@ -85,6 +90,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             temporal_spec(schemes=("proposed", "frutos"))
         assert temporal_spec(N_list=(64,)).N_list == (64,)
+
+    def test_temporal_spec_needs_two_step_counts(self):
+        # refused when made: one step size leaves no order to fit after the run
+        with pytest.raises(ValueError, match="two or more step counts"):
+            temporal_spec(nk_list=(100,), T=0.4)
 
     def test_rejects_empty_schemes(self):
         with pytest.raises(ValueError, match="schemes"):
