@@ -141,6 +141,8 @@ def main(argv=None) -> int:
             return _cmd_verify()
         if getattr(args, "emit_plot", False) and not getattr(args, "out", None):
             raise ValueError("--emit-plot needs --out")
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out needs a path")
         result = run_sweep(_spec_from_args(args))
         if args.subcommand == "run":
             row = result.rows[0]

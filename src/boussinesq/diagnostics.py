@@ -16,7 +16,7 @@ import numpy as np
 
 from .spectral import Grid, _parseval, norm2
 from .stepping import SchemeState
-from .waves import SolitaryWaveParams, solitary_fields
+from .waves import SolitaryWaveParams
 
 __all__ = ["ErrorRecord", "error_norms", "mass", "modified_energy", "crest_position"]
 
@@ -53,7 +53,7 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
     A state of the three-level scheme has no psi, so its psi error is NaN.
     """
     grid = state.grid
-    u_exact, psi_exact = solitary_fields(params, grid.nodes, state.time)
+    u_exact, psi_exact = params.fields(grid.nodes, state.time)
     u_err = state.u_curr - u_exact
     if state.psi_curr is None:
         err_psi = float("nan")

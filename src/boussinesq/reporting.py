@@ -1,8 +1,9 @@
 """CSV serialization of sweep results and emission of companion plot scripts.
 
 The CSV has one column per :class:`SweepRow` field, in declaration order.
-Floats are written with ``repr``, Python's shortest round-trip decimal
-form, so parsing an emitted file recovers every value bit-exactly.
+A float column's value, of any numeric type, is written as the ``repr`` of
+a Python float, its shortest round-trip decimal form, so parsing an
+emitted file recovers every value bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ def _read_bool(cell: str) -> bool:
 
 
 # how a cell of each SweepRow field type is written and read back
-_WRITE = {str: str, int: str, float: repr, bool: lambda value: "true" if value else "false"}
+_WRITE = {
+    str: str,
+    int: str,
+    float: lambda value: repr(float(value)),
+    bool: lambda value: "true" if value else "false",
+}
 _READ = {str: str, int: int, float: float, bool: _read_bool}
 
 _HINTS = typing.get_type_hints(SweepRow)

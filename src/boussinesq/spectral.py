@@ -38,6 +38,12 @@ def _check_integer(value, least: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+def _check_real(value, what: str) -> None:
+    """Reject a value that is not an int, a float or a numpy real scalar; a bool is not a real."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number (an int or a float), got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with 2N+1 points on (x_left, x_left + length).
@@ -53,6 +59,8 @@ class Grid:
 
     def __post_init__(self):
         _check_integer(self.half_modes, 1, "half_modes")
+        _check_real(self.length, "length")
+        _check_real(self.x_left, "x_left")
         # the nodes, and k_N^4 in the steppers' symbols and the H2 seminorm, must be finite
         with np.errstate(all="ignore"):
             finite = np.all(np.isfinite([self.nodes[-1], self.wavenumbers[-1] ** 4]))

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import Grid, _check_integer
-from .waves import GBProblem, SolitaryWaveParams, _check_power, _power, solitary_wave
+from .spectral import Grid, _check_integer, _check_real
+from .waves import GBProblem, SolitaryWaveParams, _check_power, _power
 
 __all__ = [
     "SCHEMES",
@@ -81,10 +81,11 @@ def build_implicit_diagonal(grid: Grid, dt: float) -> np.ndarray:
 
 
 def _check_dt(dt) -> np.ndarray:
-    """The one rule for a step size: one positive float whose dt^2 and 1/dt^2 are finite."""
+    """The one rule for a step size: one positive real whose dt^2 and 1/dt^2 are finite."""
+    _check_real(dt, "time step")
     step = np.asarray(dt, dtype=float)
-    if step.ndim or not 0 < step < np.inf:
-        raise ValueError(f"time step must be positive and finite (a float), got {dt}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     with np.errstate(all="ignore"):
         square = step**2
         if not np.isfinite(4.0 / square):
@@ -126,7 +127,9 @@ class LinearStepper:
 
     @classmethod
     def stack(cls, steppers) -> LinearStepper:
-        """The batch whose rows are ``steppers``, the one-run steppers of a grid, in order."""
+        """The batch of ``steppers``, in order: one-run steppers of one grid and one power."""
+        if len({(x.grid, x.power) for x in steppers}) != 1:
+            raise ValueError("a batch stacks one or more steppers of one grid and one power")
         rows = [(x.dt, x.w0, x.w1, x.m, x.f, x.c, x.q, x.s, x.has_psi) for x in steppers]
         return cls(steppers[0].grid, steppers[0].power, *map(np.stack, zip(*rows)))
 
@@ -200,9 +203,9 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     would add the round-off of U_0' - U_0 to the mean of psi.
     """
     _check_power(power)
+    lam = build_implicit_diagonal(grid, dt)  # the dt given: the real rule refuses a 0-d array
     dt = _check_dt(dt)
     k2 = grid.wavenumbers**2
-    lam = build_implicit_diagonal(grid, dt)
     a, b, c = 4.0 / dt**2 / lam - 1.0, -k2 / lam, 2.0 / dt / lam
     q = (2.0 / dt) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
@@ -241,6 +244,7 @@ def _check_run(scheme: str, dt, T, bootstrap_mode: str, power: int) -> int:
         raise ValueError("the three-level reference scheme only supports p = 2")
     if scheme == "frutos" and bootstrap_mode != "exact":  # u^{-1} := u^0 would start it at rest
         raise ValueError(f"the three-level scheme needs the exact start, got {bootstrap_mode!r}")
+    _check_real(T, "final time")
     if not 0 <= T < np.inf:
         raise ValueError(f"final time must be nonnegative and finite, got {T}")
     _check_dt(dt)
@@ -270,7 +274,7 @@ def bootstrap(
     elif params is None:
         raise ValueError("exact bootstrap requires solitary-wave parameters")
     else:
-        u_prev = solitary_wave(params, problem.grid.nodes, -dt)
+        u_prev = params.fields(problem.grid.nodes, -dt)[0]
     u, psi = problem.initial_u.copy(), problem.initial_ut.copy()
     return SchemeState(problem.grid, 0, 0.0, u, psi, u_prev)
 

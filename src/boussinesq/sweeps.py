@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import error_norms, mass
-from .spectral import Grid, _check_integer
+from .spectral import Grid, _check_integer, _check_real
 from .stepping import SCHEMES, _check_run, run_batch
-from .waves import _problem, params_from_amplitude
+from .waves import SolitaryWaveParams, _problem
 
 __all__ = [
     "SweepSpec",
@@ -89,8 +89,11 @@ class SweepSpec:
             len(self.N_list) != 1 or len(self.schemes) != 1 or len(self.nk_list or ()) < 2
         ):
             raise ValueError("a temporal sweep needs two or more step counts, one N, one scheme")
+        _check_real(self.T, "final time")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
+        for bound in self.domain:
+            _check_real(bound, "a domain bound")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:
             raise ValueError(f"domain must be finite with xmin < xmax, got {self.domain}")
         if self.power != 2:
@@ -100,7 +103,7 @@ class SweepSpec:
             _check_run(scheme, dt, self.T, self.bootstrap_mode, self.power)
         for N in self.N_list:
             self._grid(N)
-        params_from_amplitude(self.amplitude)
+        SolitaryWaveParams(self.amplitude)
 
     @property
     def runs(self) -> list[tuple[str, float]]:
@@ -210,7 +213,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     says.  Divergence is data: a row that blows up before T is flagged and
     the sweep goes on.  Orders are fitted for temporal sweeps only.
     """
-    params = params_from_amplitude(spec.amplitude)
+    params = SolitaryWaveParams(spec.amplitude)
     runs = spec.runs
     rows = []
     for N in spec.N_list:

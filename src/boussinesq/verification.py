@@ -12,7 +12,7 @@ from . import spectral
 from .diagnostics import mass
 from .spectral import Grid, inner_product, sobolev_norm
 from .stepping import ProposedStepper, run, run_batch
-from .waves import GBProblem, params_from_amplitude, solitary_problem
+from .waves import GBProblem, SolitaryWaveParams, solitary_problem
 
 __all__ = ["run_checks"]
 
@@ -88,7 +88,7 @@ def _batch_matches_solo() -> bool:
     # rows of one batch, of either scheme, must step exactly as runs of
     # their own: same transform per row, same coefficients, same blow-up test
     grid = Grid(half_modes=16, length=80.0, x_left=-40.0)
-    params = params_from_amplitude(0.5)
+    params = SolitaryWaveParams(0.5)
     problem = solitary_problem(params, grid)
     runs, T = (("proposed", 0.1), ("proposed", 0.05), ("frutos", 0.05), ("proposed", 0.025)), 0.2
     batch = run_batch(problem, runs, T, bootstrap_mode="exact", params=params)

@@ -16,26 +16,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, _check_integer
+from .spectral import Grid, _check_integer, _check_real
 
 __all__ = [
     "SolitaryWaveParams",
     "GBProblem",
     "params_from_amplitude",
     "solitary_wave",
-    "solitary_fields",
-    "solitary_wave_dtt",
     "solitary_problem",
 ]
 
 
 @dataclass(frozen=True)
 class SolitaryWaveParams:
-    """Amplitude A of a wave with its crest at x = 0 at t = 0; shape P and speed c0 follow."""
+    """Exact wave of amplitude A, crest at x = 0 at t = 0: the one source of exact references."""
 
     amplitude: float
 
     def __post_init__(self):
+        _check_real(self.amplitude, "amplitude")
         if not 0 < self.amplitude <= 1.5:
             raise ValueError(
                 f"amplitude must lie in (0, 3/2] for a real wave speed, got {self.amplitude}"
@@ -50,6 +49,31 @@ class SolitaryWaveParams:
     def speed(self) -> float:
         """c0 = sqrt(1 - P^2)."""
         return np.sqrt(max(1.0 - self.shape**2, 0.0))
+
+    def _theta_cosh2(self, x, t):
+        """theta = (P/2)(x - c0 t) and cosh^2(theta), the one evaluation of every field."""
+        th = 0.5 * self.shape * (np.asarray(x, dtype=float) - self.speed * t)
+        with np.errstate(over="ignore"):  # inf far out on a wide domain; 1/inf = 0 is right
+            return th, np.cosh(th) ** 2
+
+    def fields(self, x, t):
+        """Exact (u, u_t) at x and time t: -A sech^2(theta) and -A P c0 sech^2 tanh(theta)."""
+        th, cosh2 = self._theta_cosh2(x, t)
+        sech2 = 1.0 / cosh2
+        u_t = -self.amplitude * self.shape * self.speed * sech2 * np.tanh(th)
+        return -self.amplitude / cosh2, u_t
+
+    def u_tt(self, x, t):
+        """Exact u_tt, the reference of criterion 9 and ``test_discrete_pde_residual``."""
+        th, cosh2 = self._theta_cosh2(x, t)
+        sech2 = 1.0 / cosh2
+        tanh2 = np.tanh(th) ** 2
+        # d^2/dtheta^2 of -A sech^2 is 2A sech^2 (sech^2 - 2 tanh^2); each time
+        # derivative contributes a factor -c0 P / 2 on theta.
+        return (
+            0.5 * self.amplitude * (self.speed * self.shape) ** 2
+            * sech2 * (sech2 - 2.0 * tanh2)
+        )
 
 
 @dataclass(frozen=True)
@@ -69,44 +93,13 @@ class GBProblem:
 
 
 def params_from_amplitude(amplitude: float) -> SolitaryWaveParams:
-    """Solitary-wave parameters of the given amplitude."""
+    """The wave of the given amplitude; kept for ``benchmarks/`` until ROADMAP direction 5."""
     return SolitaryWaveParams(amplitude)
 
 
-def _theta(params: SolitaryWaveParams, x, t):
-    return 0.5 * params.shape * (np.asarray(x, dtype=float) - params.speed * t)
-
-
-def _cosh2(th):
-    with np.errstate(over="ignore"):  # inf far out on a wide domain, where 1/inf = 0 is right
-        return np.cosh(th) ** 2
-
-
 def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
-    """Exact traveling trough -A sech^2((P/2)(x - c0 t))."""
-    return -params.amplitude / _cosh2(_theta(params, x, t))
-
-
-def solitary_fields(params: SolitaryWaveParams, x, t: float):
-    """Exact (u, u_t) from one theta and cosh^2; u has the bits of :func:`solitary_wave`."""
-    th = _theta(params, x, t)
-    cosh2 = _cosh2(th)
-    sech2 = 1.0 / cosh2
-    u_t = -params.amplitude * params.shape * params.speed * sech2 * np.tanh(th)
-    return -params.amplitude / cosh2, u_t
-
-
-def solitary_wave_dtt(params: SolitaryWaveParams, x, t: float = 0.0):
-    """Exact second time derivative of :func:`solitary_wave`."""
-    th = _theta(params, x, t)
-    sech2 = 1.0 / _cosh2(th)
-    tanh2 = np.tanh(th) ** 2
-    # d^2/dtheta^2 of -A sech^2 is 2A sech^2 (sech^2 - 2 tanh^2); each time
-    # derivative contributes a factor -c0 P / 2 on theta.
-    return (
-        0.5 * params.amplitude * (params.speed * params.shape) ** 2
-        * sech2 * (sech2 - 2.0 * tanh2)
-    )
+    """Exact u = -A sech^2((P/2)(x - c0 t)); kept for ``benchmarks/`` until ROADMAP direction 5."""
+    return params.fields(x, t)[0]
 
 
 def _check_power(power) -> None:
@@ -136,7 +129,7 @@ def _problem(params: SolitaryWaveParams, grid: Grid, power: int) -> GBProblem:
     :func:`solitary_problem` and ``sweeps.run_sweep`` call this, directly,
     so the warning names the line that called one of them.
     """
-    u0, v0 = solitary_fields(params, grid.nodes, 0.0)
+    u0, v0 = params.fields(grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
         warnings.warn(

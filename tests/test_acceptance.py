@@ -34,7 +34,6 @@ from boussinesq.waves import (
     params_from_amplitude,
     solitary_problem,
     solitary_wave,
-    solitary_wave_dtt,
 )
 
 
@@ -251,7 +250,7 @@ def test_criterion_9_exact_solution_residual():
     grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
     params = params_from_amplitude(0.5)
     u = solitary_wave(params, grid.nodes, 0.0)
-    residual = solitary_wave_dtt(params, grid.nodes, 0.0) - (
+    residual = params.u_tt(grid.nodes, 0.0) - (
         -derivative(grid, u, 4)
         + derivative(grid, u, 2)
         + derivative(grid, u**2, 2)

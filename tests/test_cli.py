@@ -13,6 +13,7 @@ from boussinesq.reporting import CSV_HEADER, emit_plot_script, read_csv, write_c
 from boussinesq.sweeps import (
     SweepResult,
     SweepRow,
+    SweepSpec,
     run_spec,
     run_sweep,
     spatial_spec,
@@ -181,6 +182,20 @@ class TestCsv:
         write_csv(SweepResult(spec=temporal_spec(), rows=rows), path)
         for orig, back in zip(rows, read_csv(path)):
             assert back == orig
+
+    def test_any_real_writes_as_a_python_float(self, tmp_path):
+        # numpy scalars and ints parse back, and a re-written file is the same bytes
+        spec = SweepSpec(kind="run", N_list=(16,), nk_list=tuple(np.arange(2, 4)), T=1)
+        result = run_sweep(spec)
+        rows = result.rows + (make_row(dt=np.float64(0.05), T=1, wall_seconds=np.float32(0.5)),)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_csv(SweepResult(spec=spec, rows=rows), first)
+        back = read_csv(first)
+        assert [(row.dt, row.T) for row in back] == [(0.5, 1.0), (1 / 3, 1.0), (0.05, 1.0)]
+        assert back[-1].wall_seconds == float(np.float32(0.5))
+        write_csv(SweepResult(spec=spec, rows=tuple(back)), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert "np." not in first.read_text()
 
     def test_fitted_order_comment(self, tmp_path):
         result = SweepResult(
@@ -518,6 +533,14 @@ class TestMainCommands:
         assert cli.main(argv + ([] if out is None else ["--out", out])) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --emit-plot needs --out\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # refused before anything runs, not a run that silently writes nothing
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--N", "16", "--T", "0.1", "--dt", "0.05", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --out needs a path\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("subcommand", ["run", "stability"])

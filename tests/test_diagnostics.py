@@ -13,7 +13,6 @@ from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, norm2
 from boussinesq.stepping import SchemeState, bootstrap, run
 from boussinesq.waves import (
     params_from_amplitude,
-    solitary_fields,
     solitary_problem,
     solitary_wave,
 )
@@ -33,7 +32,7 @@ class TestErrorNorms:
             step_index=0,
             time=t,
             u_curr=solitary_wave(p, grid.nodes, t),
-            psi_curr=solitary_fields(p, grid.nodes, t)[1],
+            psi_curr=p.fields(grid.nodes, t)[1],
             u_prev=solitary_wave(p, grid.nodes, t),
         )
         rec = error_norms(state, p)
@@ -49,7 +48,7 @@ class TestErrorNorms:
             0,
             0.0,
             solitary_wave(p, grid.nodes, 0.0),
-            solitary_fields(p, grid.nodes, 0.0)[1],
+            p.fields(grid.nodes, 0.0)[1],
             solitary_wave(p, grid.nodes, 0.0),
         )
         shift = 0.37
@@ -68,7 +67,7 @@ class TestErrorNorms:
             grid.num_points
         )
         state = SchemeState(
-            grid, 0, 0.0, u, solitary_fields(p, grid.nodes, 0.0)[1], u.copy()
+            grid, 0, 0.0, u, p.fields(grid.nodes, 0.0)[1], u.copy()
         )
         rec = error_norms(state, p)
         err = u - solitary_wave(p, grid.nodes, 0.0)
@@ -122,7 +121,7 @@ class TestErrorNorms:
         u = solitary_wave(p, grid.nodes, 0.4) + 1e-3 * rng.standard_normal(grid.num_points)
         rec = error_norms(SchemeState(grid, 0, 0.4, u, None, u.copy()), p)
         full = error_norms(
-            SchemeState(grid, 0, 0.4, u, solitary_fields(p, grid.nodes, 0.4)[1], u.copy()), p
+            SchemeState(grid, 0, 0.4, u, p.fields(grid.nodes, 0.4)[1], u.copy()), p
         )
         assert np.isnan(rec.err_psi_l2)
         assert (rec.err_u_h2, rec.err_u_l2) == (full.err_u_h2, full.err_u_l2)

@@ -82,6 +82,12 @@ class TestGrid:
             with pytest.raises(ValueError, match="length"):
                 Grid(half_modes=16, length=length, x_left=x_left)
 
+    @pytest.mark.parametrize("length, x_left", [("80", 0.0), (True, 0), (80.0, "-40"), (80, None)])
+    def test_length_or_left_end_not_a_real_rejected(self, length, x_left):
+        with pytest.raises(ValueError, match="must be a real number"):
+            Grid(half_modes=16, length=length, x_left=x_left)
+        assert Grid(half_modes=16, length=np.float32(80.0), x_left=-40).x_left == -40
+
     @pytest.mark.parametrize("half_modes", [16.5, 16.0, True])
     def test_half_modes_not_an_integer_rejected(self, half_modes):
         # a float would size the spectrum by float arithmetic, and a bool is not a count

@@ -479,6 +479,12 @@ class TestRun:
         with pytest.raises(ValueError, match="time step must be positive"):
             run_batch(prob, (("proposed", 0.1), ("proposed", dt)), 1.0)
 
+    def test_a_step_or_final_time_that_is_not_a_real_is_rejected(self):
+        prob = zero_problem(benchmark_grid(16))
+        for dt, T in (("0.05", 0.1), (0.05, "0.1"), (True, 1.0), (0.05, True)):
+            with pytest.raises(ValueError, match="must be a real number"):
+                run(prob, dt, T)
+
     @pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
     def test_bad_final_time_rejected_before_dividing(self, T):
         prob = zero_problem(benchmark_grid(16))
@@ -667,6 +673,21 @@ class TestRunBatch:
         # a weight the rows share is a scalar, one that differs a column
         assert LinearStepper.stack(steppers[:3]).weights == [1.5, -0.5]
         assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
+
+    def test_stack_refuses_a_batch_it_cannot_step(self):
+        # a batch steps one grid at one power: a p = 3 row would step with u^2,
+        # and a second grid would transform with the first grid's matrices
+        grid = benchmark_grid(16)
+        for steppers in (
+            [ProposedStepper(grid, 0.1, 2), ProposedStepper(grid, 0.1, 3)],
+            [ProposedStepper(grid, 0.1), ProposedStepper(benchmark_grid(24), 0.1)],
+            [FrutosStepper(grid, 0.1), ProposedStepper(Grid(16, 80.0, -38.75), 0.1)],
+            [],
+        ):
+            with pytest.raises(ValueError, match="one grid and one power"):
+                LinearStepper.stack(steppers)
+        # equal grids built apart are one grid
+        LinearStepper.stack([ProposedStepper(grid, 0.1), FrutosStepper(benchmark_grid(16), 0.1)])
 
     @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper, build_implicit_diagonal])
     def test_an_array_of_step_sizes_is_rejected(self, build):

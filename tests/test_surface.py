@@ -23,13 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "boussinesq"
 BENCHMARK_FILES = ("workloads.py", "layers.py")
 
-# Public names no program calls, kept on purpose.
-UNREFERENCED_ON_PURPOSE = {
-    # the exact u_tt that criterion 9 and test_discrete_pde_residual check
-    # the discrete equation against
-    "solitary_wave_dtt",
-}
-
 
 def benchmark_calls() -> list[tuple[str, str, str, int, list[str]]]:
     """(where, module, name, positional count, keywords) of every ``bq.<module>.<name>(...)``."""
@@ -106,16 +99,12 @@ def loaded_names(path: Path, own_module: bool) -> set[tuple[str, str | None]]:
 
 
 def exported() -> list[tuple[str, str]]:
-    """(module, name) of every ``__all__`` entry of the package's modules, bar the exemptions."""
+    """(module, name) of every ``__all__`` entry of the package's modules."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "__init__.py":
             module = importlib.import_module(f"boussinesq.{path.stem}")
-            out += [
-                (path.stem, name)
-                for name in getattr(module, "__all__", ())
-                if name not in UNREFERENCED_ON_PURPOSE
-            ]
+            out += [(path.stem, name) for name in getattr(module, "__all__", ())]
     return out
 
 

@@ -82,6 +82,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="a step count must be an integer >= 1, got '10'"):
             SweepSpec(kind="run", N_list=(16,), nk_list=("10",), T=0.1)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            dict(dt="0.05"),
+            dict(dt=True),
+            dict(T="0.1"),
+            dict(T=True),
+            dict(amplitude="0.5"),
+            dict(amplitude=True),
+            dict(domain=("-40", 40.0)),
+            dict(domain=(-40.0, True)),
+        ],
+        ids=repr,
+    )
+    def test_rejects_a_real_field_that_is_not_a_real_number(self, field):
+        # a ValueError naming the value, not a TypeError at the first comparison;
+        # a bool is not a number
+        with pytest.raises(ValueError, match="must be a real number"):
+            SweepSpec(**{**dict(kind="run", N_list=(16,), dt=0.05, T=0.1), **field})
+
     def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
         # the fitted orders pool every row, so a temporal sweep may not mix
         # resolutions or schemes

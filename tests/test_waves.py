@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,8 @@ from boussinesq.waves import (
     _check_power,
     _power,
     params_from_amplitude,
-    solitary_fields,
     solitary_problem,
     solitary_wave,
-    solitary_wave_dtt,
 )
 
 
@@ -38,6 +37,11 @@ class TestParams:
         with pytest.raises(ValueError):
             params_from_amplitude(0.0)
 
+    @pytest.mark.parametrize("amplitude", ["0.5", True, None])
+    def test_amplitude_not_a_real_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be a real number"):
+            SolitaryWaveParams(amplitude)
+
     def test_inconsistent_fields_rejected(self):
         # P and c0 are derived from A, so only the amplitude range can be wrong
         with pytest.raises(ValueError, match="amplitude"):
@@ -56,19 +60,19 @@ class TestProfile:
 
     def test_time_derivative_vanishes_at_crest(self):
         p = params_from_amplitude(0.5)
-        assert solitary_fields(p, 0.0, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
+        assert p.fields(0.0, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_stationary_wave_has_zero_time_derivative(self):
         p = params_from_amplitude(1.5)
         x = np.linspace(-10, 10, 31)
-        assert np.max(np.abs(solitary_fields(p, x, 2.0)[1])) == 0.0
+        assert np.max(np.abs(p.fields(x, 2.0)[1])) == 0.0
 
     def test_time_derivative_matches_finite_difference(self):
         p = params_from_amplitude(0.5)
         h = 1e-6
         for x, t in [(0.7, 0.3), (-2.1, 1.0), (5.0, 2.5)]:
             fd = (solitary_wave(p, x, t + h) - solitary_wave(p, x, t - h)) / (2 * h)
-            assert solitary_fields(p, x, t)[1] == pytest.approx(fd, abs=1e-8)
+            assert p.fields(x, t)[1] == pytest.approx(fd, abs=1e-8)
 
     def test_second_time_derivative_matches_finite_difference(self):
         p = params_from_amplitude(0.5)
@@ -79,7 +83,7 @@ class TestProfile:
                 - 2 * solitary_wave(p, x, t)
                 + solitary_wave(p, x, t - h)
             ) / h**2
-            assert solitary_wave_dtt(p, x, t) == pytest.approx(fd, abs=1e-6)
+            assert p.u_tt(x, t) == pytest.approx(fd, abs=1e-6)
 
     def test_translation_property(self, rng):
         p = params_from_amplitude(0.5)
@@ -89,18 +93,31 @@ class TestProfile:
                 solitary_wave(p, x + p.speed * s, t + s), abs=1e-13
             )
 
+    def test_far_out_fields_are_finite_and_quiet(self):
+        # |theta| > 710 overflows cosh to inf, where 1/inf = 0 is the right sech^2
+        p = params_from_amplitude(0.5)
+        x = np.array([-1e4, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, u_t = p.fields(x, 0.3)
+            u_tt = p.u_tt(x, 0.3)
+        for values in (u, u_t, u_tt):
+            assert np.all(np.isfinite(values)) and np.max(np.abs(values)) == 0.0
+
     @pytest.mark.parametrize("t", [0.0, -0.1, 2.5])
     def test_one_evaluation_fields_equal_the_two_functions(self, t):
         # error_norms and solitary_problem take (u, u_t) from one theta and cosh^2
         # the crest sits 1.5 right of the middle of the domain
         p = params_from_amplitude(0.5)
         x = Grid(half_modes=64, length=80.0, x_left=-40.0 - 1.5).nodes
-        u, u_t = solitary_fields(p, x, t)
+        u, u_t = p.fields(x, t)
         assert np.array_equal(u, solitary_wave(p, x, t))
         # pin u_t to its own expression
         th = 0.5 * p.shape * (x - p.speed * t)
         sech2 = 1.0 / np.cosh(th) ** 2
         assert np.array_equal(u_t, -p.amplitude * p.shape * p.speed * sech2 * np.tanh(th))
+        u_tt = 0.5 * p.amplitude * (p.speed * p.shape) ** 2 * sech2 * (sech2 - 2 * np.tanh(th) ** 2)
+        assert np.array_equal(p.u_tt(x, t), u_tt)
 
 
 class TestNonlinearity:
@@ -138,18 +155,18 @@ class TestProblemSetup:
     def test_benchmark_boundary_values_negligible(self):
         grid = Grid(half_modes=128, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)
-        u0, v0 = solitary_fields(p, grid.nodes, 0.0)
+        u0, v0 = p.fields(grid.nodes, 0.0)
         assert abs(u0[0]) < 1e-9
 
     def test_stationary_wave_has_zero_velocity_samples(self):
         grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
-        u0, v0 = solitary_fields(params_from_amplitude(1.5), grid.nodes, 0.0)
+        u0, v0 = params_from_amplitude(1.5).fields(grid.nodes, 0.0)
         assert np.max(np.abs(v0)) == 0.0
 
     def test_minimum_sits_at_node_nearest_center(self):
         # the crest at x = 0 sits 1.3 right of the middle of the domain
         grid = Grid(half_modes=64, length=80.0, x_left=-40.0 - 1.3)
-        u0, _ = solitary_fields(params_from_amplitude(0.5), grid.nodes, 0.0)
+        u0, _ = params_from_amplitude(0.5).fields(grid.nodes, 0.0)
         node = grid.nodes[np.argmin(u0)]
         assert abs(node) <= 0.5 * grid.spacing + 1e-12
 
@@ -193,7 +210,7 @@ class TestProblemSetup:
         grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)
         u = solitary_wave(p, grid.nodes, 0.0)
-        utt = solitary_wave_dtt(p, grid.nodes, 0.0)
+        utt = p.u_tt(grid.nodes, 0.0)
         rhs = (
             -derivative(grid, u, 4)
             + derivative(grid, u, 2)
