@@ -37,12 +37,8 @@ def _add_subcommand(subs, name: str, summary: str, builder) -> argparse.Argument
     sub.add_argument("--N", type=int, help="half mode count")
     sub.add_argument("--T", type=float, help="final time")
     sub.add_argument("--amplitude", type=float, help="solitary wave amplitude")
-    sub.add_argument("--p", type=int, help="nonlinearity power (only 2 has an exact reference)")
     sub.add_argument("--xmin", type=float, help="left domain boundary")
     sub.add_argument("--xmax", type=float, help="right domain boundary")
-    sub.add_argument(
-        "--bootstrap", choices=("exact", "self-start"), help="how to seed the u^{-1} level"
-    )
     sub.add_argument("--out", help="CSV output path")
     return sub
 
@@ -68,6 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         sweep.add_argument(
             "--emit-plot", action="store_true", help="also write a plot script next to the CSV"
         )
+    # the stability map's three-level rows take the exact start only
+    for sub in (run_p, space_p, time_p):
+        sub.add_argument(
+            "--bootstrap", choices=("exact", "self-start"), help="how to seed the u^{-1} level"
+        )
 
     stab_p = _add_subcommand(
         subs, "stability", "proposed vs three-level stability map", stability_spec
@@ -92,11 +93,7 @@ def _write_outputs(result: SweepResult, args) -> None:
 def _spec_from_args(args) -> SweepSpec:
     """The subcommand's spec, made by its builder with the fields of the given flags."""
     given = vars(args)
-    overrides = {
-        field: given[flag]
-        for flag, field in (("T", "T"), ("amplitude", "amplitude"), ("p", "power"), ("dt", "dt"))
-        if flag in given
-    }
+    overrides = {field: given[field] for field in ("T", "amplitude", "dt") if field in given}
     if "N" in given:
         overrides["N_list"] = (args.N,)
     if "nk" in given:

@@ -58,7 +58,6 @@ class SweepSpec:
     domain: tuple[float, float] = (-40.0, 40.0)
     schemes: tuple[str, ...] = ("proposed",)
     bootstrap_mode: str = "exact"
-    power: int = 2
 
     def __post_init__(self):
         if self.kind not in ("spatial", "temporal", "stability", "run"):
@@ -96,11 +95,9 @@ class SweepSpec:
             _check_real(bound, "a domain bound")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:
             raise ValueError(f"domain must be finite with xmin < xmax, got {self.domain}")
-        if self.power != 2:
-            # rows are errors against the sech^2 wave, which solves p = 2 only
-            raise ValueError(f"exact references exist for p = 2 only, got p = {self.power}")
+        # rows are errors against the sech^2 wave, which solves p = 2 only
         for scheme, dt in self.runs:
-            _check_run(scheme, dt, self.T, self.bootstrap_mode, self.power)
+            _check_run(scheme, dt, self.T, self.bootstrap_mode, 2)
         for N in self.N_list:
             self._grid(N)
         SolitaryWaveParams(self.amplitude)
@@ -217,7 +214,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     runs = spec.runs
     rows = []
     for N in spec.N_list:
-        problem = _problem(params, spec._grid(N), spec.power)
+        problem = _problem(params, spec._grid(N))
         start = _time.perf_counter()
         finals = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
         taken = sum(final.step_index for final in finals)

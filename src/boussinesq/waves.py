@@ -121,8 +121,8 @@ def _power(values: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def _problem(params: SolitaryWaveParams, grid: Grid, power: int) -> GBProblem:
-    """The solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
+def _problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
+    """The p = 2 solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
 
     Warns when the wave is not effectively supported inside the domain,
     since periodization error then stops being negligible.  Only
@@ -137,9 +137,9 @@ def _problem(params: SolitaryWaveParams, grid: Grid, power: int) -> GBProblem:
             "periodization error may be significant",
             stacklevel=3,
         )
-    return GBProblem(power=power, grid=grid, initial_u=u0, initial_ut=v0)
+    return GBProblem(power=2, grid=grid, initial_u=u0, initial_ut=v0)
 
 
-def solitary_problem(params: SolitaryWaveParams, grid: Grid, power: int = 2) -> GBProblem:
+def solitary_problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
     """Convenience constructor for the solitary-wave benchmark problem."""
-    return _problem(params, grid, power)
+    return _problem(params, grid)

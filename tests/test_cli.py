@@ -430,27 +430,6 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_frutos_with_cubic_power_is_one_line_usage_error(self, capsys):
-        code = cli.main(["run", "--N", "32", "--scheme", "frutos", "--p", "3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "p = 2" in err
-
-    @pytest.mark.parametrize(
-        "argv", [["sweep-time", "--p", "3"], ["run", "--p", "4"]], ids=["sweep-time", "run"]
-    )
-    def test_power_without_exact_reference_is_one_line_usage_error(self, tmp_path, capsys, argv):
-        # the exact solitary wave solves p = 2 only; errors against it at
-        # another p would be printed with fitted orders near 0
-        out = tmp_path / "rows.csv"
-        code = cli.main([*argv, "--N", "32", "--T", "0.1", "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        want = f"error: exact references exist for p = 2 only, got p = {argv[-1]}\n"
-        assert captured.err == want
-        assert captured.out == "" and not out.exists()
-
     def test_amplitude_out_of_range_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--amplitude", "2"])
         assert code == 2
@@ -495,7 +474,7 @@ class TestMainCommands:
             ["run", "--N", "16", "--dt", "inf", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "1e-160", "--T", "1e-159", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "1e155", "--T", "1e155", "--xmin=-5", "--xmax=5"],
-            ["stability", "--bootstrap", "self-start", "--N", "16", "--T", "0.5",
+            ["run", "--scheme", "frutos", "--bootstrap", "self-start", "--N", "16", "--T", "0.5",
              "--xmin=-5", "--xmax=5"],
             ["sweep-space", "--xmin=0", "--xmax=3e-75", "--T", "0.0004"],
         ],
@@ -554,11 +533,22 @@ class TestMainCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["run", "--scheme", "frutos", "--N", "16", "--dt", "0.05", "--T", "0.5"],
-            ["stability", "--N", "16", "--T", "0.5"],
-        ],
-        ids=["run", "stability"],
+        [[sub, "--p", "2"] for sub in ("run", "sweep-space", "sweep-time", "stability")]
+        + [["stability", "--bootstrap", "exact"]],
+        ids=" ".join,
+    )
+    def test_flag_with_one_legal_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        # every exact reference solves p = 2, and a stability map's
+        # three-level rows take the exact start only
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--scheme", "frutos", "--N", "16", "--dt", "0.05", "--T", "0.5"]],
+        ids=["run"],
     )
     def test_self_started_three_level_row_is_one_error_line(self, tmp_path, capsys, argv):
         # u^{-1} := u^0 would start the three-level scheme at rest

@@ -1,6 +1,7 @@
 """Scheme mechanics: implicit diagonal, stepping, bootstrap and run control."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ class TestRun:
     def test_matches_loop_of_nodal_steps(self, scheme, power):
         grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)
-        prob = solitary_problem(p, grid, power=power)
+        prob = replace(solitary_problem(p, grid), power=power)
         dt, steps = 4e-3, 500
         result = run(prob, dt, steps * dt, scheme=scheme, params=p, bootstrap_mode="exact")
         assert not result.diverged and result.step_index == steps
@@ -544,7 +545,7 @@ class TestRun:
 def batch_problem(n=64, power=2):
     grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
     p = params_from_amplitude(0.5)
-    return solitary_problem(p, grid, power=power), p
+    return replace(solitary_problem(p, grid), power=power), p
 
 
 def assert_same_result(got, want):
