@@ -59,8 +59,10 @@ class Grid:
 
     def __post_init__(self):
         _check_integer(self.half_modes, 1, "half_modes")
-        _check_real(self.length, "length")
-        _check_real(self.x_left, "x_left")
+        for name in ("length", "x_left"):
+            _check_real(getattr(self, name), name)
+            # a float32 or an int makes the nodes of the equal float64 grid
+            object.__setattr__(self, name, float(getattr(self, name)))
         # the nodes, and k_N^4 in the steppers' symbols and the H2 seminorm, must be finite
         with np.errstate(all="ignore"):
             finite = np.all(np.isfinite([self.nodes[-1], self.wavenumbers[-1] ** 4]))
@@ -88,21 +90,28 @@ class Grid:
         return 2.0 * np.pi * np.arange(self.half_modes + 1) / self.length
 
     @cached_property
-    def _dense_dft(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, w): the (n, 2h) interleaved [Re, Im] rfft matrix and irfft's 1/n, 2/n weights.
+    def _dense_dft(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """None above DENSE_MAX_POINTS, else (W, V): the rfft and irfft matrices.
 
-        Row j, column k is exp(-2 pi i jk/n), read from one table of the n
-        roots by (jk mod n) on the h x h block; rows j >= h are the
-        conjugates of rows n - j.
+        W is the (n, 2h) interleaved [Re, Im] rfft matrix: row j, column k
+        is exp(-2 pi i jk/n), read from one table of the n roots by
+        (jk mod n) on the h x h block; rows j >= h are the conjugates of
+        rows n - j.  V is the C-contiguous (2h, n) irfft matrix
+        V[k, j] = w_k W[j, k], with irfft's weights w folded in: 1/n at
+        k = 0 and 2/n above, since each l > 0 also stands for -l.
         """
         n, h = self.num_points, self.half_modes + 1
+        if n > DENSE_MAX_POINTS:
+            return None
         table = np.exp(-2j * np.pi * np.arange(n) / n)
         j = np.arange(h)
         block = table[np.outer(j, j) % n]
         W = np.concatenate([block, block[:0:-1].conj()]).view(float)
-        w = np.full(2 * h, 2.0 / n)
+        del block
+        w = np.full((2 * h, 1), 2.0 / n)
         w[:2] = 1.0 / n
-        return W, w
+        # written in place, so no transposed copy of W raises the peak
+        return W, np.multiply(W.T, w, out=np.empty((2 * h, n)))
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
@@ -110,19 +119,19 @@ class Grid:
         Each row of a stack is its own (1, n) product, so a row transforms
         bit for bit as it would alone.
         """
-        if self.num_points > DENSE_MAX_POINTS:
+        dense = self._dense_dft
+        if dense is None:
             return np.fft.rfft(x)
-        W, _ = self._dense_dft
         x = np.ascontiguousarray(x, dtype=float)
-        return (x[..., None, :] @ W)[..., 0, :].view(complex)
+        return (x[..., None, :] @ dense[0])[..., 0, :].view(complex)
 
     def irfft(self, y: np.ndarray) -> np.ndarray:
         """Real nodal values of a half spectrum along the last axis, as ``np.fft.irfft``."""
-        if self.num_points > DENSE_MAX_POINTS:
+        dense = self._dense_dft
+        if dense is None:
             return np.fft.irfft(y, self.num_points)
-        W, w = self._dense_dft
         y = np.ascontiguousarray(y, dtype=complex)
-        return ((y.view(float) * w)[..., None, :] @ W.T)[..., 0, :]
+        return (y.view(float)[..., None, :] @ dense[1])[..., 0, :]
 
 
 def _check_shape(grid: Grid, values: np.ndarray) -> None:

@@ -91,6 +91,8 @@ class SweepSpec:
         _check_real(self.T, "final time")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
+        if np.shape(self.domain) != (2,):
+            raise ValueError(f"domain must be two bounds (xmin, xmax), got {self.domain}")
         for bound in self.domain:
             _check_real(bound, "a domain bound")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:

@@ -5,6 +5,8 @@ the full mode list -N..N, kept deliberately separate from the library's
 one transform path, the grid's half-spectrum pair.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="must be a real number"):
             Grid(half_modes=16, length=length, x_left=x_left)
         assert Grid(half_modes=16, length=np.float32(80.0), x_left=-40).x_left == -40
+
+    def test_a_float32_or_int_length_makes_the_float64_grid(self):
+        want = Grid(half_modes=16, length=80.0, x_left=-40.0)
+        for length, x_left in ((np.float32(80.0), -40.0), (80, np.int64(-40)),
+                               (80.0, np.float32(-40.0))):
+            grid = Grid(half_modes=16, length=length, x_left=x_left)
+            assert type(grid.length) is float and type(grid.x_left) is float
+            assert np.array_equal(grid.nodes, want.nodes)
+            # the node after the last closes the period
+            assert grid.nodes[-1] + grid.spacing - grid.x_left == grid.length
 
     @pytest.mark.parametrize("half_modes", [16.5, 16.0, True])
     def test_half_modes_not_an_integer_rejected(self, half_modes):
@@ -240,6 +252,21 @@ class TestGridTransforms:
         x, y = self.samples(rng, grid, (3,))
         assert np.array_equal(grid.rfft(x), np.fft.rfft(x))
         assert np.array_equal(grid.irfft(y), np.fft.irfft(y, grid.num_points))
+
+    def test_first_dense_transform_peaks_below_two_and_a_half_matrices(self, rng):
+        # the stored inverse is written in place: no transposed copy of the forward matrix
+        grid = Grid(half_modes=128, length=80.0)
+        x = rng.standard_normal(grid.num_points)
+        tracemalloc.start()
+        try:
+            grid.rfft(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        W, V = grid._dense_dft
+        assert W.shape == V.T.shape == (grid.num_points, 2 * (grid.half_modes + 1))
+        assert V.flags.c_contiguous
+        assert peak < 2.5 * W.nbytes
 
     @pytest.mark.parametrize("half", [16, 128, 129])
     def test_mode_zero_imaginary_part_is_exactly_zero(self, rng, half):

@@ -102,6 +102,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be a real number"):
             SweepSpec(**{**dict(kind="run", N_list=(16,), dt=0.05, T=0.1), **field})
 
+    @pytest.mark.parametrize("domain", [(-40.0, 40.0, 99.0), (-40.0,), ()], ids=repr)
+    def test_rejects_a_domain_that_is_not_two_bounds(self, monkeypatch, domain):
+        # refused before any grid is built, not run on its first two entries
+        monkeypatch.setattr(SweepSpec, "_grid", lambda *args: pytest.fail("a grid was built"))
+        with pytest.raises(ValueError, match="domain must be two bounds"):
+            SweepSpec(kind="run", N_list=(16,), dt=0.05, T=0.1, domain=domain)
+
     def test_temporal_spec_needs_exactly_one_N_and_scheme(self):
         # the fitted orders pool every row, so a temporal sweep may not mix
         # resolutions or schemes
