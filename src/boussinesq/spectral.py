@@ -39,9 +39,17 @@ def _check_integer(value, least: int, what: str) -> None:
 
 
 def _check_real(value, what: str) -> None:
-    """Reject a value that is not an int, a float or a numpy real scalar; a bool is not a real."""
+    """Reject a value that is not an int, a float or a numpy real scalar; a bool is not a real.
+
+    An int too large for a float is refused by its size, not printed digit by digit.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number (an int or a float), got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        bits = value.bit_length()
+        raise ValueError(f"{what} is an int of {bits} bits, too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Two schemes are provided:
 * the proposed two-variable scheme: Crank-Nicolson on the linear part of
   the (u, psi) system with an Adams-Bashforth (3/2, -1/2) extrapolation of
   the nonlinear term, solved mode-by-mode in Fourier space;
-* the classical three-level scheme of de Frutos/Ortega/Sanz-Serna (p = 2
-  only), kept as the stability-comparison baseline.
+* the classical three-level scheme of de Frutos/Ortega/Sanz-Serna, kept
+  as the stability-comparison baseline.
 
 Both implicit solves are diagonal in Fourier space, so both schemes are
 one :class:`LinearStepper` with their own coefficients: it carries two
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import Grid, _check_integer, _check_real
-from .waves import GBProblem, SolitaryWaveParams, _check_power, _power
+from .waves import GBProblem, SolitaryWaveParams
 
 __all__ = [
     "SCHEMES",
@@ -100,7 +100,7 @@ class LinearStepper:
 
     The state is carried as two rfft half-spectra: Y of u, and Z, which is
     that of psi in the rows that have psi (``has_psi``).  With the
-    nonlinearity N = rfft(w0 u^p + w1 u_prev^p), every mode takes
+    nonlinearity N = rfft(w0 u^2 + w1 u_prev^2), every mode takes
 
         Y' = m Y + f N + c Z
         Z' = q (Y' - Y) - s Z
@@ -111,10 +111,9 @@ class LinearStepper:
     per row of the carry.  Per-row weights and ``has_psi`` mix schemes.
     """
 
-    def __init__(self, grid: Grid, power, dt, w0, w1, m, f, c, q, s, has_psi):
+    def __init__(self, grid: Grid, dt, w0, w1, m, f, c, q, s, has_psi):
         self.grid = grid
         self.dt = dt
-        self.power = power
         self.w0, self.w1 = (np.full(np.shape(dt) + (1,), w, dtype=float) for w in (w0, w1))
         # a weight all rows share multiplies as a scalar: cheaper per step than its column
         self.weights = [w if len(set(w.flat)) > 1 else w.item(0) for w in (self.w0, self.w1)]
@@ -127,11 +126,11 @@ class LinearStepper:
 
     @classmethod
     def stack(cls, steppers) -> LinearStepper:
-        """The batch of ``steppers``, in order: one-run steppers of one grid and one power."""
-        if len({(x.grid, x.power) for x in steppers}) != 1:
-            raise ValueError("a batch stacks one or more steppers of one grid and one power")
+        """The batch of ``steppers``, in order: one-run steppers of one grid."""
+        if len({x.grid for x in steppers}) != 1:
+            raise ValueError("a batch stacks one or more steppers of one grid")
         rows = [(x.dt, x.w0, x.w1, x.m, x.f, x.c, x.q, x.s, x.has_psi) for x in steppers]
-        return cls(steppers[0].grid, steppers[0].power, *map(np.stack, zip(*rows)))
+        return cls(steppers[0].grid, *map(np.stack, zip(*rows)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -140,19 +139,19 @@ class LinearStepper:
         return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^p) of nodal rows; one without psi ignores it."""
+        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows; one without psi ignores it."""
         rfft = self.grid.rfft
         y = rfft(u)
         # Z seeds from psi, or else is the backward difference q (Y - V)
         z = 0.0 if self.has_psi.all() else self.q * (y - rfft(u_prev))
         if self.has_psi.any():
             z = np.where(self.has_psi[..., None], rfft(psi), z)
-        return u, u_prev, y, z, _power(u_prev, self.power)
+        return u, u_prev, y, z, u_prev**2
 
     def advance(self, carry):
         """One step of a spectral carry: one forward and one inverse transform."""
         u, _, y, z, up_prev = carry
-        up = _power(u, self.power)
+        up = u**2
         w0, w1 = self.weights
         # in-place updates, in the order of the formulas: a batch holds
         # one temporary per array, not one per operation
@@ -193,7 +192,7 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     Every mode takes the same linear map plus the extrapolated
     nonlinearity:
 
-        U' = a U + b rfft(1.5 u^p - 0.5 u_prev^p) + c Q
+        U' = a U + b rfft(1.5 u^2 - 0.5 u_prev^2) + c Q
         Q' = (2/dt)(U' - U) - Q
 
     with lam = 2/dt^2 + (k^4 + k^2)/2, a = (2/dt^2 - (k^4 + k^2)/2)/lam,
@@ -201,19 +200,21 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     the mean of u grows by dt times the mean of psi, which never changes.
     So q_0 = 0 and s_0 = -1 map Q_0 to itself exactly, where the formula
     would add the round-off of U_0' - U_0 to the mean of psi.
+    ``power`` must be 2: the parameter is there for ``benchmarks/`` until ROADMAP direction 3.
     """
-    _check_power(power)
+    if power != 2:
+        raise ValueError(f"the equation is p = 2, got power {power!r}")
     lam = build_implicit_diagonal(grid, dt)  # the dt given: the real rule refuses a 0-d array
     dt = _check_dt(dt)
     k2 = grid.wavenumbers**2
     a, b, c = 4.0 / dt**2 / lam - 1.0, -k2 / lam, 2.0 / dt / lam
     q = (2.0 / dt) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
-    return LinearStepper(grid, power, dt, 1.5, -0.5, a, b, c, q, s, True)
+    return LinearStepper(grid, dt, 1.5, -0.5, a, b, c, q, s, True)
 
 
 def FrutosStepper(grid: Grid, dt) -> LinearStepper:
-    """Stepper of the three-level reference scheme (p = 2): Y = U of u^n.
+    """Stepper of the three-level reference scheme: Y = U of u^n.
 
     With lam = 1/dt^2 + k^4/4 the scheme is, per mode,
 
@@ -231,17 +232,15 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     alpha = (2.0 / dt**2 - 0.5 * k4 - k2) / lam
     # beta = (-1/dt^2 - k^4/4)/lam is -lam/lam, exactly -1, so c = -beta dt = dt
     m, c = alpha - 1.0, dt
-    return LinearStepper(grid, 2, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / dt, 0.0, False)
+    return LinearStepper(grid, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / dt, 0.0, False)
 
 
-def _check_run(scheme: str, dt, T, bootstrap_mode: str, power: int) -> int:
+def _check_run(scheme: str, dt, T, bootstrap_mode: str) -> int:
     """Steps of one run to time T: the one home of the rules a run must keep."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}: the schemes are {', '.join(SCHEMES)}")
     if bootstrap_mode not in ("exact", "self_start"):
         raise ValueError(f"unknown bootstrap mode {bootstrap_mode!r}")
-    if scheme == "frutos" and power != 2:
-        raise ValueError("the three-level reference scheme only supports p = 2")
     if scheme == "frutos" and bootstrap_mode != "exact":  # u^{-1} := u^0 would start it at rest
         raise ValueError(f"the three-level scheme needs the exact start, got {bootstrap_mode!r}")
     _check_real(T, "final time")
@@ -263,12 +262,12 @@ def bootstrap(
     """Initial state for the proposed scheme.
 
     The scheme needs u^{-1} for the nonlinear extrapolation.  ``self_start``
-    takes u^{-1} := u^0, degrading the first extrapolation to (u^0)^p -- a
+    takes u^{-1} := u^0, degrading the first extrapolation to (u^0)^2 -- a
     one-step O(dt^2) local loss that leaves the global order intact.
     ``exact`` samples the attached solitary wave at t = -dt and is used for
     reference runs.
     """
-    _check_run("proposed", dt, 0.0, mode, problem.power)  # a start is a run of no steps
+    _check_run("proposed", dt, 0.0, mode)  # a start is a run of no steps
     if mode == "self_start":
         u_prev = problem.initial_u.copy()
     elif params is None:
@@ -281,7 +280,7 @@ def bootstrap(
 
 def bootstrap_frutos(problem: GBProblem, dt: float, params: SolitaryWaveParams) -> SchemeState:
     """Initial state for the three-level scheme: the proposed scheme's exact start, with no psi."""
-    _check_run("frutos", dt, 0.0, "exact", problem.power)
+    _check_run("frutos", dt, 0.0, "exact")
     return replace(bootstrap(problem, dt, "exact", params), psi_curr=None)
 
 
@@ -324,7 +323,7 @@ def run_batch(
     and its state at the blow-up step is marked ``diverged``.
     """
     _check_integer(stride, 1, "observer stride")
-    steps = [_check_run(scheme, dt, T, bootstrap_mode, problem.power) for scheme, dt in runs]
+    steps = [_check_run(scheme, dt, T, bootstrap_mode) for scheme, dt in runs]
     states = [
         bootstrap_frutos(problem, dt, params) if scheme == "frutos"
         else bootstrap(problem, dt, bootstrap_mode, params)
@@ -349,7 +348,7 @@ def run_batch(
     # each row's own stepper, built with its float dt, is a row of the batch's
     steppers = [
         FrutosStepper(problem.grid, dt) if scheme == "frutos"
-        else ProposedStepper(problem.grid, dt, problem.power)
+        else ProposedStepper(problem.grid, dt)
         for scheme, dt in (runs[i] for i in rows)
     ]
     stepper = LinearStepper.stack(steppers)

@@ -97,9 +97,8 @@ class SweepSpec:
             _check_real(bound, "a domain bound")
         if not -np.inf < self.domain[0] < self.domain[1] < np.inf:
             raise ValueError(f"domain must be finite with xmin < xmax, got {self.domain}")
-        # rows are errors against the sech^2 wave, which solves p = 2 only
         for scheme, dt in self.runs:
-            _check_run(scheme, dt, self.T, self.bootstrap_mode, 2)
+            _check_run(scheme, dt, self.T, self.bootstrap_mode)
         for N in self.N_list:
             self._grid(N)
         SolitaryWaveParams(self.amplitude)

@@ -55,9 +55,7 @@ def _aliasing_sample(rng) -> bool:
 def _mass_short_run() -> bool:
     grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
     u0 = np.exp(np.sin(2 * np.pi * (grid.nodes + 40.0) / 80.0))
-    problem = GBProblem(
-        power=2, grid=grid, initial_u=u0, initial_ut=np.zeros(grid.num_points)
-    )
+    problem = GBProblem(grid, u0, np.zeros(grid.num_points))
     m0 = mass(grid, u0)
     final = run(problem, dt=1e-3, T=0.1)
     if final.diverged:
@@ -68,7 +66,7 @@ def _mass_short_run() -> bool:
 def _zero_fixed_point() -> bool:
     grid = Grid(half_modes=32, length=80.0, x_left=-40.0)
     z = np.zeros(grid.num_points)
-    stepper = ProposedStepper(grid, dt=0.01, power=2)
+    stepper = ProposedStepper(grid, dt=0.01)
     u1, psi1 = stepper.step_arrays(z, z, z)
     return np.all(u1 == 0.0) and np.all(psi1 == 0.0)
 

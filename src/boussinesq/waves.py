@@ -1,7 +1,7 @@
 """Good Boussinesq problem setup and exact solitary-wave solutions.
 
-The equation is u_tt = -u_xxxx + u_xx + (u^p)_xx with integer p >= 2.
-For p = 2 it admits the traveling trough
+The equation is u_tt = -u_xxxx + u_xx + (u^2)_xx.  It admits the
+traveling trough
 
     u(x, t) = -A sech^2((P/2)(x - c0 t)),
 
@@ -13,10 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .spectral import Grid, _check_integer, _check_real
+from .spectral import Grid, _check_real
 
 __all__ = [
     "SolitaryWaveParams",
@@ -78,15 +79,14 @@ class SolitaryWaveParams:
 
 @dataclass(frozen=True)
 class GBProblem:
-    """Nonlinearity power plus initial data (u, u_t) at t = 0 on one grid."""
+    """Initial data (u, u_t) at t = 0 on one grid."""
 
-    power: int
+    power: ClassVar[int] = 2  # read by ``benchmarks/`` until ROADMAP direction 3
     grid: Grid
     initial_u: np.ndarray
     initial_ut: np.ndarray
 
     def __post_init__(self):
-        _check_power(self.power)
         n = self.grid.num_points
         if self.initial_u.shape != (n,) or self.initial_ut.shape != (n,):
             raise ValueError("initial data does not match the grid size")
@@ -102,27 +102,8 @@ def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
     return params.fields(x, t)[0]
 
 
-def _check_power(power) -> None:
-    """Reject a nonlinearity power that :func:`_power` cannot take."""
-    _check_integer(power, 2, "nonlinearity power")
-
-
-def _power(values: np.ndarray, power: int) -> np.ndarray:
-    """u^p by repeated multiplication for p >= 3.
-
-    ``u**p`` would call libm ``pow`` for every point, about 40x slower than
-    p - 1 products; ``u**2`` is already ``np.square``.
-    """
-    if power == 2:
-        return values**2
-    out = values * values
-    for _ in range(power - 2):
-        out *= values
-    return out
-
-
 def _problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
-    """The p = 2 solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
+    """The solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
 
     Warns when the wave is not effectively supported inside the domain,
     since periodization error then stops being negligible.  Only
@@ -137,7 +118,7 @@ def _problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
             "periodization error may be significant",
             stacklevel=3,
         )
-    return GBProblem(power=2, grid=grid, initial_u=u0, initial_ut=v0)
+    return GBProblem(grid, u0, v0)
 
 
 def solitary_problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:

@@ -165,9 +165,7 @@ def test_criterion_5_mass_conservation():
         + rng.standard_normal() * np.sin(m * theta)
         for m in range(1, 6)
     )
-    problem = GBProblem(
-        power=2, grid=grid, initial_u=u0, initial_ut=np.zeros(grid.num_points)
-    )
+    problem = GBProblem(grid, u0, np.zeros(grid.num_points))
     m0 = mass(grid, u0)
     state = bootstrap(problem, dt=1e-3)
     stepper = ProposedStepper(grid, 1e-3, 2)

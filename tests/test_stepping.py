@@ -1,7 +1,6 @@
 """Scheme mechanics: implicit diagonal, stepping, bootstrap and run control."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,9 +36,9 @@ def full_wavenumbers(grid):
     return 2 * np.pi * np.concatenate([np.arange(n + 1), np.arange(-n, 0)]) / grid.length
 
 
-def zero_problem(grid, power=2):
+def zero_problem(grid):
     z = np.zeros(grid.num_points)
-    return GBProblem(power=power, grid=grid, initial_u=z, initial_ut=z.copy())
+    return GBProblem(grid, z, z.copy())
 
 
 class TestImplicitDiagonal:
@@ -76,14 +75,14 @@ class TestProposedStep:
     def test_zero_is_fixed_point(self):
         grid = benchmark_grid(32)
         z = np.zeros(grid.num_points)
-        for p in (2, 3):
-            u, psi = ProposedStepper(grid, dt=0.01, power=p).step_arrays(z, z, z)
-            assert np.all(u == 0.0)
-            assert np.all(psi == 0.0)
+        u, psi = ProposedStepper(grid, dt=0.01).step_arrays(z, z, z)
+        assert np.all(u == 0.0)
+        assert np.all(psi == 0.0)
 
-    @pytest.mark.parametrize("power", [1, 2.5, 3.0])
+    @pytest.mark.parametrize("power", [1, 2.5, 3.0, 3])
     def test_power_not_an_integer_above_one_rejected(self, power):
-        with pytest.raises(ValueError, match="an integer >= 2"):
+        # the equation is p = 2: every other power, an integer above one too, is refused
+        with pytest.raises(ValueError, match="the equation is p = 2"):
             ProposedStepper(benchmark_grid(8), 0.1, power)
 
     def test_one_step_dispersion_error_is_third_order(self):
@@ -161,19 +160,18 @@ class TestProposedStep:
         u = np.exp(np.sin(theta))
         psi = 0.3 * np.cos(2 * theta)
         u_prev = u - dt * psi + 1e-3 * np.sin(3 * theta)
-        for power in (2, 3):
-            k2 = full_wavenumbers(grid) ** 2
-            fft = np.fft.fft
-            rhs = (
-                -k2 * fft(1.5 * u**power - 0.5 * u_prev**power)
-                + (2.0 / dt**2 - 0.5 * (k2**2 + k2)) * fft(u)
-                + (2.0 / dt) * fft(psi)
-            )
-            u_ref = np.fft.ifft(rhs / (2.0 / dt**2 + 0.5 * (k2**2 + k2))).real
-            psi_ref = 2.0 * (u_ref - u) / dt - psi
-            u_new, psi_new = ProposedStepper(grid, dt, power).step_arrays(u, psi, u_prev)
-            assert np.max(np.abs(u_new - u_ref)) <= 1e-12
-            assert np.max(np.abs(psi_new - psi_ref)) <= 1e-10
+        k2 = full_wavenumbers(grid) ** 2
+        fft = np.fft.fft
+        rhs = (
+            -k2 * fft(1.5 * u**2 - 0.5 * u_prev**2)
+            + (2.0 / dt**2 - 0.5 * (k2**2 + k2)) * fft(u)
+            + (2.0 / dt) * fft(psi)
+        )
+        u_ref = np.fft.ifft(rhs / (2.0 / dt**2 + 0.5 * (k2**2 + k2))).real
+        psi_ref = 2.0 * (u_ref - u) / dt - psi
+        u_new, psi_new = ProposedStepper(grid, dt).step_arrays(u, psi, u_prev)
+        assert np.max(np.abs(u_new - u_ref)) <= 1e-12
+        assert np.max(np.abs(psi_new - psi_ref)) <= 1e-10
 
     def test_mode_zero_coefficients(self):
         grid = benchmark_grid(32)
@@ -191,9 +189,7 @@ class TestProposedStep:
         u0 = 1.0 + np.exp(np.sin(2 * np.pi * (grid.nodes + 40) / 80)) + 0.1 * np.cos(
             4 * np.pi * (grid.nodes + 40) / 80
         )
-        prob = GBProblem(
-            power=2, grid=grid, initial_u=u0, initial_ut=np.zeros(grid.num_points)
-        )
+        prob = GBProblem(grid, u0, np.zeros(grid.num_points))
         mean0 = float(np.mean(u0))
         state = bootstrap(prob, dt=1e-3)
         stepper = ProposedStepper(grid, 1e-3, 2)
@@ -304,12 +300,6 @@ class TestFrutos:
         assert isinstance(final, SchemeState) and final.psi_curr is None
         assert final.step_index == 10
 
-    def test_requires_quadratic_nonlinearity(self):
-        grid = benchmark_grid(16)
-        prob = zero_problem(grid, power=3)
-        with pytest.raises(ValueError):
-            bootstrap_frutos(prob, 0.01, params_from_amplitude(0.5))
-
     def test_self_start_refused(self):
         # run's default start, u^{-1} := u^0, would start the scheme at rest
         prob = zero_problem(benchmark_grid(16))
@@ -364,12 +354,12 @@ class TestStabilityLadder:
 
 class TestRun:
     @pytest.mark.parametrize(
-        "scheme, power", [("proposed", 2), ("proposed", 3), ("frutos", 2)]
+        "scheme, power", [("proposed", 2), ("frutos", 2)]
     )
     def test_matches_loop_of_nodal_steps(self, scheme, power):
         grid = Grid(half_modes=512, length=80.0, x_left=-40.0)
         p = params_from_amplitude(0.5)
-        prob = replace(solitary_problem(p, grid), power=power)
+        prob = solitary_problem(p, grid)
         dt, steps = 4e-3, 500
         result = run(prob, dt, steps * dt, scheme=scheme, params=p, bootstrap_mode="exact")
         assert not result.diverged and result.step_index == steps
@@ -396,7 +386,7 @@ class TestRun:
         theta = 2 * np.pi * (grid.nodes + 40) / 80
         u0 = 1.0 + np.exp(np.sin(theta))
         psi0 = 0.3 + 0.2 * np.cos(2 * theta)
-        prob = GBProblem(power=2, grid=grid, initial_u=u0, initial_ut=psi0)
+        prob = GBProblem(grid, u0, psi0)
         result = run(prob, dt=1e-3, T=0.999)
         m0, rate = mass(grid, u0), mass(grid, psi0)
         assert abs(mass(grid, result.u_curr) - m0 - 0.999 * rate) <= 1e-12 * abs(m0)
@@ -534,18 +524,16 @@ class TestRun:
         # explicit nonlinearity within a few steps
         grid = benchmark_grid(64)
         u0 = 1e4 * np.sin(2 * np.pi * (grid.nodes + 40) / 80)
-        prob = GBProblem(
-            power=2, grid=grid, initial_u=u0, initial_ut=np.zeros(grid.num_points)
-        )
+        prob = GBProblem(grid, u0, np.zeros(grid.num_points))
         result = run(prob, dt=0.1, T=10.0)
         assert result.diverged
         assert result.blowup_step is not None
 
 
-def batch_problem(n=64, power=2):
+def batch_problem(n=64):
     grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
     p = params_from_amplitude(0.5)
-    return replace(solitary_problem(p, grid), power=power), p
+    return solitary_problem(p, grid), p
 
 
 def assert_same_result(got, want):
@@ -561,18 +549,17 @@ def assert_same_result(got, want):
 
 
 class TestRunBatch:
+    # the equation is p = 2; the power column only keeps each row's id
     @pytest.mark.parametrize(
         "scheme, power, mode",
         [
             ("proposed", 2, "exact"),
             ("proposed", 2, "self_start"),
-            ("proposed", 3, "exact"),
-            ("proposed", 3, "self_start"),
             ("frutos", 2, "exact"),
         ],
     )
     def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode, n=64):
-        prob, p = batch_problem(n, power)
+        prob, p = batch_problem(n)
         dts, T = (0.02, 0.01, 0.005, 0.0025), 0.4
         batch = run_batch(prob, [(scheme, dt) for dt in dts], T, bootstrap_mode=mode, params=p)
         assert len(batch) == len(dts)
@@ -651,9 +638,6 @@ class TestRunBatch:
         prob, p = batch_problem(n=16)
         with pytest.raises(ValueError, match="unknown scheme"):
             run_batch(prob, (("proposed", 0.1), ("bogus", 0.1)), 1.0, params=p)
-        cubic, _ = batch_problem(n=16, power=3)
-        with pytest.raises(ValueError, match="p = 2"):
-            run_batch(cubic, (("proposed", 0.1), ("frutos", 0.1)), 1.0, params=p)
 
     def test_zero_step_rows_and_empty_batch(self):
         prob, p = batch_problem(n=16)
@@ -676,16 +660,15 @@ class TestRunBatch:
         assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
-        # a batch steps one grid at one power: a p = 3 row would step with u^2,
-        # and a second grid would transform with the first grid's matrices
+        # a batch steps one grid: a second grid would transform with the
+        # first grid's matrices
         grid = benchmark_grid(16)
         for steppers in (
-            [ProposedStepper(grid, 0.1, 2), ProposedStepper(grid, 0.1, 3)],
             [ProposedStepper(grid, 0.1), ProposedStepper(benchmark_grid(24), 0.1)],
             [FrutosStepper(grid, 0.1), ProposedStepper(Grid(16, 80.0, -38.75), 0.1)],
             [],
         ):
-            with pytest.raises(ValueError, match="one grid and one power"):
+            with pytest.raises(ValueError, match="steppers of one grid"):
                 LinearStepper.stack(steppers)
         # equal grids built apart are one grid
         LinearStepper.stack([ProposedStepper(grid, 0.1), FrutosStepper(benchmark_grid(16), 0.1)])

@@ -80,6 +80,18 @@ def test_benchmark_method_calls_run(monkeypatch):
     assert stepper.step_arrays(state.u_curr, state.u_prev).shape == (33,)
 
 
+def test_benchmark_only_leftovers_still_have_a_reader():
+    # the equation is p = 2; these two stay only while the benchmark reads them
+    files = [ROOT / "benchmarks" / filename for filename in BENCHMARK_FILES]
+    assert any(("power", None) in loaded_names(path, False) for path in files), (
+        "benchmarks/ no longer reads .power: delete the GBProblem.power constant"
+    )
+    assert any(
+        name == "ProposedStepper" and (positional > 2 or "power" in keywords)
+        for _, _, name, positional, keywords in BENCHMARK_CALLS
+    ), "benchmarks/ no longer passes ProposedStepper a power: delete its power parameter"
+
+
 @functools.cache
 def loaded_names(path: Path, own_module: bool) -> set[tuple[str, str | None]]:
     """(name, enclosing top-level definition) of every Name or Attribute read in a file.

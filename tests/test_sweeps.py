@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+from boussinesq.spectral import Grid
+from boussinesq.stepping import run
 from boussinesq.sweeps import (
     SweepSpec,
     fit_order,
@@ -18,6 +20,10 @@ from boussinesq.sweeps import (
     stability_spec,
     temporal_spec,
 )
+from boussinesq.waves import GBProblem
+
+# a Python int that float() cannot convert
+HUGE = 10**400
 
 
 class TestFitOrder:
@@ -101,6 +107,25 @@ class TestSpecValidation:
         # a bool is not a number
         with pytest.raises(ValueError, match="must be a real number"):
             SweepSpec(**{**dict(kind="run", N_list=(16,), dt=0.05, T=0.1), **field})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepSpec(kind="run", N_list=(16,), dt=0.05, T=0.1, domain=(-HUGE, 0)),
+            lambda: SweepSpec(kind="run", N_list=(16,), dt=HUGE, T=0.1),
+            lambda: SweepSpec(kind="run", N_list=(16,), dt=0.05, T=HUGE),
+            lambda: Grid(16, HUGE),
+            lambda: Grid(16, 80.0, -HUGE),
+            lambda: run(GBProblem(Grid(16, 80.0), np.zeros(33), np.zeros(33)), 0.05, HUGE),
+        ],
+        ids=["spec-domain", "spec-dt", "spec-T", "grid-length", "grid-x_left", "run-T"],
+    )
+    def test_an_int_too_large_for_a_float_is_one_short_error(self, build):
+        # a ValueError giving the int's size, not an OverflowError from float()
+        # and not its 401 digits
+        with pytest.raises(ValueError, match="an int of 1329 bits, too large for a float") as info:
+            build()
+        assert len(str(info.value)) < 80
 
     @pytest.mark.parametrize("domain", [(-40.0, 40.0, 99.0), (-40.0,), ()], ids=repr)
     def test_rejects_a_domain_that_is_not_two_bounds(self, monkeypatch, domain):

@@ -12,8 +12,6 @@ from boussinesq.spectral import Grid, derivative, norm2
 from boussinesq.waves import (
     GBProblem,
     SolitaryWaveParams,
-    _check_power,
-    _power,
     params_from_amplitude,
     solitary_problem,
     solitary_wave,
@@ -120,37 +118,6 @@ class TestProfile:
         assert np.array_equal(p.u_tt(x, t), u_tt)
 
 
-class TestNonlinearity:
-    def test_zero(self):
-        assert np.all(_power(np.zeros(5), 2) == 0.0)
-
-    def test_even_power_of_negative_one(self):
-        assert np.all(_power(-np.ones(5), 2) == 1.0)
-
-    def test_matches_loop_oracle(self, rng):
-        f = rng.standard_normal(17)
-        out = _power(f, 3)
-        for i in range(17):
-            # vectorized pow may round the last bit differently than scalar pow
-            assert out[i] == pytest.approx(f[i] ** 3, rel=1e-15, abs=0.0)
-
-    @pytest.mark.parametrize("power", [3, 4, 5])
-    def test_repeated_products_match_pow(self, rng, power):
-        f = rng.standard_normal(1025)
-        assert np.allclose(_power(f, power), f**power, rtol=1e-14, atol=0.0)
-
-    def test_square_is_exact(self, rng):
-        f = rng.standard_normal(1025)
-        assert np.array_equal(_power(f, 2), f * f)
-
-    def test_power_below_two_rejected(self):
-        # the one check of GBProblem and ProposedStepper
-        for power in (1, 0, 2.0, 2.5, True):
-            with pytest.raises(ValueError, match="an integer >= 2"):
-                _check_power(power)
-        _check_power(np.int64(3))
-
-
 class TestProblemSetup:
     def test_benchmark_boundary_values_negligible(self):
         grid = Grid(half_modes=128, length=80.0, x_left=-40.0)
@@ -197,12 +164,12 @@ class TestProblemSetup:
     def test_problem_validates_power_and_shapes(self):
         grid = Grid(half_modes=8, length=80.0, x_left=-40.0)
         z = np.zeros(grid.num_points)
+        # the equation is p = 2: the power is a constant, not a field
+        assert GBProblem(grid, z, z).power == 2
+        with pytest.raises(TypeError):
+            GBProblem(grid, z, z, power=3)
         with pytest.raises(ValueError):
-            GBProblem(power=1, grid=grid, initial_u=z, initial_ut=z)
-        with pytest.raises(ValueError, match="an integer >= 2"):
-            GBProblem(power=3.0, grid=grid, initial_u=z, initial_ut=z)
-        with pytest.raises(ValueError):
-            GBProblem(power=2, grid=grid, initial_u=z[:-1], initial_ut=z)
+            GBProblem(grid, z[:-1], z)
 
     def test_discrete_pde_residual(self):
         # the exact solution must satisfy the discretized equation up to
