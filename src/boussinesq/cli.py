@@ -155,6 +155,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a grid or a batch larger than this machine holds
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # values the spec or the solver rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,14 @@
 
 Everything here works on the 2N+1 point grid over an interval of length L
 with the right endpoint excluded.  A real field lives on the half spectrum
-l = 0, ..., N, and the grid's own pair :meth:`Grid.rfft`/:meth:`Grid.irfft`
-is the one transform path.  The odd point count leaves no Nyquist mode, so
-each l > 0 also stands for its conjugate partner -l.  Coefficients divided
-by 2N+1 have the mean of the nodal values at l = 0; with that normalization
-the discrete L2 inner product ``(1/(2N+1)) sum f_i g_i`` and Parseval's
-identity, with weight 1 at l = 0 and 2 above, line up exactly.
+l = 0, ..., N.  The grid's pair :meth:`Grid.forward`/:meth:`Grid.inverse`
+is the one transform path: the steppers call it in their own layout, and
+:meth:`Grid.rfft`/:meth:`Grid.irfft` adapt it to numpy's.  The odd point
+count leaves no Nyquist mode, so each l > 0 also stands for its conjugate
+partner -l.  Coefficients divided by 2N+1 have the mean of the nodal values
+at l = 0; with that normalization the discrete L2 inner product
+``(1/(2N+1)) sum f_i g_i`` and Parseval's identity, with weight 1 at l = 0
+and 2 above, line up exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ __all__ = [
 # which beat numpy's FFT pair at these short, often prime, lengths; longer
 # grids call np.fft.
 DENSE_MAX_POINTS = 257
+
+# the most half modes whose 2N+1 float64 nodes numpy can index: it caps an
+# array's size in bytes at the largest intp
+MAX_HALF_MODES = (np.iinfo(np.intp).max // 8 - 1) // 2
 
 
 def _check_integer(value, least: int, what: str) -> None:
@@ -67,6 +73,11 @@ class Grid:
 
     def __post_init__(self):
         _check_integer(self.half_modes, 1, "half_modes")
+        if self.half_modes > MAX_HALF_MODES:  # numpy would refuse the nodes' size
+            raise ValueError(
+                f"half_modes must be at most {MAX_HALF_MODES}, so that numpy can index "
+                f"2N+1 float64 points; got an int of {int(self.half_modes).bit_length()} bits"
+            )
         for name in ("length", "x_left"):
             _check_real(getattr(self, name), name)
             # a float32 or an int makes the nodes of the equal float64 grid
@@ -121,25 +132,43 @@ class Grid:
         # written in place, so no transposed copy of W raises the peak
         return W, np.multiply(W.T, w, out=np.empty((2 * h, n)))
 
-    def rfft(self, x: np.ndarray) -> np.ndarray:
-        """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Half spectrum of real nodal rows, in the carry layout the steppers keep.
 
-        Each row of a stack is its own (1, n) product, so a row transforms
-        bit for bit as it would alone.
+        x has shape (..., 1, n); the result is real, (..., 1, 2h), with each
+        mode's Re and Im side by side: the layout of W's columns.  On a dense
+        grid the transform is the one product x @ W, so each row of a stack is
+        its own (1, n) product and transforms bit for bit as it would alone;
+        the FFT grids view numpy's complex result in place.
         """
         dense = self._dense_dft
         if dense is None:
-            return np.fft.rfft(x)
+            return np.fft.rfft(x).view(float)
+        return x @ dense[0]
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        """Real nodal rows (..., 1, n) of C-ordered spectra laid out as :meth:`forward` gives them.
+
+        On a dense grid this is the one product y @ V.
+        """
+        dense = self._dense_dft
+        if dense is None:
+            return np.fft.irfft(y.view(complex), self.num_points)
+        return y @ dense[1]
+
+    def rfft(self, x: np.ndarray) -> np.ndarray:
+        """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
+
+        An adapter over :meth:`forward` for diagnostics, checks and tests;
+        any layout of x transforms as its contiguous copy does.
+        """
         x = np.ascontiguousarray(x, dtype=float)
-        return (x[..., None, :] @ dense[0])[..., 0, :].view(complex)
+        return self.forward(x[..., None, :])[..., 0, :].view(complex)
 
     def irfft(self, y: np.ndarray) -> np.ndarray:
         """Real nodal values of a half spectrum along the last axis, as ``np.fft.irfft``."""
-        dense = self._dense_dft
-        if dense is None:
-            return np.fft.irfft(y, self.num_points)
         y = np.ascontiguousarray(y, dtype=complex)
-        return (y.view(float)[..., None, :] @ dense[1])[..., 0, :]
+        return self.inverse(y.view(float)[..., None, :])[..., 0, :]
 
 
 def _check_shape(grid: Grid, values: np.ndarray) -> None:
@@ -164,8 +193,7 @@ def _coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
     """Spectral derivative of the given order: multiply the half spectrum by (i*k)^order."""
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
+    _check_integer(order, 1, "derivative order")
     half = grid.rfft(_checked(grid, values)) * (1j * grid.wavenumbers) ** order
     return grid.irfft(half)
 
@@ -189,8 +217,7 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
 
     ``sobolev_norm(grid, f, 0)`` equals ``norm2(grid, f)`` to round-off.
     """
-    if order < 0:
-        raise ValueError(f"Sobolev order must be >= 0, got {order}")
+    _check_integer(order, 0, "Sobolev order")
     k2 = grid.wavenumbers**2
     multiplier = np.ones_like(k2)
     power = np.ones_like(k2)

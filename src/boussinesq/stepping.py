@@ -12,14 +12,20 @@ Both implicit solves are diagonal in Fourier space, so both schemes are
 one :class:`LinearStepper` with their own coefficients: it carries two
 rfft half-spectra, maps every mode by the same 2x2 linear update plus a
 forcing by the nonlinearity, and makes one forward and one inverse
-transform of the grid per step (:meth:`Grid.rfft`, :meth:`Grid.irfft`).
+transform of the grid per step (:meth:`Grid.forward`, :meth:`Grid.inverse`).
 A batch stacks the steppers of every run on one grid, of any scheme and
-step size, as the rows of one 2-D carry, so those runs share every call.
+step size, as the rows of one carry, so those runs share every call.  The
+carry is held in the layout the grid's pair reads and writes, a row per
+run: nodal rows (rows, 1, n) and real spectra (rows, 1, 2h), each mode's
+Re and Im side by side.  So a step reshapes, copies and views nothing
+around its two products, and each row keeps its own (1, n) product, which
+gives it the bits of a run alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +101,14 @@ def _check_dt(dt) -> np.ndarray:
     return step  # as an array, step**2 rounds as step*step does; a float's pow can be an ulp off
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array whose data start on a 64-byte boundary."""
+    size = int(np.prod(shape))
+    buffer = np.empty(size + 7)
+    skip = -buffer.ctypes.data % 64 // 8
+    return buffer[skip : skip + size].reshape(shape)
+
+
 class LinearStepper:
     """Precomputed-plan stepper for a scheme that is linear in each mode.
 
@@ -107,22 +121,36 @@ class LinearStepper:
 
     so the linear part of a step is :attr:`matrix`.  A builder makes the
     stepper of one run, for one float ``dt``; a batch is :meth:`stack` of
-    its rows' steppers, with coefficients of shape (rows, half) and a run
-    per row of the carry.  Per-row weights and ``has_psi`` mix schemes.
+    its rows' steppers, a run per row of the carry.  Per-row weights and
+    ``has_psi`` mix schemes.
+
+    Everything is held in the layout of :meth:`Grid.forward`, so a step
+    calls nothing around its two transforms: nodal rows are (rows, 1, n),
+    and the spectra and the coefficients m, f, c, q, s are real
+    (rows, 1, 2h), each mode's coefficient beside both its Re and Im.  A
+    real coefficient times each part gives the bits of the complex product
+    (a + 0i)(x + iy), and each row keeps its own (1, n) product, so a row
+    of a batch steps bit for bit as it would alone: one 2-D product over
+    all rows is faster from two rows on, but its last bits differ from a
+    row's own.  A one-run stepper drops the rows axis.
     """
 
     def __init__(self, grid: Grid, dt, w0, w1, m, f, c, q, s, has_psi):
+        """Coefficients broadcast to (1, 2h) per run: a number, or a value per Re and Im slot."""
         self.grid = grid
         self.dt = dt
-        self.w0, self.w1 = (np.full(np.shape(dt) + (1,), w, dtype=float) for w in (w0, w1))
+        rows = np.shape(dt)
+        self.w0, self.w1 = (np.full(rows + (1, 1), w, dtype=float) for w in (w0, w1))
         # a weight all rows share multiplies as a scalar: cheaper per step than its column
         self.weights = [w if len(set(w.flat)) > 1 else w.item(0) for w in (self.w0, self.w1)]
-        self.has_psi = np.full(np.shape(dt), has_psi, dtype=bool)
-        # held complex and C-ordered, like the spectra, so that the products
-        # with them cast nothing and walk both operands in the same order
+        self.has_psi = np.full(rows, has_psi, dtype=bool)
+        layout = rows + (1, 2 * (grid.half_modes + 1))
         self.m, self.f, self.c, self.q, self.s = (
-            np.ascontiguousarray(x, dtype=complex) for x in np.broadcast_arrays(m, f, c, q, s)
+            np.ascontiguousarray(np.broadcast_to(x, layout), dtype=float) for x in (m, f, c, q, s)
         )
+        # what a step reads, bound once per stepper
+        self._step = (*self.weights, self.m, self.f, self.c, self.q, self.s, grid.forward,
+                      grid.inverse)
 
     @classmethod
     def stack(cls, steppers) -> LinearStepper:
@@ -135,35 +163,60 @@ class LinearStepper:
     @property
     def matrix(self) -> np.ndarray:
         """Per-mode map of (Y, Z), [[m, c], [q(m - 1), q c - s]]: shape (..., half, 2, 2)."""
-        m, c, q, s = (x.real for x in (self.m, self.c, self.q, self.s))
+        m, c, q, s = (x[..., 0, ::2] for x in (self.m, self.c, self.q, self.s))
         return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows; one without psi ignores it."""
-        rfft = self.grid.rfft
-        y = rfft(u)
+        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows (rows, 1, n).
+
+        A row without psi ignores its psi row.
+        """
+        forward = self.grid.forward
+        y = forward(u)
         # Z seeds from psi, or else is the backward difference q (Y - V)
-        z = 0.0 if self.has_psi.all() else self.q * (y - rfft(u_prev))
+        z = 0.0 if self.has_psi.all() else self.q * (y - forward(u_prev))
         if self.has_psi.any():
-            z = np.where(self.has_psi[..., None], rfft(psi), z)
+            z = np.where(self.has_psi[..., None, None], forward(psi), z)
         return u, u_prev, y, z, u_prev**2
 
+    @cached_property
+    def _buffers(self) -> list[tuple[np.ndarray, ...]]:
+        """Two sets of the step's outputs (Y', Z', u^2) and temporaries, 64-byte aligned.
+
+        A step writes every result into the set its carry does not hold.
+        numpy's float loops can store at half speed to an array off a 64-byte
+        boundary (x86-64, AVX2), as three fresh arrays in four are.
+        """
+        rows, n, spectral = np.shape(self.dt) + (1,), self.grid.num_points, self.m.shape[-1]
+        return [tuple(_aligned(rows + (k,)) for k in (spectral, spectral, n, n, n, spectral))
+                for _ in "ab"]
+
     def advance(self, carry):
-        """One step of a spectral carry: one forward and one inverse transform."""
+        """One step of a spectral carry: one forward and one inverse transform.
+
+        Y', Z' and u^2 are written into buffers of the stepper, which the
+        step after next writes again: a carry is good for one advance.
+        """
         u, _, y, z, up_prev = carry
-        up = u**2
-        w0, w1 = self.weights
-        # in-place updates, in the order of the formulas: a batch holds
-        # one temporary per array, not one per operation
-        nl = w0 * up
-        nl += w1 * up_prev
-        y_new = self.m * y
-        y_new += self.f * self.grid.rfft(nl)
-        y_new += self.c * z
-        z_new = y_new - y
-        z_new *= self.q
-        z_new -= self.s * z
-        return self.grid.irfft(y_new), u, y_new, z_new, up
+        w0, w1, m, f, c, q, s, forward, inverse = self._step
+        a, b = self._buffers
+        y_new, z_new, up, nl, temp, spectral = b if y is a[0] else a
+        # in the order of the formulas; out= is the third argument
+        mul = np.multiply
+        mul(u, u, up)
+        mul(w0, up, nl)
+        mul(w1, up_prev, temp)
+        nl += temp
+        mul(m, y, y_new)
+        mul(f, forward(nl), spectral)
+        y_new += spectral
+        mul(c, z, spectral)
+        y_new += spectral
+        np.subtract(y_new, y, z_new)
+        z_new *= q
+        mul(s, z, spectral)
+        z_new -= spectral
+        return inverse(y_new), u, y_new, z_new, up
 
     def state(self, carry, step_index: int, row: int) -> SchemeState:
         """State of row ``row`` of a batched carry.
@@ -172,18 +225,19 @@ class LinearStepper:
         finishes does not hold on to the arrays of the whole batch.
         """
         u, u_prev, _, z, _ = (x[row] for x in carry)
-        psi = self.grid.irfft(z) if self.has_psi[row] else None
+        psi = self.grid.inverse(z)[0] if self.has_psi[row] else None
         time = float(step_index * self.dt[row])
-        return SchemeState(self.grid, step_index, time, u.copy(), psi, u_prev.copy())
+        return SchemeState(self.grid, step_index, time, u[0].copy(), psi, u_prev[0].copy())
 
     def step_arrays(self, u, *fields):
-        """One step of nodal arrays.
+        """One step of a one-run stepper's 1-D nodal arrays.
 
         (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
         """
         psi, u_prev = fields if self.has_psi else (None, *fields)
-        u_new, _, _, z, _ = self.advance(self.start(u, psi, u_prev))
-        return (u_new, self.grid.irfft(z)) if self.has_psi else u_new
+        rows = (x if x is None else np.ascontiguousarray(x, float)[None] for x in (u, psi, u_prev))
+        u_new, _, _, z, _ = self.advance(self.start(*rows))
+        return (u_new[0], self.grid.inverse(z)[0]) if self.has_psi else u_new[0]
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -204,9 +258,10 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     """
     if power != 2:
         raise ValueError(f"the equation is p = 2, got power {power!r}")
-    lam = build_implicit_diagonal(grid, dt)  # the dt given: the real rule refuses a 0-d array
+    # each mode's value for its Re and its Im slot
+    lam = np.repeat(build_implicit_diagonal(grid, dt), 2)  # the real rule refuses a 0-d dt
     dt = _check_dt(dt)
-    k2 = grid.wavenumbers**2
+    k2 = np.repeat(grid.wavenumbers**2, 2)
     a, b, c = 4.0 / dt**2 / lam - 1.0, -k2 / lam, 2.0 / dt / lam
     q = (2.0 / dt) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
@@ -226,7 +281,7 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     D' = (U' - U)/dt.  D is never reported: the scheme has no psi.
     """
     dt = _check_dt(dt)
-    k2 = grid.wavenumbers**2
+    k2 = np.repeat(grid.wavenumbers**2, 2)  # each mode's value for its Re and its Im slot
     k4 = k2**2
     lam = 1.0 / dt**2 + 0.25 * k4
     alpha = (2.0 / dt**2 - 0.5 * k4 - k2) / lam
@@ -354,16 +409,17 @@ def run_batch(
     stepper = LinearStepper.stack(steppers)
     live = [states[i] for i in rows]
     carry = stepper.start(
-        np.stack([s.u_curr for s in live]),
+        np.stack([s.u_curr for s in live])[:, None],
         # a row without psi ignores the u that stands in for it
-        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live]),
-        np.stack([s.u_prev for s in live]),
+        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live])[:, None],
+        np.stack([s.u_prev for s in live])[:, None],
     )
+    advance = stepper.advance
     del states, live  # the carry holds copies
     # the next row to finish is the one with the fewest steps
     last = min(steps[i] for i in rows)
     for n in range(1, max(steps[i] for i in rows) + 1):
-        carry = stepper.advance(carry)
+        carry = advance(carry)
         u = carry[0]
         bounded = np.vdot(u, u) <= limit
         watched = observers and n % stride == 0
@@ -388,4 +444,5 @@ def run_batch(
             carry = tuple(x[keep] for x in carry)
             steppers = [x for x, k in zip(steppers, keep) if k]
             stepper, last = LinearStepper.stack(steppers), min(steps[i] for i in rows)
+            advance = stepper.advance
     return tuple(results)

@@ -579,6 +579,39 @@ class TestMainCommands:
         assert cli.main(["run", "--T", "0.1", "--xmin=-5000", "--xmax=5000"]) == 0
         assert capsys.readouterr().out.startswith("completed: ")
 
+    @pytest.mark.parametrize(
+        "N", ["576460752303423488", "100000000000000000000", "1" + "0" * 400],
+        ids=["first-refused", "1e20", "1e400"],
+    )
+    def test_more_points_than_numpy_can_index_is_one_usage_error_line(self, tmp_path, capsys, N):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", "--N", N, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: half_modes must be at most 576460752303423487")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 44.7 GiB for an array with shape (6000000001,) and data type "
+          "float64", None), ("", "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_one_runtime_error_line(
+        self, tmp_path, monkeypatch, capsys, message, line
+    ):
+        # a grid too large for the machine fails where its nodes are made;
+        # raised here without allocating anything
+        def exhausted(grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(spectral.Grid, "nodes", property(exhausted))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["run", "--N", "16", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line or message}\n")
+        assert not out.exists()
+
     def test_final_time_off_the_step_grid_is_one_line_usage_error(self, capsys):
         code = cli.main(["run", "--N", "32", "--T", "0.1", "--dt", "0.03"])
         assert code == 2

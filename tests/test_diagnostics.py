@@ -79,11 +79,12 @@ class TestErrorNorms:
         assert rec.err_u_h2 == pytest.approx(via_multiplier, abs=1e-12)
 
     def test_one_forward_transform(self, monkeypatch):
-        # error_norms makes one Grid.rfft and no Grid.irfft, on a grid that
-        # transforms by matrix products (N = 16) and on one that calls np.fft
-        # (N = 256); a run observed by it every step makes four transforms a
-        # step: the stepper's pair, psi's irfft in the state and this rfft
-        counts = dict.fromkeys(("rfft", "irfft"), 0)
+        # error_norms makes one forward transform of the grid's pair and no
+        # inverse one, on a grid that transforms by matrix products (N = 16)
+        # and on one that calls np.fft (N = 256); a run observed by it every
+        # step makes four transforms a step: the stepper's pair, psi's
+        # inverse in the state and this forward one
+        counts = dict.fromkeys(("forward", "inverse"), 0)
         for name in counts:
             fn = getattr(Grid, name)
 
@@ -94,7 +95,7 @@ class TestErrorNorms:
             monkeypatch.setattr(Grid, name, wrapper)
 
         def calls(fn, *args, **kwargs):
-            counts.update(rfft=0, irfft=0)
+            counts.update(forward=0, inverse=0)
             fn(*args, **kwargs)
             return dict(counts)
 
@@ -106,14 +107,14 @@ class TestErrorNorms:
             prob = solitary_problem(p, grid)
             state = bootstrap(prob, 0.01, "exact", p)
             assert state.psi_curr is not None
-            assert calls(error_norms, state, p) == {"rfft": 1, "irfft": 0}
+            assert calls(error_norms, state, p) == {"forward": 1, "inverse": 0}
             short, long = (
                 calls(run, prob, 0.01, steps * 0.01, params=p, bootstrap_mode="exact",
                       observers=observers)
                 for steps in (10, 30)
             )
             per_step = {key: (long[key] - short[key]) / 20 for key in counts}
-            assert per_step == {"rfft": 2, "irfft": 2}
+            assert per_step == {"forward": 2, "inverse": 2}
 
     def test_three_level_state_has_nan_psi_error(self, rng):
         grid = benchmark_grid(64)

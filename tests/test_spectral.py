@@ -12,6 +12,7 @@ import pytest
 
 from boussinesq.spectral import (
     DENSE_MAX_POINTS,
+    MAX_HALF_MODES,
     Grid,
     _parseval,
     derivative,
@@ -106,6 +107,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="half_modes must be an integer >= 1"):
             Grid(half_modes=half_modes, length=80.0)
         assert Grid(half_modes=np.int64(16), length=80.0).num_points == 33
+
+    @pytest.mark.parametrize("half_modes", [MAX_HALF_MODES + 1, 10**20, 10**400])
+    def test_more_points_than_numpy_can_index_rejected(self, half_modes):
+        # refused before any array is made; numpy caps an array's bytes at the largest intp
+        assert (2 * MAX_HALF_MODES + 1) * 8 <= np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match="half_modes must be at most .* bits$"):
+            Grid(half_modes=half_modes, length=80.0)
 
 
 class TestForwardInverse:
@@ -228,7 +236,8 @@ class TestAcrossTransformSwitch:
 
 
 class TestGridTransforms:
-    """``Grid.rfft``/``Grid.irfft``: matrix products up to DENSE_MAX_POINTS, np.fft above."""
+    """``Grid.forward``/``Grid.inverse`` and their adapters ``Grid.rfft``/``Grid.irfft``:
+    matrix products up to DENSE_MAX_POINTS, np.fft above."""
 
     @staticmethod
     def samples(rng, grid, shape=()):
@@ -268,6 +277,19 @@ class TestGridTransforms:
         assert V.flags.c_contiguous
         assert peak < 2.5 * W.nbytes
 
+    @pytest.mark.parametrize("half", [16, 129])
+    def test_pair_works_in_the_carry_layout(self, rng, half):
+        # (rows, 1, n) nodal rows to real (rows, 1, 2h) spectra, each mode's
+        # Re and Im side by side, and back; rfft and irfft are its adapters
+        grid = Grid(half_modes=half, length=80.0)
+        x, y = self.samples(rng, grid, (3,))
+        spectra = grid.forward(x[:, None])
+        assert spectra.shape == (3, 1, 2 * (half + 1)) and spectra.dtype == float
+        assert np.array_equal(spectra[:, 0].view(complex), grid.rfft(x))
+        nodal = grid.inverse(np.ascontiguousarray(y).view(float)[:, None])
+        assert nodal.shape == (3, 1, grid.num_points)
+        assert np.array_equal(nodal[:, 0], grid.irfft(y))
+
     @pytest.mark.parametrize("half", [16, 128, 129])
     def test_mode_zero_imaginary_part_is_exactly_zero(self, rng, half):
         grid = Grid(half_modes=half, length=80.0)
@@ -291,6 +313,13 @@ class TestGridTransforms:
 
 
 class TestDerivative:
+    @pytest.mark.parametrize("order", [1.5, 1.0, True, 0, -1, "1", None])
+    def test_order_not_an_integer_of_at_least_one_rejected(self, order):
+        # 1.5 would give the real part of a non-Hermitian spectrum, True order 1
+        grid = Grid(half_modes=8, length=3.0)
+        with pytest.raises(ValueError, match="derivative order must be an integer >= 1"):
+            derivative(grid, np.ones(grid.num_points), order)
+
     def test_constant_derivative_vanishes(self):
         grid = Grid(half_modes=16, length=3.0)
         k_max = float(np.max(np.abs(grid.wavenumbers)))
@@ -349,6 +378,13 @@ class TestInnerProduct:
 
 
 class TestSobolevNorm:
+    @pytest.mark.parametrize("order", [1.0, 0.5, True, False, -1, "0", None])
+    def test_order_not_a_nonnegative_integer_rejected(self, order):
+        # 1.0 would fail inside range, True would give the H1 norm
+        grid = Grid(half_modes=8, length=3.0)
+        with pytest.raises(ValueError, match="Sobolev order must be an integer >= 0"):
+            sobolev_norm(grid, np.ones(grid.num_points), order)
+
     def test_constant_any_order(self):
         grid = Grid(half_modes=6, length=5.0)
         for k in range(4):

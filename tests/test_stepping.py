@@ -36,6 +36,11 @@ def full_wavenumbers(grid):
     return 2 * np.pi * np.concatenate([np.arange(n + 1), np.arange(-n, 0)]) / grid.length
 
 
+def mode_zero(stepper):
+    """(m, f, c, q, s) of mode 0 of a one-run stepper: its Re and its Im slot."""
+    return [x[0, :2] for x in (stepper.m, stepper.f, stepper.c, stepper.q, stepper.s)]
+
+
 def zero_problem(grid):
     z = np.zeros(grid.num_points)
     return GBProblem(grid, z, z.copy())
@@ -176,13 +181,13 @@ class TestProposedStep:
     def test_mode_zero_coefficients(self):
         grid = benchmark_grid(32)
         for dt in (1e-4, 0.1, 3.0):
-            stepper = ProposedStepper(grid, dt, 2)
-            assert abs(stepper.m[0] - 1.0) <= 1e-15
-            assert stepper.f[0] == 0.0
-            assert abs(stepper.c[0] - dt) <= 1e-15 * dt
+            m, f, c, q, s = mode_zero(ProposedStepper(grid, dt, 2))
+            assert np.all(abs(m - 1.0) <= 1e-15)
+            assert np.all(f == 0.0)
+            assert np.all(abs(c - dt) <= 1e-15 * dt)
             # Q_0' = 0 (U_0' - U_0) + Q_0: the mean of psi is copied exactly
-            assert stepper.q[0] == 0.0 and stepper.s[0] == -1.0
-            assert np.array_equal(stepper.matrix[0], [[1.0, stepper.c[0].real], [0.0, 1.0]])
+            assert np.all(q == 0.0) and np.all(s == -1.0)
+            assert np.array_equal(ProposedStepper(grid, dt).matrix[0], [[1.0, c[0]], [0.0, 1.0]])
 
     def test_mass_conserved_with_zero_initial_velocity(self, rng):
         grid = benchmark_grid(64)
@@ -268,11 +273,12 @@ class TestFrutos:
         # and beta_0 = -1, so U_0' = U_0 + dt D_0 and D_0' = (U_0' - U_0)/dt
         dt = 0.5
         stepper = FrutosStepper(benchmark_grid(16), dt=dt)
-        assert stepper.m[0] == pytest.approx(1.0, abs=1e-15)
-        assert stepper.f[0] == 0.0
-        assert stepper.c[0] == pytest.approx(dt, abs=1e-15)
-        assert stepper.q[0] == pytest.approx(1.0 / dt, abs=1e-15)
-        assert stepper.s[0] == 0.0
+        m, f, c, q, s = mode_zero(stepper)
+        assert m == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert np.all(f == 0.0)
+        assert c == pytest.approx([dt, dt], abs=1e-15)
+        assert q == pytest.approx([1.0 / dt, 1.0 / dt], abs=1e-15)
+        assert np.all(s == 0.0)
         assert np.allclose(stepper.matrix[0], [[1.0, dt], [0.0, 1.0]], rtol=0, atol=1e-15)
 
     def test_comparable_accuracy_when_stable(self):
@@ -410,9 +416,10 @@ class TestRun:
         ids=["proposed", "frutos", "mixed"],
     )
     def test_one_rfft_and_one_irfft_per_step(self, monkeypatch, schemes):
-        # one Grid.rfft and one Grid.irfft per step, on a grid that
-        # transforms by matrix products (N = 16) and on one that calls
-        # np.fft (N = 256); a mixed batch alternates the schemes by row
+        # one Grid.forward and one Grid.inverse per step, the pair that
+        # Grid.rfft/irfft adapt, on a grid that transforms by matrix
+        # products (N = 16) and on one that calls np.fft (N = 256); a mixed
+        # batch alternates the schemes by row
         p = params_from_amplitude(0.5)
         counts = {}
 
@@ -426,7 +433,7 @@ class TestRun:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("rfft", "irfft"):
+        for name in ("forward", "inverse"):
             counted(Grid, name, name)
         for name in ("rfft", "irfft", "fft", "ifft"):
             counted(np.fft, name, f"np.fft.{name}")
@@ -447,7 +454,7 @@ class TestRun:
                 short, long = calls(prob, 10, rows), calls(prob, 30, rows)
                 per_step = {key: (long[key] - short[key]) / 20 for key in counts}
                 assert per_step == {
-                    "rfft": 1, "irfft": 1, "mean": 0,
+                    "forward": 1, "inverse": 1, "mean": 0,
                     "np.fft.rfft": ffts, "np.fft.irfft": ffts, "np.fft.fft": 0, "np.fft.ifft": 0,
                 }
 
@@ -571,6 +578,47 @@ class TestRunBatch:
         assert benchmark_grid(256).num_points > DENSE_MAX_POINTS
         self.test_rows_equal_solo_runs_bit_for_bit("proposed", 2, "exact", n=256)
 
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            (("proposed", 0.05),),
+            (("frutos", 0.05),),
+            (("proposed", 0.05), ("frutos", 0.05), ("frutos", 0.1), ("proposed", 0.1)),
+        ],
+        ids=["proposed", "three-level", "mixed"],
+    )
+    def test_rows_equal_the_complex_update_bit_for_bit(self, runs, n):
+        # LinearStepper's update in complex arithmetic through Grid.rfft/irfft,
+        # Y' = m Y + f rfft(w0 u^2 + w1 u_prev^2) + c Z and Z' = q (Y' - Y) - s Z,
+        # on a grid that transforms by matrix products (N = 32) and on one
+        # that calls np.fft (N = 256)
+        assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 32)
+        prob, p = batch_problem(n)
+        grid, T = prob.grid, 1.0
+        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
+        for (scheme, dt), got in zip(runs, batch):
+            stepper = (ProposedStepper if scheme == "proposed" else FrutosStepper)(grid, dt)
+            # a mode's real coefficient, read from its Re slot, as the complex number
+            m, f, c, q, s = (x[0, ::2] + 0j for x in (stepper.m, stepper.f, stepper.c,
+                                                      stepper.q, stepper.s))
+            w0, w1 = stepper.weights
+            start = bootstrap(prob, dt, "exact", p)
+            u, u_prev = start.u_curr, start.u_prev
+            y = grid.rfft(u)
+            z = grid.rfft(start.psi_curr) if scheme == "proposed" else q * (y - grid.rfft(u_prev))
+            steps = round(T / dt)
+            for _ in range(steps):
+                y_new = m * y + f * grid.rfft(w0 * u**2 + w1 * u_prev**2) + c * z
+                z = q * (y_new - y) - s * z
+                y, u, u_prev = y_new, grid.irfft(y_new), u
+            assert got.step_index == steps and not got.diverged
+            assert np.array_equal(got.u_curr, u) and np.array_equal(got.u_prev, u_prev)
+            if scheme == "proposed":
+                assert np.array_equal(got.psi_curr, grid.irfft(z))
+            else:
+                assert got.psi_curr is None
+
     def test_results_come_back_in_input_order(self):
         prob, p = batch_problem()
         dts, T = (0.005, 0.02, 0.0025, 0.01), 0.2
@@ -655,9 +703,14 @@ class TestRunBatch:
         for row, solo in enumerate(steppers):
             for name in ("dt", "w0", "w1", "m", "f", "c", "q", "s", "has_psi"):
                 assert np.array_equal(getattr(batch, name)[row], getattr(solo, name))
+        # every array is in the carry layout: (rows, 1, n) nodal, (rows, 1, 2h) spectral
+        for name in ("m", "f", "c", "q", "s"):
+            assert getattr(batch, name).shape == (4, 1, 2 * (grid.half_modes + 1))
+            # each mode's coefficient stands beside both its Re and Im
+            assert np.array_equal(getattr(batch, name)[..., ::2], getattr(batch, name)[..., 1::2])
         # a weight the rows share is a scalar, one that differs a column
         assert LinearStepper.stack(steppers[:3]).weights == [1.5, -0.5]
-        assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
+        assert np.array_equal(batch.weights[0], [[[1.5]], [[1.5]], [[1.5]], [[1.0]]])
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
         # a batch steps one grid: a second grid would transform with the

@@ -1,7 +1,8 @@
 """Structural guard: the grid's own pair is the package's one transform path.
 
-Every spectral operator transforms through ``Grid.rfft``/``Grid.irfft``, so
-numpy's FFT module may be named only inside those two methods.
+Every spectral operator transforms through ``Grid.forward``/``Grid.inverse``,
+which ``Grid.rfft``/``Grid.irfft`` adapt to numpy's layout, so numpy's FFT
+module may be named only inside those two methods.
 """
 
 import ast
@@ -72,4 +73,4 @@ def test_numpy_fft_only_inside_the_grid_pair():
         for scope in fft_references(path.read_text()):
             found.setdefault(f"{path.name}:{scope}", 0)
             found[f"{path.name}:{scope}"] += 1
-    assert set(found) == {"spectral.py:Grid.rfft", "spectral.py:Grid.irfft"}, found
+    assert set(found) == {"spectral.py:Grid.forward", "spectral.py:Grid.inverse"}, found
