@@ -146,7 +146,7 @@ class LinearStepper:
         self.has_psi = np.full(rows, has_psi, dtype=bool)
         layout = rows + (1, 2 * (grid.half_modes + 1))
         self.m, self.f, self.c, self.q, self.s = (
-            np.ascontiguousarray(np.broadcast_to(x, layout), dtype=float) for x in (m, f, c, q, s)
+            np.full(layout, x, dtype=float) for x in (m, f, c, q, s)
         )
         # what a step reads, bound once per stepper
         self._step = (*self.weights, self.m, self.f, self.c, self.q, self.s, grid.forward,
