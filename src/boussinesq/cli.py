@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a grid or a batch larger than this machine holds
+    except MemoryError as exc:  # a grid or a batch larger than the memory available
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except ValueError as exc:  # values the spec or the solver rejects
