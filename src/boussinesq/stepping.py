@@ -370,7 +370,7 @@ def run_batch(
 ) -> tuple[SchemeState, ...]:
     """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
 
-    The runs, of any scheme and step size, are the rows of one 2-D carry,
+    The runs, of any scheme and step size, are the rows of one carry,
     so every step makes one forward and one inverse transform for them all.
     Each row's final state equals that of :func:`run` bit for bit, and the
     states come back in the order of ``runs``.  Observers see every row's
