@@ -132,43 +132,59 @@ class Grid:
         # written in place, so no transposed copy of W raises the peak
         return W, np.multiply(W.T, w, out=np.empty((2 * h, n)))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of real nodal rows, in the carry layout the steppers keep.
 
-        x has shape (..., 1, n); the result is real, (..., 1, 2h), with each
-        mode's Re and Im side by side: the layout of W's columns.  On a dense
-        grid the transform is the one product x @ W, so each row of a stack is
-        its own (1, n) product and transforms bit for bit as it would alone;
-        the FFT grids view numpy's complex result in place.
+        x is one row (n,) or a stack (..., n); the result is real, (2h,) or
+        (..., 2h), with each mode's Re and Im side by side: the layout of W's
+        columns.  It is written into ``out``, a C-contiguous float array of
+        that shape, or into a new array when ``out`` is None.  On a dense
+        grid a row is the one product ``np.dot(x, W, out)`` and a stack one
+        ``np.matmul`` over its rows viewed as (..., 1, n), so each row of a
+        stack is its own (1, n) product and transforms bit for bit as it
+        would alone.  The FFT grids write numpy's complex result through
+        ``out=`` into ``out`` viewed as complex.
         """
         dense = self._dense_dft
         if dense is None:
-            return np.fft.rfft(x).view(float)
-        return x @ dense[0]
+            if out is None:
+                return np.fft.rfft(x).view(float)
+            np.fft.rfft(x, out=out.view(complex))
+            return out
+        return _rows_times(x, dense[0], out)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Real nodal rows (..., 1, n) of C-ordered spectra laid out as :meth:`forward` gives them.
+    def inverse(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real nodal rows (n,) or (..., n) of C-ordered spectra in the layout of :meth:`forward`.
 
-        On a dense grid this is the one product y @ V.
+        Written into ``out`` as :meth:`forward` writes: on a dense grid the
+        one product of y with V, on an FFT grid numpy's irfft through ``out=``.
         """
         dense = self._dense_dft
         if dense is None:
-            return np.fft.irfft(y.view(complex), self.num_points)
-        return y @ dense[1]
+            return np.fft.irfft(y.view(complex), self.num_points, out=out)
+        return _rows_times(y, dense[1], out)
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
 
-        An adapter over :meth:`forward` for diagnostics, checks and tests;
-        any layout of x transforms as its contiguous copy does.
+        An adapter over :meth:`forward` for diagnostics, checks and tests,
+        into a new array; any layout of x transforms as its contiguous copy does.
         """
-        x = np.ascontiguousarray(x, dtype=float)
-        return self.forward(x[..., None, :])[..., 0, :].view(complex)
+        return self.forward(np.ascontiguousarray(x, dtype=float)).view(complex)
 
     def irfft(self, y: np.ndarray) -> np.ndarray:
         """Real nodal values of a half spectrum along the last axis, as ``np.fft.irfft``."""
-        y = np.ascontiguousarray(y, dtype=complex)
-        return self.inverse(y.view(float)[..., None, :])[..., 0, :]
+        return self.inverse(np.ascontiguousarray(y, dtype=complex).view(float))
+
+
+def _rows_times(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """x @ matrix into ``out``: np.dot of a 1-D row, or one np.matmul of a stack's (1, n) rows."""
+    if x.ndim == 1:
+        return np.dot(x, matrix, out)
+    if out is None:
+        out = np.empty(x.shape[:-1] + matrix.shape[-1:])
+    np.matmul(x[..., None, :], matrix, out[..., None, :])
+    return out
 
 
 def _check_shape(grid: Grid, values: np.ndarray) -> None:

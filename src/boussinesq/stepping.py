@@ -14,12 +14,14 @@ rfft half-spectra, maps every mode by the same 2x2 linear update plus a
 forcing by the nonlinearity, and makes one forward and one inverse
 transform of the grid per step (:meth:`Grid.forward`, :meth:`Grid.inverse`).
 A batch stacks the steppers of every run on one grid, of any scheme and
-step size, as the rows of one carry, so those runs share every call.  The
-carry is held in the layout the grid's pair reads and writes, a row per
-run: nodal rows (rows, 1, n) and real spectra (rows, 1, 2h), each mode's
-Re and Im side by side.  So a step reshapes, copies and views nothing
-around its two products, and each row keeps its own (1, n) product, which
-gives it the bits of a run alone.
+step size, as the rows of one carry, so those runs share every call; a
+batch of one steps with its run's own stepper.  The carry is held in the
+layout the grid's pair reads and writes, a row per run: nodal rows
+(rows, n) and real spectra (rows, 2h), each mode's Re and Im side by side,
+and a lone run's 1-D (n,) and (2h,).  The pair writes into buffers the
+stepper owns, so a step allocates no array.  On a dense grid a lone row is
+one ``np.dot`` and each row of a stack its own (1, n) product in one
+``np.matmul``, which gives it the bits of a run alone.
 """
 
 from __future__ import annotations
@@ -124,27 +126,29 @@ class LinearStepper:
     its rows' steppers, a run per row of the carry.  Per-row weights and
     ``has_psi`` mix schemes.
 
-    Everything is held in the layout of :meth:`Grid.forward`, so a step
-    calls nothing around its two transforms: nodal rows are (rows, 1, n),
-    and the spectra and the coefficients m, f, c, q, s are real
-    (rows, 1, 2h), each mode's coefficient beside both its Re and Im.  A
-    real coefficient times each part gives the bits of the complex product
-    (a + 0i)(x + iy), and each row keeps its own (1, n) product, so a row
-    of a batch steps bit for bit as it would alone: one 2-D product over
-    all rows is faster from two rows on, but its last bits differ from a
-    row's own.  A one-run stepper drops the rows axis.
+    Everything is held in the layout of :meth:`Grid.forward`: nodal rows
+    are (rows, n), and the spectra and the coefficients m, f, c, q, s are
+    real (rows, 2h), each mode's coefficient beside both its Re and Im.  A
+    one-run stepper drops the rows axis: its arrays are 1-D.  A real
+    coefficient times each part gives the bits of the complex product
+    (a + 0i)(x + iy).  On a dense grid a lone row transforms by one
+    ``np.dot`` and a stack by one ``np.matmul`` of (1, n) rows, which give
+    a row the same bits, so a row of a batch steps bit for bit as it would
+    alone: one 2-D product over all rows is faster from two rows on, but
+    its last bits differ from a row's own.  Both transforms write into the
+    stepper's buffers, so a step allocates no array.
     """
 
     def __init__(self, grid: Grid, dt, w0, w1, m, f, c, q, s, has_psi):
-        """Coefficients broadcast to (1, 2h) per run: a number, or a value per Re and Im slot."""
+        """Coefficients broadcast to (2h,) per run: a number, or a value per Re and Im slot."""
         self.grid = grid
         self.dt = dt
         rows = np.shape(dt)
-        self.w0, self.w1 = (np.full(rows + (1, 1), w, dtype=float) for w in (w0, w1))
+        self.w0, self.w1 = (np.full(rows + (1,), w, dtype=float) for w in (w0, w1))
         # a weight all rows share multiplies as a scalar: cheaper per step than its column
         self.weights = [w if len(set(w.flat)) > 1 else w.item(0) for w in (self.w0, self.w1)]
         self.has_psi = np.full(rows, has_psi, dtype=bool)
-        layout = rows + (1, 2 * (grid.half_modes + 1))
+        layout = rows + (2 * (grid.half_modes + 1),)
         self.m, self.f, self.c, self.q, self.s = (
             np.full(layout, x, dtype=float) for x in (m, f, c, q, s)
         )
@@ -163,11 +167,11 @@ class LinearStepper:
     @property
     def matrix(self) -> np.ndarray:
         """Per-mode map of (Y, Z), [[m, c], [q(m - 1), q c - s]]: shape (..., half, 2, 2)."""
-        m, c, q, s = (x[..., 0, ::2] for x in (self.m, self.c, self.q, self.s))
+        m, c, q, s = (x[..., ::2] for x in (self.m, self.c, self.q, self.s))
         return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows (rows, 1, n).
+        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows (rows, n), or (n,) for one run.
 
         A row without psi ignores its psi row.
         """
@@ -176,31 +180,32 @@ class LinearStepper:
         # Z seeds from psi, or else is the backward difference q (Y - V)
         z = 0.0 if self.has_psi.all() else self.q * (y - forward(u_prev))
         if self.has_psi.any():
-            z = np.where(self.has_psi[..., None, None], forward(psi), z)
+            z = np.where(self.has_psi[..., None], forward(psi), z)
         return u, u_prev, y, z, u_prev**2
 
     @cached_property
     def _buffers(self) -> list[tuple[np.ndarray, ...]]:
-        """Two sets of the step's outputs (Y', Z', u^2) and temporaries, 64-byte aligned.
+        """Two sets of the step's outputs (Y', Z', u^2, u') and temporaries, 64-byte aligned.
 
         A step writes every result into the set its carry does not hold.
         numpy's float loops can store at half speed to an array off a 64-byte
         boundary (x86-64, AVX2), as three fresh arrays in four are.
         """
-        rows, n, spectral = np.shape(self.dt) + (1,), self.grid.num_points, self.m.shape[-1]
-        return [tuple(_aligned(rows + (k,)) for k in (spectral, spectral, n, n, n, spectral))
+        rows, n, spectral = np.shape(self.dt), self.grid.num_points, self.m.shape[-1]
+        return [tuple(_aligned(rows + (k,)) for k in (spectral, spectral, n, n, n, spectral, n))
                 for _ in "ab"]
 
     def advance(self, carry):
         """One step of a spectral carry: one forward and one inverse transform.
 
-        Y', Z' and u^2 are written into buffers of the stepper, which the
-        step after next writes again: a carry is good for one advance.
+        Y', Z', u^2 and u' are written into buffers of the stepper, which
+        the step after next writes again: a carry is good for one advance.
+        The step allocates no array.
         """
         u, _, y, z, up_prev = carry
         w0, w1, m, f, c, q, s, forward, inverse = self._step
         a, b = self._buffers
-        y_new, z_new, up, nl, temp, spectral = b if y is a[0] else a
+        y_new, z_new, up, nl, temp, spectral, u_new = b if y is a[0] else a
         # in the order of the formulas; out= is the third argument
         mul = np.multiply
         mul(u, u, up)
@@ -208,7 +213,8 @@ class LinearStepper:
         mul(w1, up_prev, temp)
         nl += temp
         mul(m, y, y_new)
-        mul(f, forward(nl), spectral)
+        # F = rfft(nl) is written into spectral, then times f in place
+        mul(f, forward(nl, spectral), spectral)
         y_new += spectral
         mul(c, z, spectral)
         y_new += spectral
@@ -216,28 +222,33 @@ class LinearStepper:
         z_new *= q
         mul(s, z, spectral)
         z_new -= spectral
-        return inverse(y_new), u, y_new, z_new, up
+        return inverse(y_new, u_new), u, y_new, z_new, up
 
     def state(self, carry, step_index: int, row: int) -> SchemeState:
-        """State of row ``row`` of a batched carry.
+        """State of row ``row`` of a batch's carry, or of a one-run stepper's carry.
 
         u and u_prev are copied, so that a state kept after its run
-        finishes does not hold on to the arrays of the whole batch.
+        finishes holds neither the stepper's buffers nor the whole batch.
         """
-        u, u_prev, _, z, _ = (x[row] for x in carry)
-        psi = self.grid.inverse(z)[0] if self.has_psi[row] else None
-        time = float(step_index * self.dt[row])
-        return SchemeState(self.grid, step_index, time, u[0].copy(), psi, u_prev[0].copy())
+        dt, has_psi = self.dt, self.has_psi
+        if has_psi.ndim:  # a batch: take its row
+            carry, dt, has_psi = [x[row] for x in carry], dt[row], has_psi[row]
+        u, u_prev, _, z, _ = carry
+        psi = self.grid.inverse(z) if has_psi else None
+        return SchemeState(self.grid, step_index, float(step_index * dt), u.copy(), psi,
+                           u_prev.copy())
 
     def step_arrays(self, u, *fields):
-        """One step of a one-run stepper's 1-D nodal arrays.
+        """One step of a one-run stepper's 1-D nodal arrays, returned as new arrays.
 
         (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
         """
+        if self.has_psi.ndim:
+            raise ValueError("step_arrays steps a one-run stepper; run_batch steps a batch")
         psi, u_prev = fields if self.has_psi else (None, *fields)
-        rows = (x if x is None else np.ascontiguousarray(x, float)[None] for x in (u, psi, u_prev))
-        u_new, _, _, z, _ = self.advance(self.start(*rows))
-        return (u_new[0], self.grid.inverse(z)[0]) if self.has_psi else u_new[0]
+        arrays = (x if x is None else np.ascontiguousarray(x, float) for x in (u, psi, u_prev))
+        u_new, _, _, z, _ = self.advance(self.start(*arrays))
+        return (u_new.copy(), self.grid.inverse(z)) if self.has_psi else u_new.copy()
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -406,13 +417,14 @@ def run_batch(
         else ProposedStepper(problem.grid, dt)
         for scheme, dt in (runs[i] for i in rows)
     ]
-    stepper = LinearStepper.stack(steppers)
+    stepper = _batch_stepper(steppers)
     live = [states[i] for i in rows]
+    lone = 0 if len(rows) == 1 else slice(None)
     carry = stepper.start(
-        np.stack([s.u_curr for s in live])[:, None],
+        np.stack([s.u_curr for s in live])[lone],
         # a row without psi ignores the u that stands in for it
-        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live])[:, None],
-        np.stack([s.u_prev for s in live])[:, None],
+        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live])[lone],
+        np.stack([s.u_prev for s in live])[lone],
     )
     advance = stepper.advance
     del states, live  # the carry holds copies
@@ -426,6 +438,7 @@ def run_batch(
         if bounded and n < last and not watched:
             continue
         # a row diverged, finishes or is observed: look at the rows one by one
+        u = u.reshape(len(rows), -1)
         keep = []
         for pos, i in enumerate(rows):
             if not (bounded or np.vdot(u[pos], u[pos]) <= limit):
@@ -441,8 +454,14 @@ def run_batch(
             rows = [i for i, k in zip(rows, keep) if k]
             if not rows:
                 break
-            carry = tuple(x[keep] for x in carry)
+            lone = keep.index(True) if len(rows) == 1 else keep
+            carry = tuple(x[lone] for x in carry)
             steppers = [x for x, k in zip(steppers, keep) if k]
-            stepper, last = LinearStepper.stack(steppers), min(steps[i] for i in rows)
+            stepper, last = _batch_stepper(steppers), min(steps[i] for i in rows)
             advance = stepper.advance
     return tuple(results)
+
+
+def _batch_stepper(steppers) -> LinearStepper:
+    """The stepper of a batch: a lone row steps with its own, in 1-D arrays."""
+    return steppers[0] if len(steppers) == 1 else LinearStepper.stack(steppers)

@@ -279,16 +279,33 @@ class TestGridTransforms:
 
     @pytest.mark.parametrize("half", [16, 129])
     def test_pair_works_in_the_carry_layout(self, rng, half):
-        # (rows, 1, n) nodal rows to real (rows, 1, 2h) spectra, each mode's
+        # (rows, n) nodal rows to real (rows, 2h) spectra, each mode's
         # Re and Im side by side, and back; rfft and irfft are its adapters
         grid = Grid(half_modes=half, length=80.0)
         x, y = self.samples(rng, grid, (3,))
-        spectra = grid.forward(x[:, None])
-        assert spectra.shape == (3, 1, 2 * (half + 1)) and spectra.dtype == float
-        assert np.array_equal(spectra[:, 0].view(complex), grid.rfft(x))
-        nodal = grid.inverse(np.ascontiguousarray(y).view(float)[:, None])
-        assert nodal.shape == (3, 1, grid.num_points)
-        assert np.array_equal(nodal[:, 0], grid.irfft(y))
+        spectra = grid.forward(x)
+        assert spectra.shape == (3, 2 * (half + 1)) and spectra.dtype == float
+        assert np.array_equal(spectra.view(complex), grid.rfft(x))
+        nodal = grid.inverse(np.ascontiguousarray(y).view(float))
+        assert nodal.shape == (3, grid.num_points)
+        assert np.array_equal(nodal, grid.irfft(y))
+
+    @pytest.mark.parametrize("half", [16, 128, 129])
+    def test_a_row_transforms_as_its_row_of_a_stack(self, rng, half):
+        # a 1-D row (one np.dot on a dense grid) gives the bits of its row
+        # of a stack (one np.matmul of (1, n) rows), forward and inverse,
+        # written into a given buffer or into a new array alike
+        grid = Grid(half_modes=half, length=80.0)
+        x, y = self.samples(rng, grid, (4,))
+        y = np.ascontiguousarray(y).view(float)
+        for transform, stack in ((grid.forward, x), (grid.inverse, y)):
+            rows = transform(stack)
+            into = np.empty_like(rows)
+            assert transform(stack, into) is into and np.array_equal(into, rows)
+            for r in range(len(stack)):
+                assert np.array_equal(transform(stack[r]), rows[r])
+                out = np.empty_like(rows[r])
+                assert transform(stack[r], out) is out and np.array_equal(out, rows[r])
 
     @pytest.mark.parametrize("half", [16, 128, 129])
     def test_mode_zero_imaginary_part_is_exactly_zero(self, rng, half):

@@ -1,5 +1,6 @@
 """Scheme mechanics: implicit diagonal, stepping, bootstrap and run control."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ def full_wavenumbers(grid):
 
 def mode_zero(stepper):
     """(m, f, c, q, s) of mode 0 of a one-run stepper: its Re and its Im slot."""
-    return [x[0, :2] for x in (stepper.m, stepper.f, stepper.c, stepper.q, stepper.s)]
+    return [x[:2] for x in (stepper.m, stepper.f, stepper.c, stepper.q, stepper.s)]
 
 
 def zero_problem(grid):
@@ -600,8 +601,8 @@ class TestRunBatch:
         for (scheme, dt), got in zip(runs, batch):
             stepper = (ProposedStepper if scheme == "proposed" else FrutosStepper)(grid, dt)
             # a mode's real coefficient, read from its Re slot, as the complex number
-            m, f, c, q, s = (x[0, ::2] + 0j for x in (stepper.m, stepper.f, stepper.c,
-                                                      stepper.q, stepper.s))
+            m, f, c, q, s = (x[::2] + 0j for x in (stepper.m, stepper.f, stepper.c,
+                                                   stepper.q, stepper.s))
             w0, w1 = stepper.weights
             start = bootstrap(prob, dt, "exact", p)
             u, u_prev = start.u_curr, start.u_prev
@@ -703,14 +704,14 @@ class TestRunBatch:
         for row, solo in enumerate(steppers):
             for name in ("dt", "w0", "w1", "m", "f", "c", "q", "s", "has_psi"):
                 assert np.array_equal(getattr(batch, name)[row], getattr(solo, name))
-        # every array is in the carry layout: (rows, 1, n) nodal, (rows, 1, 2h) spectral
+        # every array is in the carry layout: (rows, n) nodal, (rows, 2h) spectral
         for name in ("m", "f", "c", "q", "s"):
-            assert getattr(batch, name).shape == (4, 1, 2 * (grid.half_modes + 1))
+            assert getattr(batch, name).shape == (4, 2 * (grid.half_modes + 1))
             # each mode's coefficient stands beside both its Re and Im
             assert np.array_equal(getattr(batch, name)[..., ::2], getattr(batch, name)[..., 1::2])
         # a weight the rows share is a scalar, one that differs a column
         assert LinearStepper.stack(steppers[:3]).weights == [1.5, -0.5]
-        assert np.array_equal(batch.weights[0], [[[1.5]], [[1.5]], [[1.5]], [[1.0]]])
+        assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
         # a batch steps one grid: a second grid would transform with the
@@ -731,3 +732,79 @@ class TestRunBatch:
         # a stepper is built for one run; a batch is the stack of its rows' steppers
         with pytest.raises(ValueError, match="a float"):
             build(benchmark_grid(16), np.array([0.1, 0.05]))
+
+
+class TestStepBuffers:
+    """A step writes into the stepper's own buffers: one-run steppers step 1-D arrays."""
+
+    @staticmethod
+    def stepper(n, rows):
+        grid = benchmark_grid(n)
+        steppers = [ProposedStepper(grid, 0.01 * (row + 1)) for row in range(rows)]
+        return steppers[0] if rows == 1 else LinearStepper.stack(steppers)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_a_step_allocates_no_array(self, rng, n, rows):
+        # N = 128 transforms by matrix products, N = 256 by np.fft; after
+        # warm-up only Python objects may come and go, less than one nodal row
+        assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 128)
+        stepper = self.stepper(n, rows)
+        width = stepper.grid.num_points
+        u = 1e-3 * rng.standard_normal((rows, width) if rows > 1 else width)
+        carry = stepper.start(u, 0.5 * u, 0.9 * u)
+        for _ in range(3):
+            carry = stepper.advance(carry)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                carry = stepper.advance(carry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * width
+
+    def test_one_run_arrays_are_one_dimensional(self):
+        stepper = self.stepper(16, 1)
+        assert stepper.m.shape == (2 * 17,) and stepper.w0.shape == (1,)
+        u = np.zeros(stepper.grid.num_points)
+        carry = stepper.advance(stepper.start(u, u, u))
+        assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (33,)]
+
+    def test_step_arrays_refuses_a_stacked_stepper(self):
+        stepper = self.stepper(16, 2)
+        u = np.zeros(stepper.grid.num_points)
+        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
+            stepper.step_arrays(u, u, u)
+
+    @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
+    def test_step_arrays_results_do_not_alias(self, rng, scheme):
+        # u' lives in a stepper buffer; step_arrays returns copies of it
+        grid = benchmark_grid(16)
+        u, psi, u_prev = 1e-2 * rng.standard_normal((3, grid.num_points))
+        if scheme == "proposed":
+            stepper = ProposedStepper(grid, 0.01)
+            first = stepper.step_arrays(u, psi, u_prev)
+            kept = [x.copy() for x in first]
+            second = stepper.step_arrays(*first, u)
+        else:
+            stepper = FrutosStepper(grid, 0.01)
+            first = (stepper.step_arrays(u, u_prev),)
+            kept = [first[0].copy()]
+            second = (stepper.step_arrays(first[0], u),)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_a_lone_run_is_not_stacked(self, monkeypatch):
+        # run() steps with the run's own stepper, and so does a batch once
+        # one row is left: stack is called for the two rows only
+        stacked = []
+        stack = LinearStepper.stack
+        monkeypatch.setattr(LinearStepper, "stack",
+                            lambda steppers: stacked.append(len(steppers)) or stack(steppers))
+        prob, p = batch_problem(n=16)
+        run(prob, 0.05, 0.5, params=p)
+        assert stacked == []
+        run_batch(prob, (("proposed", 0.05), ("proposed", 0.1)), 0.5, params=p)
+        assert stacked == [2]
