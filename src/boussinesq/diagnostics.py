@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, _parseval, norm2
+from .spectral import Grid, _check_shape, _parseval, norm2
 from .stepping import SchemeState
 from .waves import SolitaryWaveParams
 
@@ -32,6 +32,7 @@ class ErrorRecord:
 
 def mass(grid: Grid, values: np.ndarray) -> float:
     """Discrete mass h * sum_i u_i (equivalently L times the mean)."""
+    _check_shape(grid, np.asarray(values))
     return float(grid.spacing * np.sum(values))
 
 
@@ -74,6 +75,7 @@ def crest_position(grid: Grid, values: np.ndarray) -> float:
     Fits a parabola through the minimum node and its periodic neighbours.
     """
     values = np.asarray(values, dtype=float)
+    _check_shape(grid, values)
     j = int(np.argmin(values))
     left = values[(j - 1) % grid.num_points]
     mid = values[j]

@@ -14,9 +14,10 @@ rfft half-spectra, maps every mode by the same 2x2 linear update plus a
 forcing by the nonlinearity, and makes one forward and one inverse
 transform of the grid per step (:meth:`Grid.forward`, :meth:`Grid.inverse`).
 A batch stacks the steppers of every run on one grid, of any scheme and
-step size, as the rows of one carry, so those runs share every call; a
-batch of one steps with its run's own stepper.  The carry is held in the
-layout the grid's pair reads and writes, a row per run: nodal rows
+step size, as the rows of one carry, so those runs share every call of a
+step; a stack of one is its run's own stepper.  Only a step sees a stack:
+each run starts, and is read from its row, through its own stepper.  The
+carry is in the layout the grid's pair reads and writes: nodal rows
 (rows, n) and real spectra (rows, 2h), each mode's Re and Im side by side,
 and a lone run's 1-D (n,) and (2h,).  The pair writes into buffers the
 stepper owns, so a step allocates no array.  On a dense grid a lone row is
@@ -115,7 +116,7 @@ class LinearStepper:
     """Precomputed-plan stepper for a scheme that is linear in each mode.
 
     The state is carried as two rfft half-spectra: Y of u, and Z, which is
-    that of psi in the rows that have psi (``has_psi``).  With the
+    that of psi if the run has psi (``has_psi``).  With the
     nonlinearity N = rfft(w0 u^2 + w1 u_prev^2), every mode takes
 
         Y' = m Y + f N + c Z
@@ -123,8 +124,10 @@ class LinearStepper:
 
     so the linear part of a step is :attr:`matrix`.  A builder makes the
     stepper of one run, for one float ``dt``; a batch is :meth:`stack` of
-    its rows' steppers, a run per row of the carry.  Per-row weights and
-    ``has_psi`` mix schemes.
+    its rows' steppers, a run per row of the carry, with per-row weights
+    that mix schemes.  Only :meth:`advance` steps a stack: :meth:`start`,
+    :meth:`state` and :meth:`step_arrays` take a one-run stepper, which
+    reads its own row of a batch's carry.
 
     Everything is held in the layout of :meth:`Grid.forward`: nodal rows
     are (rows, n), and the spectra and the coefficients m, f, c, q, s are
@@ -158,9 +161,11 @@ class LinearStepper:
 
     @classmethod
     def stack(cls, steppers) -> LinearStepper:
-        """The batch of ``steppers``, in order: one-run steppers of one grid."""
+        """The batch of one-run ``steppers`` of one grid, in order; a stack of one is itself."""
         if len({x.grid for x in steppers}) != 1:
             raise ValueError("a batch stacks one or more steppers of one grid")
+        if len(steppers) == 1:
+            return steppers[0]
         rows = [(x.dt, x.w0, x.w1, x.m, x.f, x.c, x.q, x.s, x.has_psi) for x in steppers]
         return cls(steppers[0].grid, *map(np.stack, zip(*rows)))
 
@@ -171,16 +176,14 @@ class LinearStepper:
         return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of nodal rows (rows, n), or (n,) for one run.
+        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of a one-run stepper's nodal arrays (n,).
 
-        A row without psi ignores its psi row.
+        Z is the spectrum of psi if the run has psi, else the backward
+        difference q (Y - V); a run without psi ignores ``psi``.
         """
-        forward = self.grid.forward
+        has_psi, forward = self._one_run(), self.grid.forward
         y = forward(u)
-        # Z seeds from psi, or else is the backward difference q (Y - V)
-        z = 0.0 if self.has_psi.all() else self.q * (y - forward(u_prev))
-        if self.has_psi.any():
-            z = np.where(self.has_psi[..., None], forward(psi), z)
+        z = forward(psi) if has_psi else self.q * (y - forward(u_prev))
         return u, u_prev, y, z, u_prev**2
 
     @cached_property
@@ -224,18 +227,15 @@ class LinearStepper:
         z_new -= spectral
         return inverse(y_new, u_new), u, y_new, z_new, up
 
-    def state(self, carry, step_index: int, row: int) -> SchemeState:
-        """State of row ``row`` of a batch's carry, or of a one-run stepper's carry.
+    def state(self, carry, step_index: int) -> SchemeState:
+        """State of a one-run stepper's carry, or of its run's row view of a batch's carry.
 
         u and u_prev are copied, so that a state kept after its run
         finishes holds neither the stepper's buffers nor the whole batch.
         """
-        dt, has_psi = self.dt, self.has_psi
-        if has_psi.ndim:  # a batch: take its row
-            carry, dt, has_psi = [x[row] for x in carry], dt[row], has_psi[row]
         u, u_prev, _, z, _ = carry
-        psi = self.grid.inverse(z) if has_psi else None
-        return SchemeState(self.grid, step_index, float(step_index * dt), u.copy(), psi,
+        psi = self.grid.inverse(z) if self._one_run() else None
+        return SchemeState(self.grid, step_index, float(step_index * self.dt), u.copy(), psi,
                            u_prev.copy())
 
     def step_arrays(self, u, *fields):
@@ -243,12 +243,17 @@ class LinearStepper:
 
         (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
         """
-        if self.has_psi.ndim:
-            raise ValueError("step_arrays steps a one-run stepper; run_batch steps a batch")
-        psi, u_prev = fields if self.has_psi else (None, *fields)
+        has_psi = self._one_run()
+        psi, u_prev = fields if has_psi else (None, *fields)
         arrays = (x if x is None else np.ascontiguousarray(x, float) for x in (u, psi, u_prev))
         u_new, _, _, z, _ = self.advance(self.start(*arrays))
-        return (u_new.copy(), self.grid.inverse(z)) if self.has_psi else u_new.copy()
+        return (u_new.copy(), self.grid.inverse(z)) if has_psi else u_new.copy()
+
+    def _one_run(self) -> bool:
+        """Whether a one-run stepper's run has psi; a stack only advances."""
+        if self.has_psi.ndim:
+            raise ValueError("step_arrays steps a one-run stepper, and start and state read one")
+        return bool(self.has_psi)
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -389,20 +394,25 @@ def run_batch(
     and its state at the blow-up step is marked ``diverged``.
     """
     _check_integer(stride, 1, "observer stride")
+    runs = tuple(runs)
     steps = [_check_run(scheme, dt, T, bootstrap_mode) for scheme, dt in runs]
-    states = [
-        bootstrap_frutos(problem, dt, params) if scheme == "frutos"
-        else bootstrap(problem, dt, bootstrap_mode, params)
-        for scheme, dt in runs
-    ]
 
     # ||u||_rms > ceiling  <=>  u.u > n * ceiling^2 for a row; a NaN or inf
     # fails the comparison "u.u <= limit" as well.  np.vdot sums over the
     # whole batch: no row can exceed the limit while the sum does not, so
     # the loop looks at single rows only when the sum fails.
-    norm0 = float(np.sqrt(np.mean(problem.initial_u**2)))
-    limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm0 = np.sqrt(np.mean(problem.initial_u**2))
+        limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
+    if not np.isfinite(limit):
+        raise ValueError("initial u must be finite, with an rms small enough to watch for "
+                         f"blow-up; got rms {norm0:.3g}")
 
+    states = [
+        bootstrap_frutos(problem, dt, params) if scheme == "frutos"
+        else bootstrap(problem, dt, bootstrap_mode, params)
+        for scheme, dt in runs
+    ]
     for state in states:
         for obs in observers:
             obs(state)
@@ -417,17 +427,12 @@ def run_batch(
         else ProposedStepper(problem.grid, dt)
         for scheme, dt in (runs[i] for i in rows)
     ]
-    stepper = _batch_stepper(steppers)
     live = [states[i] for i in rows]
-    lone = 0 if len(rows) == 1 else slice(None)
-    carry = stepper.start(
-        np.stack([s.u_curr for s in live])[lone],
-        # a row without psi ignores the u that stands in for it
-        np.stack([s.u_curr if s.psi_curr is None else s.psi_curr for s in live])[lone],
-        np.stack([s.u_prev for s in live])[lone],
-    )
-    advance = stepper.advance
-    del states, live  # the carry holds copies
+    # each row starts with its own stepper; a lone row keeps its 1-D carry
+    carry = [x.start(s.u_curr, s.psi_curr, s.u_prev) for x, s in zip(steppers, live)]
+    carry = carry[0] if len(rows) == 1 else tuple(map(np.stack, zip(*carry)))
+    advance = LinearStepper.stack(steppers).advance
+    del states, live  # the carry holds what a step reads
     # the next row to finish is the one with the fewest steps
     last = min(steps[i] for i in rows)
     for n in range(1, max(steps[i] for i in rows) + 1):
@@ -437,14 +442,15 @@ def run_batch(
         watched = observers and n % stride == 0
         if bounded and n < last and not watched:
             continue
-        # a row diverged, finishes or is observed: look at the rows one by one
-        u = u.reshape(len(rows), -1)
+        # a row diverged, finishes or is observed: look at the rows one by one,
+        # each through its own stepper, from a view of its row of the carry
+        views = zip(*(x.reshape(len(rows), -1) for x in carry))
         keep = []
-        for pos, i in enumerate(rows):
-            if not (bounded or np.vdot(u[pos], u[pos]) <= limit):
-                results[i] = replace(stepper.state(carry, n, pos), diverged=True)
+        for i, stepper, row in zip(rows, steppers, views):
+            if not (bounded or np.vdot(row[0], row[0]) <= limit):
+                results[i] = replace(stepper.state(row, n), diverged=True)
             elif watched or n == steps[i]:
-                state = stepper.state(carry, n, pos)
+                state = stepper.state(row, n)
                 for obs in observers:
                     obs(state)
                 if n == steps[i]:
@@ -457,11 +463,6 @@ def run_batch(
             lone = keep.index(True) if len(rows) == 1 else keep
             carry = tuple(x[lone] for x in carry)
             steppers = [x for x, k in zip(steppers, keep) if k]
-            stepper, last = _batch_stepper(steppers), min(steps[i] for i in rows)
-            advance = stepper.advance
+            advance = LinearStepper.stack(steppers).advance
+            last = min(steps[i] for i in rows)
     return tuple(results)
-
-
-def _batch_stepper(steppers) -> LinearStepper:
-    """The stepper of a batch: a lone row steps with its own, in 1-D arrays."""
-    return steppers[0] if len(steppers) == 1 else LinearStepper.stack(steppers)

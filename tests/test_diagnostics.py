@@ -178,6 +178,14 @@ class TestModifiedEnergy:
         assert got >= 0.0
 
 
+@pytest.mark.parametrize("measure", [mass, crest_position])
+def test_values_off_the_grid_are_rejected(measure):
+    # the shape rule of spectral.inner_product: one value per node
+    grid = Grid(16, 80.0, -40.0)
+    with pytest.raises(ValueError, match="expected 33 values for this grid, got shape"):
+        measure(grid, np.ones(5) if measure is mass else -np.arange(5.0))
+
+
 class TestCrestPosition:
     def test_exact_profile_crest(self):
         # the crest at x = 0 sits 2.13 right of the middle of the domain

@@ -537,6 +537,16 @@ class TestRun:
         assert result.diverged
         assert result.blowup_step is not None
 
+    @pytest.mark.parametrize("amplitude", [1e148, 1e150, 1e160, np.nan])
+    def test_initial_u_too_large_to_watch_is_rejected_before_observing(self, amplitude):
+        # n (1e6 rms)^2 must be finite: one error, no OverflowError and no numpy warning
+        grid = Grid(16, 80.0, -40.0)
+        u0 = amplitude * np.cos(2 * np.pi * grid.nodes / 80)
+        seen = []
+        with pytest.raises(ValueError, match="initial u must be finite, with an rms small"):
+            run(GBProblem(grid, u0, np.zeros(grid.num_points)), 0.1, 1.0, observers=[seen.append])
+        assert seen == []
+
 
 def batch_problem(n=64):
     grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
@@ -688,6 +698,15 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="unknown scheme"):
             run_batch(prob, (("proposed", 0.1), ("bogus", 0.1)), 1.0, params=p)
 
+    def test_runs_may_be_an_iterator(self):
+        prob, p = batch_problem(n=16)
+        runs = (("proposed", 0.1), ("proposed", 0.05))
+        got = run_batch(prob, (x for x in runs), 0.2, "exact", p)
+        want = run_batch(prob, runs, 0.2, "exact", p)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert_same_result(g, w)
+
     def test_zero_step_rows_and_empty_batch(self):
         prob, p = batch_problem(n=16)
         assert run_batch(prob, (), 1.0) == ()
@@ -727,6 +746,10 @@ class TestRunBatch:
         # equal grids built apart are one grid
         LinearStepper.stack([ProposedStepper(grid, 0.1), FrutosStepper(benchmark_grid(16), 0.1)])
 
+    def test_a_stack_of_one_is_that_stepper(self):
+        stepper = ProposedStepper(benchmark_grid(16), 0.1)
+        assert LinearStepper.stack([stepper]) is stepper
+
     @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper, build_implicit_diagonal])
     def test_an_array_of_step_sizes_is_rejected(self, build):
         # a stepper is built for one run; a batch is the stack of its rows' steppers
@@ -738,10 +761,9 @@ class TestStepBuffers:
     """A step writes into the stepper's own buffers: one-run steppers step 1-D arrays."""
 
     @staticmethod
-    def stepper(n, rows):
+    def steppers(n, rows):
         grid = benchmark_grid(n)
-        steppers = [ProposedStepper(grid, 0.01 * (row + 1)) for row in range(rows)]
-        return steppers[0] if rows == 1 else LinearStepper.stack(steppers)
+        return [ProposedStepper(grid, 0.01 * (row + 1)) for row in range(rows)]
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n", [128, 256])
@@ -749,10 +771,13 @@ class TestStepBuffers:
         # N = 128 transforms by matrix products, N = 256 by np.fft; after
         # warm-up only Python objects may come and go, less than one nodal row
         assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 128)
-        stepper = self.stepper(n, rows)
+        steppers = self.steppers(n, rows)
+        stepper = LinearStepper.stack(steppers)
         width = stepper.grid.num_points
-        u = 1e-3 * rng.standard_normal((rows, width) if rows > 1 else width)
-        carry = stepper.start(u, 0.5 * u, 0.9 * u)
+        # the carry run_batch builds: each row starts with its own stepper
+        u = 1e-3 * rng.standard_normal((rows, width))
+        carry = [x.start(v, 0.5 * v, 0.9 * v) for x, v in zip(steppers, u)]
+        carry = carry[0] if rows == 1 else tuple(map(np.stack, zip(*carry)))
         for _ in range(3):
             carry = stepper.advance(carry)
         tracemalloc.start()
@@ -766,17 +791,28 @@ class TestStepBuffers:
         assert peak - before < 8 * width
 
     def test_one_run_arrays_are_one_dimensional(self):
-        stepper = self.stepper(16, 1)
+        (stepper,) = self.steppers(16, 1)
         assert stepper.m.shape == (2 * 17,) and stepper.w0.shape == (1,)
         u = np.zeros(stepper.grid.num_points)
         carry = stepper.advance(stepper.start(u, u, u))
         assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (33,)]
 
     def test_step_arrays_refuses_a_stacked_stepper(self):
-        stepper = self.stepper(16, 2)
+        stepper = LinearStepper.stack(self.steppers(16, 2))
         u = np.zeros(stepper.grid.num_points)
         with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
             stepper.step_arrays(u, u, u)
+
+    def test_start_and_state_refuse_a_stacked_stepper(self):
+        # a stack only advances: its rows start and are read by their own steppers
+        steppers = self.steppers(16, 2)
+        u = np.zeros((2, steppers[0].grid.num_points))
+        carry = tuple(map(np.stack, zip(*(x.start(v, v, v) for x, v in zip(steppers, u)))))
+        stepper = LinearStepper.stack(steppers)
+        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
+            stepper.start(u, u, u)
+        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
+            stepper.state(stepper.advance(carry), 1)
 
     @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
     def test_step_arrays_results_do_not_alias(self, rng, scheme):
@@ -798,13 +834,18 @@ class TestStepBuffers:
 
     def test_a_lone_run_is_not_stacked(self, monkeypatch):
         # run() steps with the run's own stepper, and so does a batch once
-        # one row is left: stack is called for the two rows only
-        stacked = []
-        stack = LinearStepper.stack
-        monkeypatch.setattr(LinearStepper, "stack",
-                            lambda steppers: stacked.append(len(steppers)) or stack(steppers))
+        # one row is left: stack returns a lone stepper, whose carry is 1-D
         prob, p = batch_problem(n=16)
+        n = prob.grid.num_points
+        stepper = ProposedStepper(prob.grid, 0.05)
+        assert LinearStepper.stack([stepper]) is stepper
+        shapes = []
+        advance = LinearStepper.advance
+        monkeypatch.setattr(LinearStepper, "advance",
+                            lambda self, c: shapes.append(c[0].shape) or advance(self, c))
         run(prob, 0.05, 0.5, params=p)
-        assert stacked == []
+        assert shapes == [(n,)] * 10
+        shapes.clear()
         run_batch(prob, (("proposed", 0.05), ("proposed", 0.1)), 0.5, params=p)
-        assert stacked == [2]
+        # the dt = 0.1 row finishes after 5 steps; the dt = 0.05 row takes 5 more alone
+        assert shapes == [(2, n)] * 5 + [(n,)] * 5
