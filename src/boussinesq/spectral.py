@@ -10,6 +10,20 @@ partner -l.  Coefficients divided by 2N+1 have the mean of the nodal values
 at l = 0; with that normalization the discrete L2 inner product
 ``(1/(2N+1)) sum f_i g_i`` and Parseval's identity, with weight 1 at l = 0
 and 2 above, line up exactly.
+
+A grid of n points transforms on one of three paths, chosen once per grid:
+
+* dense, for n <= DENSE_MAX_POINTS (257): one real matrix product with the
+  stored (n, 2h) real-DFT matrix or its inverse;
+* two-stage, for n = p*r with p its largest prime factor, r <= p <= 257 and
+  n*p >= TWO_STAGE_MIN_WORK (723 = 241*3 and 4,097 = 241*17 points, say): the
+  p-point real DFT of the r decimated rows as two BLAS products over folded
+  cosine and sine halves, then twiddles and the r-point DFT as one small
+  product (:class:`_TwoStage`);
+* numpy's ``np.fft.rfft``/``irfft`` at every other n (513 and 1,025 points).
+
+Each path writes into a given ``out`` without allocating, and a row of a
+stack transforms bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -29,9 +43,14 @@ __all__ = [
 ]
 
 # Grids of at most this many points transform by two real matrix products,
-# which beat numpy's FFT pair at these short, often prime, lengths; longer
-# grids call np.fft.
+# which beat numpy's FFT pair at these short, often prime, lengths.
 DENSE_MAX_POINTS = 257
+
+# A longer grid of n = p*r points, p its largest prime factor, transforms in
+# two stages (_TwoStage) when r <= p <= DENSE_MAX_POINTS and n*p, the order of
+# numpy's generic radix-p pass, is at least this: below it numpy's FFT was
+# about as fast (BENCH_26.json).  Every other grid calls np.fft.
+TWO_STAGE_MIN_WORK = 50_000
 
 # the most half modes whose 2N+1 float64 nodes numpy can index: it caps an
 # array's size in bytes at the largest intp
@@ -132,37 +151,56 @@ class Grid:
         # written in place, so no transposed copy of W raises the peak
         return W, np.multiply(W.T, w, out=np.empty((2 * h, n)))
 
+    @cached_property
+    def _two_stage(self) -> _TwoStage | None:
+        """The two-stage plan of a length that qualifies (see TWO_STAGE_MIN_WORK), else None."""
+        n = rest = self.num_points
+        p = 1
+        for d in range(3, DENSE_MAX_POINTS + 1, 2):  # n is odd
+            while rest % d == 0:
+                rest, p = rest // d, d
+        if rest == 1 and DENSE_MAX_POINTS < n <= p * p and n * p >= TWO_STAGE_MIN_WORK:
+            return _TwoStage(n, p)
+        return None
+
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of real nodal rows, in the carry layout the steppers keep.
 
         x is one row (n,) or a stack (..., n); the result is real, (2h,) or
         (..., 2h), with each mode's Re and Im side by side: the layout of W's
         columns.  It is written into ``out``, a C-contiguous float array of
-        that shape, or into a new array when ``out`` is None.  On a dense
-        grid a row is the one product ``np.dot(x, W, out)`` and a stack one
-        ``np.matmul`` over its rows viewed as (..., 1, n), so each row of a
-        stack is its own (1, n) product and transforms bit for bit as it
-        would alone.  The FFT grids write numpy's complex result through
-        ``out=`` into ``out`` viewed as complex.
+        that shape, or into a new array when ``out`` is None, on the grid's
+        one path (see the module docstring): the product with W, one
+        ``np.dot`` of a row or one ``np.matmul`` of a stack's rows viewed as
+        (..., 1, n); the two-stage plan, over a stack's rows in turn; or
+        numpy's rfft through ``out=`` into ``out`` viewed as complex.  On
+        each, a row of a stack transforms bit for bit as it would alone.
         """
         dense = self._dense_dft
-        if dense is None:
-            if out is None:
-                return np.fft.rfft(x).view(float)
-            np.fft.rfft(x, out=out.view(complex))
-            return out
-        return _rows_times(x, dense[0], out)
+        if dense is not None:
+            return _rows_times(x, dense[0], out)
+        plan = self._two_stage
+        if plan is not None:
+            return plan.rows(plan.forward, x, out, 2 * self.half_modes + 2)
+        if out is None:
+            return np.fft.rfft(x).view(float)
+        np.fft.rfft(x, out=out.view(complex))
+        return out
 
     def inverse(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real nodal rows (n,) or (..., n) of C-ordered spectra in the layout of :meth:`forward`.
 
-        Written into ``out`` as :meth:`forward` writes: on a dense grid the
-        one product of y with V, on an FFT grid numpy's irfft through ``out=``.
+        Written into ``out`` on the path :meth:`forward` takes: the product
+        of y with V, the two-stage plan row by row, or numpy's irfft through
+        ``out=``.
         """
         dense = self._dense_dft
-        if dense is None:
-            return np.fft.irfft(y.view(complex), self.num_points, out=out)
-        return _rows_times(y, dense[1], out)
+        if dense is not None:
+            return _rows_times(y, dense[1], out)
+        plan = self._two_stage
+        if plan is not None:
+            return plan.rows(plan.inverse, y, out, self.num_points)
+        return np.fft.irfft(y.view(complex), self.num_points, out=out)
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
@@ -185,6 +223,86 @@ def _rows_times(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np
         out = np.empty(x.shape[:-1] + matrix.shape[-1:])
     np.matmul(x[..., None, :], matrix, out[..., None, :])
     return out
+
+
+class _TwoStage:
+    """Real DFT of n = p*r points in Cooley & Tukey's two stages (Math. Comp. 1965).
+
+    Node r*a + b is entry (a, b) of a row viewed as (p, r); mode c + p*m with
+    c < q = (p + 1)/2 is entry (c, m) of a (q, r) array G, and a mode with
+    c > p/2 is the conjugate of G's entry (p-c, r-1-m).  Forward, the folded
+    rows x_a + x_{p-a} and x_a - x_{p-a} give the p-point DFT of every column
+    as two real products, C (cosines) and S (minus sines), read from the
+    table of the n roots by r*(a*c mod p) as W is; twiddles exp(-2 pi i bc/n)
+    and one real product with the r-point DFT then give G.  The inverse runs
+    the stages back, irfft's weights in its twiddles, and unfolds x_a and
+    x_{p-a} from C Re + S Im.  The buffers are built once, so a transform
+    allocates nothing (ufuncs see only contiguous blocks: numpy buffers
+    strided 2-D operands) and no result aliases them; they also make a
+    plan serve one call at a time.
+    """
+
+    def __init__(self, n: int, p: int):
+        r, q = n // p, (p + 1) // 2
+        self.shape, self.mid = (p, r), (r - 1) // 2  # the output's rows below mid are whole
+        roots = np.exp(-2j * np.pi * np.arange(n) / n)
+        a, b = np.arange(q), np.arange(r)
+        index = r * (np.outer(a, a) % p)
+        self.C, self.S = roots.real[index], roots.imag[index[1:, 1:]]
+        del index
+        self.T = roots[np.outer(a, b) % n]
+        self.T_inv = self.T.conj() * np.where(a == 0, 1.0, 2.0)[:, None] / n
+        # z @ A is z @ dft on complex (q, r) z viewed as (q, 2r) reals; A's signs
+        # conjugate the output columns above mid, A_inv's the input columns
+        dft = roots[p * (np.outer(b, b) % r)][:, None, :]
+        self.A, self.A_inv = (
+            (x * [[1], [1j]]).view(float).reshape(2 * r, -1) for x in (dft, dft.conj())
+        )
+        self.A[:, 2 * self.mid + 3::2] *= -1
+        self.A_inv[2 * self.mid + 3::2] *= -1
+        self.f, self.g0, self.re, self.im = (np.zeros((q, r)) for _ in range(4))
+        self.g, self.im = self.g0[1:], self.im[1:]  # g0[0] stays 0
+        self.y, self.z, self.G = np.zeros((q, r), complex), *np.empty((2, q, r), complex)
+
+    def rows(self, one, x: np.ndarray, out: np.ndarray | None, width: int) -> np.ndarray:
+        """one(row, into) on a 1-D x or on each row of a stack, into ``out`` or a new array."""
+        out = np.empty(x.shape[:-1] + (width,)) if out is None else out
+        for row, into in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, width)):
+            one(row, into)
+        return out
+
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        (p, r), mid, q, G = self.shape, self.mid, len(self.C), self.G
+        rows = x.reshape(p, r)
+        self.g[...] = rows[:q - 1:-1]
+        np.add(rows[:q], self.g0, out=self.f)
+        np.subtract(rows[1:q], self.g, out=self.g)
+        np.dot(self.C, self.f, out=self.re)
+        np.dot(self.S, self.g, out=self.im)
+        self.y.real, self.y.imag[1:] = self.re, self.im
+        np.multiply(self.y, self.T, out=self.z)
+        np.dot(self.z.view(float), self.A, out=G.view(float))
+        half = out.view(complex)
+        whole = half[:mid * p].reshape(mid, p)
+        whole[:, :q], whole[:, q:], half[mid * p:] = G[:, :mid].T, G[:0:-1, :mid:-1].T, G[:, mid]
+        return out
+
+    def inverse(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        (p, r), mid, q, G = self.shape, self.mid, len(self.C), self.G
+        half = y.view(complex)
+        whole = half[:mid * p].reshape(mid, p)
+        G[:, :mid], G[:, mid] = whole[:, :q].T, half[mid * p:]
+        G[1:, mid + 1:], G[0, mid + 1:] = whole[::-1, :q - 1:-1].T, G[0, mid:0:-1]
+        np.dot(G.view(float), self.A_inv, out=self.z.view(float))
+        np.multiply(self.z, self.T_inv, out=self.z)
+        self.re[...], self.im[...] = self.z.real, self.z.imag[1:]
+        rows = out.reshape(p, r)
+        np.dot(self.C, self.re, out=rows[:q])
+        np.dot(self.S, self.im, out=self.g)
+        np.subtract(rows[1:q], self.g, out=self.f[1:])
+        rows[:q - 1:-1] = self.f[1:]
+        np.add(rows[1:q], self.g, out=rows[1:q])
+        return out
 
 
 def _check_shape(grid: Grid, values: np.ndarray) -> None:

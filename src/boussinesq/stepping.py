@@ -20,9 +20,11 @@ each run starts, and is read from its row, through its own stepper.  The
 carry is in the layout the grid's pair reads and writes: nodal rows
 (rows, n) and real spectra (rows, 2h), each mode's Re and Im side by side,
 and a lone run's 1-D (n,) and (2h,).  The pair writes into buffers the
-stepper owns, so a step allocates no array.  On a dense grid a lone row is
-one ``np.dot`` and each row of a stack its own (1, n) product in one
-``np.matmul``, which gives it the bits of a run alone.
+stepper owns, so a step allocates no array.  The pair takes the grid's one
+of three paths (see :mod:`boussinesq.spectral`): on a dense grid a lone row
+is one ``np.dot`` and each row of a stack its own (1, n) product in one
+``np.matmul``; a two-stage grid runs its one-row plan over the rows in turn;
+any other grid calls numpy's FFT.  Each gives a row the bits of a run alone.
 """
 
 from __future__ import annotations
@@ -391,7 +393,9 @@ def run_batch(
     Each row's final state equals that of :func:`run` bit for bit, and the
     states come back in the order of ``runs``.  Observers see every row's
     state, as in :func:`run`; a row that diverges is dropped from the batch,
-    and its state at the blow-up step is marked ``diverged``.
+    and its state at the blow-up step is marked ``diverged``.  Initial data
+    that is not finite, or a u too large to watch for blow-up, is a
+    ``ValueError`` raised before any observer sees a state.
     """
     _check_integer(stride, 1, "observer stride")
     runs = tuple(runs)
@@ -407,6 +411,8 @@ def run_batch(
     if not np.isfinite(limit):
         raise ValueError("initial u must be finite, with an rms small enough to watch for "
                          f"blow-up; got rms {norm0:.3g}")
+    if not np.all(np.isfinite(problem.initial_ut)):
+        raise ValueError("initial u_t must be finite")
 
     states = [
         bootstrap_frutos(problem, dt, params) if scheme == "frutos"

@@ -13,6 +13,7 @@ import pytest
 from boussinesq.spectral import (
     DENSE_MAX_POINTS,
     MAX_HALF_MODES,
+    TWO_STAGE_MIN_WORK,
     Grid,
     _parseval,
     derivative,
@@ -237,7 +238,8 @@ class TestAcrossTransformSwitch:
 
 class TestGridTransforms:
     """``Grid.forward``/``Grid.inverse`` and their adapters ``Grid.rfft``/``Grid.irfft``:
-    matrix products up to DENSE_MAX_POINTS, np.fft above."""
+    matrix products up to DENSE_MAX_POINTS, two stages at lengths with a large prime
+    factor (TWO_STAGE_MIN_WORK), np.fft at the others."""
 
     @staticmethod
     def samples(rng, grid, shape=()):
@@ -277,7 +279,52 @@ class TestGridTransforms:
         assert V.flags.c_contiguous
         assert peak < 2.5 * W.nbytes
 
-    @pytest.mark.parametrize("half", [16, 129])
+    @staticmethod
+    def path(grid):
+        if grid._dense_dft is not None:
+            return "dense"
+        return "fft" if grid._two_stage is None else "two-stage"
+
+    @pytest.mark.parametrize(
+        "points, path",
+        [(257, "dense"), (259, "fft"), (513, "fft"), (1025, "fft"), (723, "two-stage"),
+         (4097, "two-stage")],
+    )
+    def test_each_length_takes_its_path(self, points, path):
+        # numpy's FFT is fast at 259 = 7 * 37, 513 = 19 * 27 and 1025 = 41 * 25 (n * p
+        # small, and r > p at 513) and slow at 723 = 241 * 3 and 4097 = 241 * 17
+        assert 1025 * 41 < TWO_STAGE_MIN_WORK <= 723 * 241
+        assert self.path(Grid(half_modes=(points - 1) // 2, length=80.0)) == path
+
+    @pytest.mark.parametrize("points, plan", [(723, (241, 3)), (1143, (127, 9)),
+                                              (2047, (89, 23)), (4097, (241, 17))])
+    def test_two_stage_lengths_match_numpy(self, rng, points, plan):
+        grid = Grid(half_modes=(points - 1) // 2, length=80.0, x_left=-40.0)
+        assert grid._two_stage.shape == plan
+        x, y = self.samples(rng, grid, (2,))
+        want_y, want_x = np.fft.rfft(x), np.fft.irfft(y, points)
+        got_y, got_x = grid.rfft(x), grid.irfft(y)
+        assert np.max(np.abs(got_y - want_y)) <= 1e-13 * np.max(np.abs(want_y))
+        assert np.max(np.abs(got_x - want_x)) <= 1e-13 * np.max(np.abs(want_x))
+
+    @pytest.mark.parametrize("points", [513, 1025])
+    def test_fft_lengths_of_the_sweeps_are_numpy_exactly(self, rng, points):
+        grid = Grid(half_modes=(points - 1) // 2, length=80.0)
+        x, y = self.samples(rng, grid, (3,))
+        assert np.array_equal(grid.rfft(x), np.fft.rfft(x))
+        assert np.array_equal(grid.irfft(y), np.fft.irfft(y, points))
+
+    def test_two_stage_results_do_not_alias_the_plan(self, rng):
+        # a result lives in its own array, not in the plan's buffers
+        grid = Grid(half_modes=361, length=80.0)
+        x, y = self.samples(rng, grid, (2,))
+        first_y, first_x = grid.rfft(x[0]), grid.irfft(y[0])
+        kept_y, kept_x = first_y.copy(), first_x.copy()
+        for transform, data in ((grid.rfft, x[1]), (grid.irfft, y[1]), (grid.rfft, x), (grid.irfft, y)):
+            transform(data)
+        assert np.array_equal(first_y, kept_y) and np.array_equal(first_x, kept_x)
+
+    @pytest.mark.parametrize("half", [16, 129, 361])
     def test_pair_works_in_the_carry_layout(self, rng, half):
         # (rows, n) nodal rows to real (rows, 2h) spectra, each mode's
         # Re and Im side by side, and back; rfft and irfft are its adapters
@@ -290,10 +337,11 @@ class TestGridTransforms:
         assert nodal.shape == (3, grid.num_points)
         assert np.array_equal(nodal, grid.irfft(y))
 
-    @pytest.mark.parametrize("half", [16, 128, 129])
+    @pytest.mark.parametrize("half", [16, 128, 129, 361])
     def test_a_row_transforms_as_its_row_of_a_stack(self, rng, half):
-        # a 1-D row (one np.dot on a dense grid) gives the bits of its row
-        # of a stack (one np.matmul of (1, n) rows), forward and inverse,
+        # a 1-D row (one np.dot on a dense grid, the one-row plan on a
+        # two-stage grid) gives the bits of its row of a stack (one np.matmul
+        # of (1, n) rows, or the plan row by row), forward and inverse,
         # written into a given buffer or into a new array alike
         grid = Grid(half_modes=half, length=80.0)
         x, y = self.samples(rng, grid, (4,))
@@ -307,14 +355,14 @@ class TestGridTransforms:
                 out = np.empty_like(rows[r])
                 assert transform(stack[r], out) is out and np.array_equal(out, rows[r])
 
-    @pytest.mark.parametrize("half", [16, 128, 129])
+    @pytest.mark.parametrize("half", [16, 128, 129, 361])
     def test_mode_zero_imaginary_part_is_exactly_zero(self, rng, half):
         grid = Grid(half_modes=half, length=80.0)
         x, _ = self.samples(rng, grid, (3,))
         assert np.all(grid.rfft(x)[:, 0].imag == 0.0)
         assert np.all(grid.rfft(x[0])[0].imag == 0.0)
 
-    @pytest.mark.parametrize("half", [16, 128, 129])
+    @pytest.mark.parametrize("half", [16, 128, 129, 361])
     def test_layouts_give_the_values_of_contiguous_rows(self, rng, half):
         # 1-D rows, row-strided and element-strided stacks all transform
         # as the rows of a contiguous 2-D array, bit for bit

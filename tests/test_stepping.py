@@ -547,6 +547,17 @@ class TestRun:
             run(GBProblem(grid, u0, np.zeros(grid.num_points)), 0.1, 1.0, observers=[seen.append])
         assert seen == []
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_ut_is_rejected_before_observing(self, value):
+        # as a non-finite u is: one error, not a run marked diverged at step 1
+        grid = Grid(16, 80.0, -40.0)
+        ut0 = np.zeros(grid.num_points)
+        ut0[3] = value
+        seen = []
+        with pytest.raises(ValueError, match="initial u_t must be finite"):
+            run(GBProblem(grid, np.zeros(grid.num_points), ut0), 0.1, 1.0, observers=[seen.append])
+        assert seen == []
+
 
 def batch_problem(n=64):
     grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
@@ -589,7 +600,15 @@ class TestRunBatch:
         assert benchmark_grid(256).num_points > DENSE_MAX_POINTS
         self.test_rows_equal_solo_runs_bit_for_bit("proposed", 2, "exact", n=256)
 
-    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize(
+        "scheme, mode", [("proposed", "exact"), ("proposed", "self_start"), ("frutos", "exact")]
+    )
+    def test_rows_equal_solo_runs_bit_for_bit_on_a_two_stage_grid(self, scheme, mode):
+        # N = 361 (723 = 3 * 241 points) transforms in two stages, a stack row by row
+        assert benchmark_grid(361)._two_stage is not None
+        self.test_rows_equal_solo_runs_bit_for_bit(scheme, 2, mode, n=361)
+
+    @pytest.mark.parametrize("n", [32, 256, 361])
     @pytest.mark.parametrize(
         "runs",
         [
@@ -602,9 +621,10 @@ class TestRunBatch:
     def test_rows_equal_the_complex_update_bit_for_bit(self, runs, n):
         # LinearStepper's update in complex arithmetic through Grid.rfft/irfft,
         # Y' = m Y + f rfft(w0 u^2 + w1 u_prev^2) + c Z and Z' = q (Y' - Y) - s Z,
-        # on a grid that transforms by matrix products (N = 32) and on one
-        # that calls np.fft (N = 256)
+        # on a grid that transforms by matrix products (N = 32), on one that
+        # calls np.fft (N = 256) and on one that transforms in two stages (N = 361)
         assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 32)
+        assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         prob, p = batch_problem(n)
         grid, T = prob.grid, 1.0
         batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
@@ -766,11 +786,13 @@ class TestStepBuffers:
         return [ProposedStepper(grid, 0.01 * (row + 1)) for row in range(rows)]
 
     @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("n", [128, 256, 361])
     def test_a_step_allocates_no_array(self, rng, n, rows):
-        # N = 128 transforms by matrix products, N = 256 by np.fft; after
-        # warm-up only Python objects may come and go, less than one nodal row
+        # N = 128 transforms by matrix products, N = 256 by np.fft and N = 361
+        # in two stages; after warm-up only Python objects may come and go,
+        # less than one nodal row
         assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 128)
+        assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         steppers = self.steppers(n, rows)
         stepper = LinearStepper.stack(steppers)
         width = stepper.grid.num_points
