@@ -128,6 +128,12 @@ class Grid:
         return 2.0 * np.pi * np.arange(self.half_modes + 1) / self.length
 
     @cached_property
+    def _k4(self) -> np.ndarray:
+        """k_l^4, the weight of the H2 seminorm, computed once per grid."""
+        k2 = self.wavenumbers**2
+        return k2 * k2
+
+    @cached_property
     def _dense_dft(self) -> tuple[np.ndarray, np.ndarray] | None:
         """None above DENSE_MAX_POINTS, else (W, V): the rfft and irfft matrices.
 
@@ -322,7 +328,9 @@ def _checked(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def _coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients l = 0, ..., N over 2N+1, so that the zeroth is the mean."""
-    return grid.rfft(_checked(grid, values)) / grid.num_points
+    coefficients = grid.rfft(_checked(grid, values))
+    coefficients /= grid.num_points
+    return coefficients
 
 
 def derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -364,7 +372,8 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
 def _parseval(grid: Grid, values: np.ndarray, multipliers) -> list[float]:
     """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for each multiplier M,
     from one forward transform; w_0 = 1 and w_l = 2 for l > 0, which also stands for -l."""
-    energy = np.abs(_coefficients(grid, values)) ** 2
+    energy = np.abs(_coefficients(grid, values))
+    energy **= 2
     return [float(2.0 * np.sum(m * energy) - m[0] * energy[0]) for m in multipliers]
 
 

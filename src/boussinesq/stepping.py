@@ -9,10 +9,13 @@ Two schemes are provided:
   as the stability-comparison baseline.
 
 Both implicit solves are diagonal in Fourier space, so both schemes are
-one :class:`LinearStepper` with their own coefficients: it carries two
-rfft half-spectra, maps every mode by the same 2x2 linear update plus a
-forcing by the nonlinearity, and makes one forward and one inverse
-transform of the grid per step (:meth:`Grid.forward`, :meth:`Grid.inverse`).
+one :class:`LinearStepper` with their own coefficients: it carries the
+rfft half-spectra of the state and of u^2 at this step and the last, maps
+every mode by the same 2x2 linear update in delta form plus a forcing by
+both spectra of u^2, and makes one inverse transform of the grid per step,
+of the new state, and one forward, of its u^2 (:meth:`Grid.inverse`,
+:meth:`Grid.forward`).  Mode 0 of that spectrum is the sum of u^2, which
+the blow-up check reads.
 A batch stacks the steppers of every run on one grid, of any scheme and
 step size, as the rows of one carry, so those runs share every call of a
 step; a stack of one is its run's own stepper.  Only a step sees a stack:
@@ -118,23 +121,31 @@ class LinearStepper:
     """Precomputed-plan stepper for a scheme that is linear in each mode.
 
     The state is carried as two rfft half-spectra: Y of u, and Z, which is
-    that of psi if the run has psi (``has_psi``).  With the
-    nonlinearity N = rfft(w0 u^2 + w1 u_prev^2), every mode takes
+    that of psi if the run has psi (``has_psi``), and as the spectra
+    F = rfft(u^2) and F_prev = rfft(u_prev^2) of the nonlinearity at this
+    step and the one before.  Every mode takes a step in delta form,
 
-        Y' = m Y + f N + c Z
-        Z' = q (Y' - Y) - s Z
+        dY = m' Y + f0 F + f1 F_prev + c Z
+        Y' = Y + dY
+        Z' = q dY - s Z
 
-    so the linear part of a step is :attr:`matrix`.  A builder makes the
-    stepper of one run, for one float ``dt``; a batch is :meth:`stack` of
-    its rows' steppers, a run per row of the carry, with per-row weights
-    that mix schemes.  Only :meth:`advance` steps a stack: :meth:`start`,
-    :meth:`state` and :meth:`step_arrays` take a one-run stepper, which
-    reads its own row of a batch's carry.
+    with m' = m - 1 stored as computed directly, never as the difference of
+    two numbers near 1 that q ~ 2/dt would amplify (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 2), so the linear part of a step
+    is :attr:`matrix`.  The nonlinearity's weights w0 and w1 of u^2 and
+    u_prev^2 are folded into the coefficients f0 = w0 f and f1 = w1 f:
+    rfft is linear, so F_prev is the F of the step before and a step makes
+    one forward transform, of u'^2.  A builder makes the stepper of one run,
+    for one float ``dt``; a batch is :meth:`stack` of its rows' steppers, a
+    run per row of the carry, with per-row coefficients that mix schemes.
+    Only :meth:`advance` steps a stack: :meth:`start`, :meth:`state` and
+    :meth:`step_arrays` take a one-run stepper, which reads its own row of a
+    batch's carry.
 
     Everything is held in the layout of :meth:`Grid.forward`: nodal rows
-    are (rows, n), and the spectra and the coefficients m, f, c, q, s are
-    real (rows, 2h), each mode's coefficient beside both its Re and Im.  A
-    one-run stepper drops the rows axis: its arrays are 1-D.  A real
+    are (rows, n), and the spectra and the coefficients m, f0, f1, c, q, s
+    are real (rows, 2h), each mode's coefficient beside both its Re and Im.
+    A one-run stepper drops the rows axis: its arrays are 1-D.  A real
     coefficient times each part gives the bits of the complex product
     (a + 0i)(x + iy).  On a dense grid a lone row transforms by one
     ``np.dot`` and a stack by one ``np.matmul`` of (1, n) rows, which give
@@ -144,21 +155,18 @@ class LinearStepper:
     stepper's buffers, so a step allocates no array.
     """
 
-    def __init__(self, grid: Grid, dt, w0, w1, m, f, c, q, s, has_psi):
+    def __init__(self, grid: Grid, dt, m, f0, f1, c, q, s, has_psi):
         """Coefficients broadcast to (2h,) per run: a number, or a value per Re and Im slot."""
         self.grid = grid
         self.dt = dt
         rows = np.shape(dt)
-        self.w0, self.w1 = (np.full(rows + (1,), w, dtype=float) for w in (w0, w1))
-        # a weight all rows share multiplies as a scalar: cheaper per step than its column
-        self.weights = [w if len(set(w.flat)) > 1 else w.item(0) for w in (self.w0, self.w1)]
         self.has_psi = np.full(rows, has_psi, dtype=bool)
         layout = rows + (2 * (grid.half_modes + 1),)
-        self.m, self.f, self.c, self.q, self.s = (
-            np.full(layout, x, dtype=float) for x in (m, f, c, q, s)
+        self.m, self.f0, self.f1, self.c, self.q, self.s = (
+            np.full(layout, x, dtype=float) for x in (m, f0, f1, c, q, s)
         )
         # what a step reads, bound once per stepper
-        self._step = (*self.weights, self.m, self.f, self.c, self.q, self.s, grid.forward,
+        self._step = (self.m, self.f0, self.f1, self.c, self.q, self.s, grid.forward,
                       grid.inverse)
 
     @classmethod
@@ -168,66 +176,67 @@ class LinearStepper:
             raise ValueError("a batch stacks one or more steppers of one grid")
         if len(steppers) == 1:
             return steppers[0]
-        rows = [(x.dt, x.w0, x.w1, x.m, x.f, x.c, x.q, x.s, x.has_psi) for x in steppers]
+        rows = [(x.dt, x.m, x.f0, x.f1, x.c, x.q, x.s, x.has_psi) for x in steppers]
         return cls(steppers[0].grid, *map(np.stack, zip(*rows)))
 
     @property
     def matrix(self) -> np.ndarray:
-        """Per-mode map of (Y, Z), [[m, c], [q(m - 1), q c - s]]: shape (..., half, 2, 2)."""
+        """Per-mode map of (Y, Z), [[1 + m', c], [q m', q c - s]]: shape (..., half, 2, 2)."""
         m, c, q, s = (x[..., ::2] for x in (self.m, self.c, self.q, self.s))
-        return np.stack([m, c, q * (m - 1.0), q * c - s], axis=-1).reshape(*m.shape, 2, 2)
+        return np.stack([1.0 + m, c, q * m, q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, u_prev^2) of a one-run stepper's nodal arrays (n,).
+        """Spectral carry (u, u_prev, Y, Z, F, F_prev) of a one-run stepper's nodal arrays (n,).
 
         Z is the spectrum of psi if the run has psi, else the backward
-        difference q (Y - V); a run without psi ignores ``psi``.
+        difference q (Y - V); a run without psi ignores ``psi``.  F and
+        F_prev are the spectra of u^2 and u_prev^2, which later steps carry.
         """
         has_psi, forward = self._one_run(), self.grid.forward
         y = forward(u)
         z = forward(psi) if has_psi else self.q * (y - forward(u_prev))
-        return u, u_prev, y, z, u_prev**2
+        return u, u_prev, y, z, forward(u**2), forward(u_prev**2)
 
     @cached_property
     def _buffers(self) -> list[tuple[np.ndarray, ...]]:
-        """Two sets of the step's outputs (Y', Z', u^2, u') and temporaries, 64-byte aligned.
+        """Two sets of the step's outputs (Y', Z', F', u') and temporaries, 64-byte aligned.
 
         A step writes every result into the set its carry does not hold.
         numpy's float loops can store at half speed to an array off a 64-byte
         boundary (x86-64, AVX2), as three fresh arrays in four are.
         """
         rows, n, spectral = np.shape(self.dt), self.grid.num_points, self.m.shape[-1]
-        return [tuple(_aligned(rows + (k,)) for k in (spectral, spectral, n, n, n, spectral, n))
-                for _ in "ab"]
+        return [tuple(_aligned(rows + (k,)) for k in (spectral,) * 4 + (n, n)) for _ in "ab"]
 
     def advance(self, carry):
-        """One step of a spectral carry: one forward and one inverse transform.
+        """One step of a spectral carry: one inverse transform of Y' and one forward of u'^2.
 
-        Y', Z', u^2 and u' are written into buffers of the stepper, which
-        the step after next writes again: a carry is good for one advance.
-        The step allocates no array.
+        Y', Z', F' and u' are written into buffers of the stepper, which the
+        step after next writes again: a carry is good for one advance.  The
+        step allocates no array.  F'[..., 0], the Re of mode 0, is the sum
+        of u'^2 over the row: :func:`run_batch` watches it for blow-up.
         """
-        u, _, y, z, up_prev = carry
-        w0, w1, m, f, c, q, s, forward, inverse = self._step
+        u, _, y, z, f, f_prev = carry
+        m, f0, f1, c, q, s, forward, inverse = self._step
         a, b = self._buffers
-        y_new, z_new, up, nl, temp, spectral, u_new = b if y is a[0] else a
-        # in the order of the formulas; out= is the third argument
+        y_new, z_new, f_new, spectral, u_new, square = b if y is a[0] else a
+        # in the order of the formulas; out= is the third argument.  dY is
+        # formed in z_new, which q dY - s Z then overwrites
         mul = np.multiply
-        mul(u, u, up)
-        mul(w0, up, nl)
-        mul(w1, up_prev, temp)
-        nl += temp
-        mul(m, y, y_new)
-        # F = rfft(nl) is written into spectral, then times f in place
-        mul(f, forward(nl, spectral), spectral)
-        y_new += spectral
+        mul(m, y, z_new)
+        mul(f0, f, spectral)
+        z_new += spectral
+        mul(f1, f_prev, spectral)
+        z_new += spectral
         mul(c, z, spectral)
-        y_new += spectral
-        np.subtract(y_new, y, z_new)
+        z_new += spectral
+        np.add(y, z_new, y_new)
         z_new *= q
         mul(s, z, spectral)
         z_new -= spectral
-        return inverse(y_new, u_new), u, y_new, z_new, up
+        inverse(y_new, u_new)
+        mul(u_new, u_new, square)
+        return u_new, u, y_new, z_new, forward(square, f_new), f
 
     def state(self, carry, step_index: int) -> SchemeState:
         """State of a one-run stepper's carry, or of its run's row view of a batch's carry.
@@ -235,7 +244,7 @@ class LinearStepper:
         u and u_prev are copied, so that a state kept after its run
         finishes holds neither the stepper's buffers nor the whole batch.
         """
-        u, u_prev, _, z, _ = carry
+        u, u_prev, _, z, *_ = carry
         psi = self.grid.inverse(z) if self._one_run() else None
         return SchemeState(self.grid, step_index, float(step_index * self.dt), u.copy(), psi,
                            u_prev.copy())
@@ -248,7 +257,7 @@ class LinearStepper:
         has_psi = self._one_run()
         psi, u_prev = fields if has_psi else (None, *fields)
         arrays = (x if x is None else np.ascontiguousarray(x, float) for x in (u, psi, u_prev))
-        u_new, _, _, z, _ = self.advance(self.start(*arrays))
+        u_new, _, _, z, *_ = self.advance(self.start(*arrays))
         return (u_new.copy(), self.grid.inverse(z)) if has_psi else u_new.copy()
 
     def _one_run(self) -> bool:
@@ -262,16 +271,19 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     """Stepper of the two-variable scheme: Y = U of u and Z = Q of psi.
 
     Every mode takes the same linear map plus the extrapolated
-    nonlinearity:
+    nonlinearity, in delta form:
 
-        U' = a U + b rfft(1.5 u^2 - 0.5 u_prev^2) + c Q
-        Q' = (2/dt)(U' - U) - Q
+        dU = m' U + 1.5 b F - 0.5 b F_prev + c Q,   U' = U + dU
+        Q' = (2/dt) dU - Q
 
-    with lam = 2/dt^2 + (k^4 + k^2)/2, a = (2/dt^2 - (k^4 + k^2)/2)/lam,
-    b = -k^2/lam and c = (2/dt)/lam.  At k = 0, a = 1, b = 0 and c = dt:
-    the mean of u grows by dt times the mean of psi, which never changes.
-    So q_0 = 0 and s_0 = -1 map Q_0 to itself exactly, where the formula
-    would add the round-off of U_0' - U_0 to the mean of psi.
+    with F and F_prev the spectra of u^2 and u_prev^2,
+    lam = 2/dt^2 + (k^4 + k^2)/2, m' = -(k^4 + k^2)/lam, b = -k^2/lam and
+    c = (2/dt)/lam.  m' is a - 1 for the a = (2/dt^2 - (k^4 + k^2)/2)/lam
+    of U' = a U + ..., formed directly: a's rounding, left in a - 1, would
+    reach Q' times 2/dt.  At k = 0, m' = 0, b = 0 and c = dt: the mean of u
+    grows by dt times the mean of psi, which never changes.  So q_0 = 0 and
+    s_0 = -1 map Q_0 to itself exactly, where the formula would add the
+    round-off of dU_0 to the mean of psi.
     ``power`` must be 2: the parameter is there for ``benchmarks/`` until ROADMAP direction 3.
     """
     if power != 2:
@@ -280,10 +292,10 @@ def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
     lam = np.repeat(build_implicit_diagonal(grid, dt), 2)  # the real rule refuses a 0-d dt
     dt = _check_dt(dt)
     k2 = np.repeat(grid.wavenumbers**2, 2)
-    a, b, c = 4.0 / dt**2 / lam - 1.0, -k2 / lam, 2.0 / dt / lam
+    m, b, c = -(k2**2 + k2) / lam, -k2 / lam, 2.0 / dt / lam
     q = (2.0 / dt) * (k2 > 0)
     s = np.where(k2 > 0, 1.0, -1.0)
-    return LinearStepper(grid, dt, 1.5, -0.5, a, b, c, q, s, True)
+    return LinearStepper(grid, dt, m, 1.5 * b, -0.5 * b, c, q, s, True)
 
 
 def FrutosStepper(grid: Grid, dt) -> LinearStepper:
@@ -291,21 +303,20 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
 
     With lam = 1/dt^2 + k^4/4 the scheme is, per mode,
 
-        lam U' = (2U - V)/dt^2 - (k^4/4)(2U + V) - k^2 (U + rfft(u^2)),
+        lam U' = (2U - V)/dt^2 - (k^4/4)(2U + V) - k^2 (U + F),
 
-    that is U' = alpha U + beta V + gamma rfft(u^2), with V the spectrum
-    of u^{n-1}.  It is carried as (U, D) with D = (U - V)/dt, the backward
-    difference, so U' = (alpha + beta) U + gamma rfft(u^2) - beta dt D and
-    D' = (U' - U)/dt.  D is never reported: the scheme has no psi.
+    that is U' = alpha U + beta V + gamma F, with V the spectrum of u^{n-1}
+    and F that of u^2.  It is carried as (U, D) with D = (U - V)/dt, the
+    backward difference.  beta = (-1/dt^2 - k^4/4)/lam is -lam/lam,
+    exactly -1, so in delta form dU = m' U + gamma F + dt D, U' = U + dU
+    and D' = dU/dt, with m' = alpha - 2 = -(k^4 + k^2)/lam formed directly.
+    The scheme has no u_prev^2 term, and D is never reported: it has no psi.
     """
     dt = _check_dt(dt)
     k2 = np.repeat(grid.wavenumbers**2, 2)  # each mode's value for its Re and its Im slot
     k4 = k2**2
     lam = 1.0 / dt**2 + 0.25 * k4
-    alpha = (2.0 / dt**2 - 0.5 * k4 - k2) / lam
-    # beta = (-1/dt^2 - k^4/4)/lam is -lam/lam, exactly -1, so c = -beta dt = dt
-    m, c = alpha - 1.0, dt
-    return LinearStepper(grid, dt, 1.0, 0.0, m, -k2 / lam, c, 1.0 / dt, 0.0, False)
+    return LinearStepper(grid, dt, -(k4 + k2) / lam, -k2 / lam, 0.0, dt, 1.0 / dt, 0.0, False)
 
 
 def _check_run(scheme: str, dt, T, bootstrap_mode: str) -> int:
@@ -389,7 +400,9 @@ def run_batch(
     """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
 
     The runs, of any scheme and step size, are the rows of one carry,
-    so every step makes one forward and one inverse transform for them all.
+    so every step makes one forward and one inverse transform for them all;
+    a row blows up when the sum of its u^2, read from the carried spectrum
+    of u^2, is not finite or passes n (1e6 max(rms of initial u, 1))^2.
     Each row's final state equals that of :func:`run` bit for bit, and the
     states come back in the order of ``runs``.  Observers see every row's
     state, as in :func:`run`; a row that diverges is dropped from the batch,
@@ -401,10 +414,12 @@ def run_batch(
     runs = tuple(runs)
     steps = [_check_run(scheme, dt, T, bootstrap_mode) for scheme, dt in runs]
 
-    # ||u||_rms > ceiling  <=>  u.u > n * ceiling^2 for a row; a NaN or inf
-    # fails the comparison "u.u <= limit" as well.  np.vdot sums over the
-    # whole batch: no row can exceed the limit while the sum does not, so
-    # the loop looks at single rows only when the sum fails.
+    # ||u||_rms > ceiling  <=>  sum u^2 > n * ceiling^2 for a row; a NaN or inf
+    # fails the comparison "sum u^2 <= limit" as well.  The Re of mode 0 of
+    # the carry's F = forward(u^2) is sum u^2, so a step reads it: one value
+    # of a lone row, and one sum over the rows of a stack.  No row can
+    # exceed the limit while that sum does not, so the loop looks at single
+    # rows only when the sum fails.
     with np.errstate(over="ignore", invalid="ignore"):
         norm0 = np.sqrt(np.mean(problem.initial_u**2))
         limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
@@ -441,34 +456,39 @@ def run_batch(
     del states, live  # the carry holds what a step reads
     # the next row to finish is the one with the fewest steps
     last = min(steps[i] for i in rows)
-    for n in range(1, max(steps[i] for i in rows) + 1):
-        carry = advance(carry)
-        u = carry[0]
-        bounded = np.vdot(u, u) <= limit
-        watched = observers and n % stride == 0
-        if bounded and n < last and not watched:
-            continue
-        # a row diverged, finishes or is observed: look at the rows one by one,
-        # each through its own stepper, from a view of its row of the carry
-        views = zip(*(x.reshape(len(rows), -1) for x in carry))
-        keep = []
-        for i, stepper, row in zip(rows, steppers, views):
-            if not (bounded or np.vdot(row[0], row[0]) <= limit):
-                results[i] = replace(stepper.state(row, n), diverged=True)
-            elif watched or n == steps[i]:
-                state = stepper.state(row, n)
-                for obs in observers:
-                    obs(state)
-                if n == steps[i]:
-                    results[i] = state
-            keep.append(results[i] is None)
-        if not all(keep):
-            rows = [i for i, k in zip(rows, keep) if k]
-            if not rows:
-                break
-            lone = keep.index(True) if len(rows) == 1 else keep
-            carry = tuple(x[lone] for x in carry)
-            steppers = [x for x, k in zip(steppers, keep) if k]
-            advance = LinearStepper.stack(steppers).advance
-            last = min(steps[i] for i in rows)
+    # a row that blows up can overflow within a step, which the check flags:
+    # the steps run without numpy's warnings, and observers under the caller's
+    caller = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max(steps[i] for i in rows) + 1):
+            carry = advance(carry)
+            f = carry[4]
+            bounded = (f[0] if f.ndim == 1 else f[:, 0].sum()) <= limit
+            watched = observers and n % stride == 0
+            if bounded and n < last and not watched:
+                continue
+            # a row diverged, finishes or is observed: look at the rows one by one,
+            # each through its own stepper, from a view of its row of the carry
+            views = zip(*(x.reshape(len(rows), -1) for x in carry))
+            keep = []
+            for i, stepper, row in zip(rows, steppers, views):
+                if not (bounded or row[4][0] <= limit):
+                    results[i] = replace(stepper.state(row, n), diverged=True)
+                elif watched or n == steps[i]:
+                    state = stepper.state(row, n)
+                    with np.errstate(**caller):
+                        for obs in observers:
+                            obs(state)
+                    if n == steps[i]:
+                        results[i] = state
+                keep.append(results[i] is None)
+            if not all(keep):
+                rows = [i for i, k in zip(rows, keep) if k]
+                if not rows:
+                    break
+                lone = keep.index(True) if len(rows) == 1 else keep
+                carry = tuple(x[lone] for x in carry)
+                steppers = [x for x, k in zip(steppers, keep) if k]
+                advance = LinearStepper.stack(steppers).advance
+                last = min(steps[i] for i in rows)
     return tuple(results)

@@ -18,7 +18,7 @@ from boussinesq.stepping import (
     run,
     run_batch,
 )
-from boussinesq.diagnostics import crest_position, mass
+from boussinesq.diagnostics import crest_position, error_norms, mass
 from boussinesq.waves import (
     GBProblem,
     params_from_amplitude,
@@ -38,8 +38,8 @@ def full_wavenumbers(grid):
 
 
 def mode_zero(stepper):
-    """(m, f, c, q, s) of mode 0 of a one-run stepper: its Re and its Im slot."""
-    return [x[:2] for x in (stepper.m, stepper.f, stepper.c, stepper.q, stepper.s)]
+    """(m', f0, f1, c, q, s) of mode 0 of a one-run stepper: its Re and its Im slot."""
+    return [x[:2] for x in (stepper.m, stepper.f0, stepper.f1, stepper.c, stepper.q, stepper.s)]
 
 
 def zero_problem(grid):
@@ -182,13 +182,23 @@ class TestProposedStep:
     def test_mode_zero_coefficients(self):
         grid = benchmark_grid(32)
         for dt in (1e-4, 0.1, 3.0):
-            m, f, c, q, s = mode_zero(ProposedStepper(grid, dt, 2))
-            assert np.all(abs(m - 1.0) <= 1e-15)
-            assert np.all(f == 0.0)
+            m, f0, f1, c, q, s = mode_zero(ProposedStepper(grid, dt, 2))
+            # the delta form's m' = m - 1 is exactly 0: dU_0 = c Q_0
+            assert np.all(m == 0.0)
+            assert np.all(f0 == 0.0) and np.all(f1 == 0.0)
             assert np.all(abs(c - dt) <= 1e-15 * dt)
             # Q_0' = 0 (U_0' - U_0) + Q_0: the mean of psi is copied exactly
             assert np.all(q == 0.0) and np.all(s == -1.0)
             assert np.array_equal(ProposedStepper(grid, dt).matrix[0], [[1.0, c[0]], [0.0, 1.0]])
+
+    def test_psi_error_does_not_grow_as_dt_shrinks(self):
+        # in delta form Z' = q dY - s Z does not multiply the rounding of Y'
+        # by q = 2/dt, as Z' = q (Y' - Y) - s Z did: at N = 64 and T = 1 that
+        # form's psi error at dt = 2.5e-5 was 9.2x the one at dt = 1e-4
+        prob, p = batch_problem(64)
+        coarse, fine = run_batch(prob, (("proposed", 1e-4), ("proposed", 2.5e-5)), 1.0,
+                                 "exact", p)
+        assert error_norms(fine, p).err_psi_l2 <= 2.0 * error_norms(coarse, p).err_psi_l2
 
     def test_mass_conserved_with_zero_initial_velocity(self, rng):
         grid = benchmark_grid(64)
@@ -271,12 +281,13 @@ class TestFrutos:
 
     def test_diagonal_symbol_at_mode_zero(self):
         # lam_0 = 1/dt^2 cancels from the mode-0 coefficients: alpha_0 = 2
-        # and beta_0 = -1, so U_0' = U_0 + dt D_0 and D_0' = (U_0' - U_0)/dt
+        # and beta_0 = -1, so m'_0 = alpha_0 - 2 = 0, dU_0 = dt D_0 and
+        # D_0' = dU_0/dt
         dt = 0.5
         stepper = FrutosStepper(benchmark_grid(16), dt=dt)
-        m, f, c, q, s = mode_zero(stepper)
-        assert m == pytest.approx([1.0, 1.0], abs=1e-15)
-        assert np.all(f == 0.0)
+        m, f0, f1, c, q, s = mode_zero(stepper)
+        assert m == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert np.all(f0 == 0.0) and np.all(f1 == 0.0)
         assert c == pytest.approx([dt, dt], abs=1e-15)
         assert q == pytest.approx([1.0 / dt, 1.0 / dt], abs=1e-15)
         assert np.all(s == 0.0)
@@ -420,7 +431,8 @@ class TestRun:
         # one Grid.forward and one Grid.inverse per step, the pair that
         # Grid.rfft/irfft adapt, on a grid that transforms by matrix
         # products (N = 16) and on one that calls np.fft (N = 256); a mixed
-        # batch alternates the schemes by row
+        # batch alternates the schemes by row.  The blow-up check reads the
+        # sum of u^2 from the carried F = forward(u^2): no np.vdot
         p = params_from_amplitude(0.5)
         counts = {}
 
@@ -439,6 +451,7 @@ class TestRun:
         for name in ("rfft", "irfft", "fft", "ifft"):
             counted(np.fft, name, f"np.fft.{name}")
         counted(np, "mean", "mean")
+        counted(np, "vdot", "vdot")
 
         def calls(prob, steps, rows):
             counts.update(dict.fromkeys(counts, 0))
@@ -455,7 +468,7 @@ class TestRun:
                 short, long = calls(prob, 10, rows), calls(prob, 30, rows)
                 per_step = {key: (long[key] - short[key]) / 20 for key in counts}
                 assert per_step == {
-                    "forward": 1, "inverse": 1, "mean": 0,
+                    "forward": 1, "inverse": 1, "mean": 0, "vdot": 0,
                     "np.fft.rfft": ffts, "np.fft.irfft": ffts, "np.fft.fft": 0, "np.fft.ifft": 0,
                 }
 
@@ -536,6 +549,14 @@ class TestRun:
         result = run(prob, dt=0.1, T=10.0)
         assert result.diverged
         assert result.blowup_step is not None
+
+    def test_observers_see_the_callers_floating_point_settings(self):
+        # the steps run without numpy's overflow warnings; observers do not
+        prob = solitary_problem(params_from_amplitude(0.5), benchmark_grid(16))
+        seen = []
+        with np.errstate(over="raise", invalid="warn"):
+            run(prob, 0.1, 0.3, observers=[lambda s: seen.append(np.geterr())])
+        assert [(x["over"], x["invalid"]) for x in seen] == [("raise", "warn")] * 4
 
     @pytest.mark.parametrize("amplitude", [1e148, 1e150, 1e160, np.nan])
     def test_initial_u_too_large_to_watch_is_rejected_before_observing(self, amplitude):
@@ -620,9 +641,10 @@ class TestRunBatch:
     )
     def test_rows_equal_the_complex_update_bit_for_bit(self, runs, n):
         # LinearStepper's update in complex arithmetic through Grid.rfft/irfft,
-        # Y' = m Y + f rfft(w0 u^2 + w1 u_prev^2) + c Z and Z' = q (Y' - Y) - s Z,
-        # on a grid that transforms by matrix products (N = 32), on one that
-        # calls np.fft (N = 256) and on one that transforms in two stages (N = 361)
+        # in delta form and in advance's order: dY = m' Y + f0 F + f1 F_prev + c Z,
+        # Y' = Y + dY and Z' = q dY - s Z, with F = rfft(u^2), on a grid that
+        # transforms by matrix products (N = 32), on one that calls np.fft
+        # (N = 256) and on one that transforms in two stages (N = 361)
         assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 32)
         assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         prob, p = batch_problem(n)
@@ -631,24 +653,48 @@ class TestRunBatch:
         for (scheme, dt), got in zip(runs, batch):
             stepper = (ProposedStepper if scheme == "proposed" else FrutosStepper)(grid, dt)
             # a mode's real coefficient, read from its Re slot, as the complex number
-            m, f, c, q, s = (x[::2] + 0j for x in (stepper.m, stepper.f, stepper.c,
-                                                   stepper.q, stepper.s))
-            w0, w1 = stepper.weights
+            m, f0, f1, c, q, s = (x[::2] + 0j for x in (stepper.m, stepper.f0, stepper.f1,
+                                                        stepper.c, stepper.q, stepper.s))
             start = bootstrap(prob, dt, "exact", p)
             u, u_prev = start.u_curr, start.u_prev
             y = grid.rfft(u)
             z = grid.rfft(start.psi_curr) if scheme == "proposed" else q * (y - grid.rfft(u_prev))
+            f, f_prev = grid.rfft(u**2), grid.rfft(u_prev**2)
             steps = round(T / dt)
             for _ in range(steps):
-                y_new = m * y + f * grid.rfft(w0 * u**2 + w1 * u_prev**2) + c * z
-                z = q * (y_new - y) - s * z
-                y, u, u_prev = y_new, grid.irfft(y_new), u
+                dy = m * y + f0 * f + f1 * f_prev + c * z
+                y = y + dy
+                z = q * dy - s * z
+                u, u_prev = grid.irfft(y), u
+                f, f_prev = grid.rfft(u**2), f
             assert got.step_index == steps and not got.diverged
             assert np.array_equal(got.u_curr, u) and np.array_equal(got.u_prev, u_prev)
             if scheme == "proposed":
                 assert np.array_equal(got.psi_curr, grid.irfft(z))
             else:
                 assert got.psi_curr is None
+
+    @pytest.mark.parametrize("amplitude", [1e4, 1e100], ids=["past-the-limit", "to-inf"])
+    @pytest.mark.parametrize("n", [64, 256, 361])
+    def test_a_row_blowing_up_leaves_a_mixed_batch_at_its_solo_step(self, n, amplitude):
+        # the data of test_blow_up_flagged_not_raised, which passes the limit
+        # finite, and at 1e100, whose u^2 overflows to inf at step 1 (and
+        # F = forward(u^2) to inf and NaN) with no numpy warning; a batch
+        # watches the sum over its rows of F's mode 0, and a row's own only
+        # when that sum fails, on a dense (N = 64), an FFT (N = 256) and a
+        # two-stage grid (N = 361)
+        grid = benchmark_grid(n)
+        assert (grid.num_points <= DENSE_MAX_POINTS) == (n == 64)
+        assert (grid._two_stage is not None) == (n == 361)
+        u0 = amplitude * np.sin(2 * np.pi * (grid.nodes + 40) / 80)
+        prob = GBProblem(grid, u0, np.zeros(grid.num_points))
+        runs = (("proposed", 0.1), ("frutos", 0.1), ("proposed", 0.01), ("frutos", 0.02),
+                ("proposed", 1.0))
+        kwargs = dict(params=params_from_amplitude(0.5), bootstrap_mode="exact")
+        batch = run_batch(prob, runs, 10.0, **kwargs)
+        for (scheme, dt), got in zip(runs, batch):
+            assert got.diverged
+            assert_same_result(got, run(prob, dt, 10.0, scheme, **kwargs))
 
     def test_results_come_back_in_input_order(self):
         prob, p = batch_problem()
@@ -741,16 +787,18 @@ class TestRunBatch:
         batch = LinearStepper.stack(steppers)
         assert batch.matrix.shape == (4, grid.half_modes + 1, 2, 2)
         for row, solo in enumerate(steppers):
-            for name in ("dt", "w0", "w1", "m", "f", "c", "q", "s", "has_psi"):
+            for name in ("dt", "m", "f0", "f1", "c", "q", "s", "has_psi"):
                 assert np.array_equal(getattr(batch, name)[row], getattr(solo, name))
         # every array is in the carry layout: (rows, n) nodal, (rows, 2h) spectral
-        for name in ("m", "f", "c", "q", "s"):
+        for name in ("m", "f0", "f1", "c", "q", "s"):
             assert getattr(batch, name).shape == (4, 2 * (grid.half_modes + 1))
             # each mode's coefficient stands beside both its Re and Im
             assert np.array_equal(getattr(batch, name)[..., ::2], getattr(batch, name)[..., 1::2])
-        # a weight the rows share is a scalar, one that differs a column
-        assert LinearStepper.stack(steppers[:3]).weights == [1.5, -0.5]
-        assert np.array_equal(batch.weights[0], [[1.5], [1.5], [1.5], [1.0]])
+        # each row's weights w0 and w1 of u^2 and u_prev^2 are folded into its
+        # f0 = w0 f and f1 = w1 f, with f = -k^2/lam < 0 above mode 0
+        assert np.all(batch.f0[:, 2:] < 0)
+        for row, (w0, w1) in enumerate([(1.5, -0.5)] * 3 + [(1.0, 0.0)]):
+            assert np.allclose(w0 * batch.f1[row], w1 * batch.f0[row], rtol=1e-15, atol=0)
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
         # a batch steps one grid: a second grid would transform with the
@@ -814,10 +862,11 @@ class TestStepBuffers:
 
     def test_one_run_arrays_are_one_dimensional(self):
         (stepper,) = self.steppers(16, 1)
-        assert stepper.m.shape == (2 * 17,) and stepper.w0.shape == (1,)
+        assert stepper.m.shape == stepper.f0.shape == stepper.f1.shape == (2 * 17,)
         u = np.zeros(stepper.grid.num_points)
         carry = stepper.advance(stepper.start(u, u, u))
-        assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (33,)]
+        # (u, u_prev, Y, Z, F, F_prev)
+        assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (34,), (34,)]
 
     def test_step_arrays_refuses_a_stacked_stepper(self):
         stepper = LinearStepper.stack(self.steppers(16, 2))
