@@ -10,7 +10,7 @@ so.  Pass --quick to shrink both.
 
 import sys
 
-from boussinesq.reporting import emit_plot_script, write_csv
+from boussinesq.reporting import write_csv
 from boussinesq.sweeps import run_sweep, spatial_spec, temporal_spec
 
 quick = "--quick" in sys.argv[1:]
@@ -23,7 +23,6 @@ for row in temporal.rows:
           f"err_uH2={row.err_u_h2:.6e}")
 print("fitted orders:", {k: round(v, 4) for k, v in temporal.fitted_orders.items()})
 write_csv(temporal, "temporal_sweep.csv")
-emit_plot_script(temporal, "temporal_sweep_plot.py", "temporal_sweep.csv")
 
 s_spec = spatial_spec(N_list=(32, 48, 64), T=1.0, dt=1e-3) if quick else spatial_spec()
 spatial = run_sweep(s_spec)
@@ -31,6 +30,5 @@ print("\nspatial sweep (dt fixed):")
 for row in spatial.rows:
     print(f"  N={row.N:4d}  err_psi={row.err_psi_l2:.6e}  err_uH2={row.err_u_h2:.6e}")
 write_csv(spatial, "spatial_sweep.csv")
-emit_plot_script(spatial, "spatial_sweep_plot.py", "spatial_sweep.csv")
 
-print("\nwrote temporal_sweep.csv / spatial_sweep.csv and plot scripts")
+print("\nwrote temporal_sweep.csv / spatial_sweep.csv")

@@ -7,10 +7,9 @@ including values the spec or the solver rejects (printed as one ``error:`` line)
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .reporting import emit_plot_script, write_csv
+from .reporting import write_csv
 from .stepping import SCHEMES
 from .sweeps import (
     SweepResult,
@@ -59,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep", spatial_spec)
     space_p.add_argument("--dt", type=float, help="fixed time step")
     time_p = _add_subcommand(subs, "sweep-time", "temporal second-order sweep", temporal_spec)
-    # a plot joins the rows in order: a convergence curve for the two sweeps only
-    for sweep in (space_p, time_p):
-        sweep.add_argument(
-            "--emit-plot", action="store_true", help="also write a plot script next to the CSV"
-        )
     # the stability map's three-level rows take the exact start only
     for sub in (run_p, space_p, time_p):
         sub.add_argument(
@@ -84,10 +78,6 @@ def _write_outputs(result: SweepResult, args) -> None:
     if out:
         write_csv(result, out)
         print(f"wrote {out}")
-        if getattr(args, "emit_plot", False):
-            base, _ = os.path.splitext(out)
-            emit_plot_script(result, base + "_plot.py", os.path.basename(out))
-            print(f"wrote {base}_plot.py")
 
 
 def _spec_from_args(args) -> SweepSpec:
@@ -136,8 +126,6 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             return _cmd_verify()
-        if getattr(args, "emit_plot", False) and not getattr(args, "out", None):
-            raise ValueError("--emit-plot needs --out")
         if getattr(args, "out", None) == "":
             raise ValueError("--out needs a path")
         result = run_sweep(_spec_from_args(args))

@@ -1,4 +1,4 @@
-"""CSV serialization of sweep results and emission of companion plot scripts.
+"""CSV serialization of sweep results.
 
 The CSV has one column per :class:`SweepRow` field, in declaration order.
 A float column's value, of any numeric type, is written as the ``repr`` of
@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-import warnings
 
 from .sweeps import SweepResult, SweepRow
 
-__all__ = ["CSV_HEADER", "write_csv", "read_csv", "emit_plot_script"]
+__all__ = ["CSV_HEADER", "write_csv", "read_csv"]
 
 def _read_bool(cell: str) -> bool:
     if cell not in ("true", "false"):
@@ -76,59 +75,3 @@ def read_csv(path) -> list[SweepRow]:
                     raise ValueError(f"{path}, line {lineno}, column {name}: {exc}") from None
             rows.append(SweepRow(*values))
     return rows
-
-
-_PLOT_TEMPLATE = '''\
-#!/usr/bin/env python
-"""Plot the error norms from {csv_name} (auto-generated)."""
-import csv
-
-import matplotlib.pyplot as plt
-
-ns, nks, err_psi, err_u = [], [], [], []
-with open({csv_name!r}) as fh:
-    for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-        if row["diverged"] == "true":
-            continue
-        ns.append(int(row["N"]))
-        nks.append(int(row["K"]))
-        err_psi.append(float(row["err_psi_l2"]))
-        err_u.append(float(row["err_u_h2"]))
-
-fig, ax = plt.subplots()
-{body}
-ax.legend()
-ax.grid(True, which="both", alpha=0.3)
-fig.savefig({png_name!r}, dpi=150)
-print("wrote", {png_name!r})
-'''
-
-_TEMPORAL_BODY = '''\
-ax.loglog(nks, err_psi, "o-", label="L2 error of psi")
-ax.loglog(nks, err_u, "s-", label="H2 error of u")
-guide = [err_u[0] * (nks[0] / nk) ** 2 for nk in nks]
-ax.loglog(nks, guide, "k--", label="C * NK^-2 guide")
-ax.set_xlabel("number of time steps")
-ax.set_ylabel("error at final time")'''
-
-_SPATIAL_BODY = '''\
-ax.semilogy(ns, err_psi, "o-", label="L2 error of psi")
-ax.semilogy(ns, err_u, "s-", label="H2 error of u")
-ax.set_xlabel("N (half mode count)")
-ax.set_ylabel("error at final time")'''
-
-
-def emit_plot_script(result: SweepResult, path, csv_name: str) -> None:
-    """Write a standalone matplotlib script next to an already-written CSV.
-
-    The script references the CSV by relative name and is a convenience
-    artifact only.
-    """
-    if not result.rows:
-        warnings.warn("empty sweep result; no plot script written", stacklevel=2)
-        return
-    body = _TEMPORAL_BODY if result.spec.kind == "temporal" else _SPATIAL_BODY
-    png_name = csv_name.rsplit(".", 1)[0] + ".png"
-    script = _PLOT_TEMPLATE.format(csv_name=csv_name, body=body, png_name=png_name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import error_norms, mass
 from .spectral import Grid, _check_integer, _check_real
-from .stepping import SCHEMES, _check_run, run_batch
+from .stepping import SCHEMES, _check_run, bootstrap, run_batch
 from .waves import SolitaryWaveParams, _problem
 
 __all__ = [
@@ -142,7 +142,7 @@ class SweepRow:
 class SweepResult:
     """Sweep rows plus, for temporal sweeps, fitted convergence orders."""
 
-    spec: SweepSpec
+    spec: SweepSpec  # read by ``benchmarks/`` until ROADMAP direction 3
     rows: tuple[SweepRow, ...]
     fitted_orders: dict | None = None
 
@@ -185,8 +185,13 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -
     if not final.diverged:
         record = error_norms(final, params)
         err_psi, err_h2, err_l2 = record.err_psi_l2, record.err_u_h2, record.err_u_l2
-        mass0 = mass(problem.grid, problem.initial_u)
-        drift = abs(mass(problem.grid, final.u_curr) - mass0) / max(abs(mass0), 1e-300)
+        # the scheme keeps mass(t) = mass(0) + t * rate, the rate its start sets
+        start, grid = bootstrap(problem, dt, spec.bootstrap_mode, params), problem.grid
+        mass0 = mass(grid, start.u_curr)
+        rate = (mass(grid, start.psi_curr) if scheme == "proposed"
+                else (mass0 - mass(grid, start.u_prev)) / dt)
+        law = mass(grid, final.u_curr) - mass0 - final.time * rate
+        drift = abs(law) / max(abs(mass0), 1e-300)
     return SweepRow(
         kind=spec.kind,
         scheme=scheme,

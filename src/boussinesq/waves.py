@@ -105,12 +105,12 @@ class GBProblem:
 
 
 def params_from_amplitude(amplitude: float) -> SolitaryWaveParams:
-    """The wave of the given amplitude; kept for ``benchmarks/`` until ROADMAP direction 5."""
+    """The wave of the given amplitude; kept for ``benchmarks/`` until ROADMAP direction 3."""
     return SolitaryWaveParams(amplitude)
 
 
 def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
-    """Exact u = -A sech^2((P/2)(x - c0 t)); kept for ``benchmarks/`` until ROADMAP direction 5."""
+    """Exact u = -A sech^2((P/2)(x - c0 t)); kept for ``benchmarks/`` until ROADMAP direction 3."""
     return params.fields(x, t)[0]
 
 

@@ -1,15 +1,16 @@
-"""CLI parsing, CSV round-trip, plot-script emission and self-verification."""
+"""CLI parsing, CSV round-trip and self-verification."""
 
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boussinesq.cli as cli
 from boussinesq import spectral, sweeps
-from boussinesq.reporting import CSV_HEADER, emit_plot_script, read_csv, write_csv
+from boussinesq.reporting import CSV_HEADER, read_csv, write_csv
 from boussinesq.sweeps import (
     SweepResult,
     SweepRow,
@@ -90,6 +91,17 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["run", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_readme_cli_block_names_only_real_flags(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("boussinesq ")]
+        assert lines
+        for line in lines:
+            try:
+                cli.build_parser().parse_args(line.split()[1:])
+            except SystemExit:
+                pytest.fail(f"README's CLI block runs {line!r}, which the parser refuses")
 
     def test_run_spec_carries_the_flags(self):
         argv = ["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"]
@@ -314,34 +326,6 @@ class TestCsv:
             read_csv(path)
 
 
-class TestPlotScript:
-    def test_temporal_script_has_guide_curve(self, tmp_path):
-        result = SweepResult(
-            spec=temporal_spec(), rows=(make_row(),), fitted_orders=None
-        )
-        script = tmp_path / "plot.py"
-        emit_plot_script(result, script, "data.csv")
-        text = script.read_text()
-        assert "loglog" in text
-        assert "** 2" in text  # slope -2 guide
-        assert "data.csv" in text
-
-    def test_spatial_script_is_semilog(self, tmp_path):
-        result = SweepResult(
-            spec=spatial_spec(), rows=(make_row(kind="spatial"),)
-        )
-        script = tmp_path / "plot.py"
-        emit_plot_script(result, script, "data.csv")
-        assert "semilogy" in script.read_text()
-
-    def test_empty_result_warns_and_skips(self, tmp_path):
-        result = SweepResult(spec=spatial_spec(), rows=())
-        script = tmp_path / "plot.py"
-        with pytest.warns(UserWarning):
-            emit_plot_script(result, script, "data.csv")
-        assert not script.exists()
-
-
 class TestVerify:
     def test_fresh_build_passes(self):
         results = run_checks()
@@ -387,23 +371,12 @@ class TestMainCommands:
         assert rows[0].kind == "run"
         assert not rows[0].diverged
 
-    def test_sweep_time_small_with_plot(self, tmp_path):
+    def test_sweep_time_small_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = cli.main(
-            [
-                "sweep-time",
-                "--N",
-                "64",
-                "--T",
-                "1",
-                "--out",
-                str(out),
-                "--emit-plot",
-            ]
-        )
-        assert code == 0
-        assert out.exists()
-        assert (tmp_path / "sweep_plot.py").exists()
+        assert cli.main(["sweep-time", "--N", "64", "--T", "1", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row.K for row in rows] == list(range(100, 1100, 100))
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = cli.main(
@@ -420,13 +393,6 @@ class TestMainCommands:
             ]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_unwritable_plot_script_is_one_runtime_error(self, tmp_path, capsys):
-        (tmp_path / "x_plot.py").mkdir()  # a directory where the script would go
-        argv = ["sweep-space", "--N", "32", "--dt", "0.1", "--T", "0.5", "--emit-plot"]
-        assert cli.main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -505,15 +471,6 @@ class TestMainCommands:
         assert captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("out", [None, ""])
-    def test_emit_plot_without_out_is_one_error_line(self, tmp_path, monkeypatch, capsys, out):
-        monkeypatch.chdir(tmp_path)
-        argv = ["sweep-space", "--emit-plot", "--N", "16", "--T", "0.1", "--dt", "0.05"]
-        assert cli.main(argv + ([] if out is None else ["--out", out])) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: --emit-plot needs --out\n")
-        assert list(tmp_path.iterdir()) == []
-
     def test_empty_out_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         # refused before anything runs, not a run that silently writes nothing
         monkeypatch.chdir(tmp_path)
@@ -522,24 +479,16 @@ class TestMainCommands:
         assert (captured.out, captured.err) == ("", "error: --out needs a path\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("subcommand", ["run", "stability"])
-    def test_plot_flag_only_on_the_convergence_sweeps(self, tmp_path, subcommand):
-        # a plot draws each error column as one curve through the rows in
-        # order: a run has one point, and a stability map joins two schemes
-        with pytest.raises(SystemExit) as exc:
-            cli.main([subcommand, "--emit-plot", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
         "argv",
-        [[sub, "--p", "2"] for sub in ("run", "sweep-space", "sweep-time", "stability")]
+        [[sub, *flag] for flag in (["--p", "2"], ["--emit-plot"])
+         for sub in ("run", "sweep-space", "sweep-time", "stability")]
         + [["stability", "--bootstrap", "exact"]],
         ids=" ".join,
     )
     def test_flag_with_one_legal_value_is_a_usage_error(self, tmp_path, capsys, argv):
-        # every exact reference solves p = 2, and a stability map's
-        # three-level rows take the exact start only
+        # every exact reference solves p = 2, a stability map's three-level
+        # rows take the exact start only, and a sweep writes no plot script
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2

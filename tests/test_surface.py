@@ -90,6 +90,11 @@ def test_benchmark_only_leftovers_still_have_a_reader():
         name == "ProposedStepper" and (positional > 2 or "power" in keywords)
         for _, _, name, positional, keywords in BENCHMARK_CALLS
     ), "benchmarks/ no longer passes ProposedStepper a power: delete its power parameter"
+    # nothing in src/ reads a result's spec, which stays while the benchmark passes one
+    assert any(
+        (module, name) == ("sweeps", "SweepResult") and "spec" in keywords
+        for _, module, name, _, keywords in BENCHMARK_CALLS
+    ), "delete SweepResult.spec"
 
 
 @functools.cache

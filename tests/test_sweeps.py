@@ -264,6 +264,18 @@ class TestReducedSweeps:
                 solo, kind="temporal", wall_seconds=0.0
             )
 
+    @pytest.mark.parametrize(
+        "scheme, N, dt, T", [("proposed", 256, 0.1, 100.0), ("frutos", 128, 0.01, 1.0)]
+    )
+    def test_mass_drift_is_the_residual_of_the_mass_law(self, scheme, N, dt, T):
+        # the offset domain cuts the wave's tails unevenly, so the mass moves
+        # at the rate its start sets: |mass(T) - mass(0)| / |mass(0)| is
+        # 6.4e-9 and 6.0e-11 here, while the law itself holds to round-off
+        spec = SweepSpec(kind="run", N_list=(N,), dt=dt, T=T, domain=(-38.75, 41.25),
+                         schemes=(scheme,))
+        (row,) = run_sweep(spec).rows
+        assert row.mass_drift < 1e-12
+
     def test_stability_rows_cover_both_schemes(self):
         spec = stability_spec(N_list=(32, 64), dt=0.1, T=1.0)
         result = run_sweep(spec)
