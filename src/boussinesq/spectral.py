@@ -127,11 +127,25 @@ class Grid:
         """Wavenumbers k_l = 2*pi*l/L of the half spectrum, l = 0, ..., N."""
         return 2.0 * np.pi * np.arange(self.half_modes + 1) / self.length
 
+    def _parseval_weights(self, multiplier: np.ndarray) -> np.ndarray:
+        """w_l M_l / n^2 of a per-mode multiplier M in each Re and Im slot of the carry layout,
+        with w_0 = 1 and w_l = 2 for l > 0, which also stands for -l (see :func:`_parseval`)."""
+        weights = np.repeat(multiplier / float(self.num_points) ** 2, 2)
+        weights[2:] *= 2.0
+        return weights
+
     @cached_property
-    def _k4(self) -> np.ndarray:
-        """k_l^4, the weight of the H2 seminorm, computed once per grid."""
+    def _h2_weights(self) -> np.ndarray:
+        """The H2 seminorm's Parseval weights w_l k_l^4 / n^2, computed once per grid."""
         k2 = self.wavenumbers**2
-        return k2 * k2
+        return self._parseval_weights(k2 * k2)
+
+    @cached_property
+    def _scratch(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Three nodal rows and one spectrum (2h,), 64-byte aligned, for diagnostics to reuse:
+        an observed step writes its exact fields, errors and error spectrum there."""
+        rows = tuple(_aligned((self.num_points,)) for _ in range(3))
+        return rows, _aligned((2 * self.half_modes + 2,))
 
     @cached_property
     def _dense_dft(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -221,6 +235,18 @@ class Grid:
         return self.inverse(np.ascontiguousarray(y, dtype=complex).view(float))
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array whose data start on a 64-byte boundary.
+
+    numpy's float loops can store at half speed to an array off a 64-byte
+    boundary (x86-64, AVX2), as a fresh array often is.
+    """
+    size = int(np.prod(shape))
+    buffer = np.empty(size + 7)
+    skip = -buffer.ctypes.data % 64 // 8
+    return buffer[skip : skip + size].reshape(shape)
+
+
 def _rows_times(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """x @ matrix into ``out``: np.dot of a 1-D row, or one np.matmul of a stack's (1, n) rows."""
     if x.ndim == 1:
@@ -273,6 +299,8 @@ class _TwoStage:
     def rows(self, one, x: np.ndarray, out: np.ndarray | None, width: int) -> np.ndarray:
         """one(row, into) on a 1-D x or on each row of a stack, into ``out`` or a new array."""
         out = np.empty(x.shape[:-1] + (width,)) if out is None else out
+        if x.ndim == 1:
+            return one(x, out)
         for row, into in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, width)):
             one(row, into)
         return out
@@ -326,13 +354,6 @@ def _checked(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients l = 0, ..., N over 2N+1, so that the zeroth is the mean."""
-    coefficients = grid.rfft(_checked(grid, values))
-    coefficients /= grid.num_points
-    return coefficients
-
-
 def derivative(grid: Grid, values: np.ndarray, order: int = 1) -> np.ndarray:
     """Spectral derivative of the given order: multiply the half spectrum by (i*k)^order."""
     _check_integer(order, 1, "derivative order")
@@ -366,15 +387,17 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
     for _ in range(order):
         power = power * k2
         multiplier = multiplier + power
-    return float(np.sqrt(_parseval(grid, values, [multiplier])[0]))
+    weights = [grid._parseval_weights(multiplier)]
+    return float(np.sqrt(_parseval(grid, _checked(grid, values), weights)[0]))
 
 
-def _parseval(grid: Grid, values: np.ndarray, multipliers) -> list[float]:
+def _parseval(grid: Grid, values: np.ndarray, weights, out=None) -> list[float]:
     """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for each multiplier M,
-    from one forward transform; w_0 = 1 and w_l = 2 for l > 0, which also stands for -l."""
-    energy = np.abs(_coefficients(grid, values))
-    energy **= 2
-    return [float(2.0 * np.sum(m * energy) - m[0] * energy[0]) for m in multipliers]
+    as the dot of y^2, y = grid.forward(values) written into ``out``, with M's carry-layout
+    weights (:meth:`Grid._parseval_weights`); ``values`` are checked by the caller."""
+    y = grid.forward(values, out)
+    y *= y
+    return [float(np.dot(y, w)) for w in weights]
 
 
 def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -383,7 +406,7 @@ def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.nd
     Dense O(M*N) evaluation; meant for resampling between non-nested grids
     and for reference computations, not for inner solver loops.
     """
-    coeffs = _coefficients(grid, values)
+    coeffs = grid.rfft(_checked(grid, values)) / grid.num_points  # the zeroth is the mean
     coeffs[1:] *= 2.0  # l and -l give twice the real part
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phase = np.exp(1j * np.outer(x - grid.x_left, grid.wavenumbers))

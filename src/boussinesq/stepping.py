@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, _check_integer, _check_real
+from .spectral import Grid, _aligned, _check_integer, _check_real
 from .waves import GBProblem, SolitaryWaveParams
 
 __all__ = [
@@ -107,14 +107,6 @@ def _check_dt(dt) -> np.ndarray:
     if not np.isfinite(square):
         raise ValueError(f"time step too large: dt^2 overflows, got dt = {dt}")
     return step  # as an array, step**2 rounds as step*step does; a float's pow can be an ulp off
-
-
-def _aligned(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array whose data start on a 64-byte boundary."""
-    size = int(np.prod(shape))
-    buffer = np.empty(size + 7)
-    skip = -buffer.ctypes.data % 64 // 8
-    return buffer[skip : skip + size].reshape(shape)
 
 
 class LinearStepper:
@@ -202,8 +194,6 @@ class LinearStepper:
         """Two sets of the step's outputs (Y', Z', F', u') and temporaries, 64-byte aligned.
 
         A step writes every result into the set its carry does not hold.
-        numpy's float loops can store at half speed to an array off a 64-byte
-        boundary (x86-64, AVX2), as three fresh arrays in four are.
         """
         rows, n, spectral = np.shape(self.dt), self.grid.num_points, self.m.shape[-1]
         return [tuple(_aligned(rows + (k,)) for k in (spectral,) * 4 + (n, n)) for _ in "ab"]

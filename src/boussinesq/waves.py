@@ -51,26 +51,28 @@ class SolitaryWaveParams:
         """c0 = sqrt(1 - P^2)."""
         return np.sqrt(max(1.0 - self.shape**2, 0.0))
 
-    def _theta_cosh2(self, x, t):
+    def _theta_cosh2(self, x, t, th=None, cosh2=None):
         """theta = (P/2)(x - c0 t) and cosh^2(theta), the one evaluation of every field."""
-        th = np.asarray(x, dtype=float) - self.speed * t
+        th = np.subtract(np.asarray(x, dtype=float), self.speed * t, out=th)
         th *= 0.5 * self.shape
         with np.errstate(over="ignore"):  # inf far out on a wide domain; 1/inf = 0 is right
-            cosh2 = np.cosh(th)
+            cosh2 = np.cosh(th, out=cosh2)
             cosh2 **= 2
         return th, cosh2
 
-    def fields(self, x, t):
+    def fields(self, x, t, out=(None, None, None)):
         """Exact (u, u_t) at x and time t: -A sech^2(theta) and -A P c0 sech^2 tanh(theta).
 
         The formulas run in place, in their order, on three arrays the size
-        of x; a scalar x is a row of one.
+        of x: new ones, or the rows (u, u_t, work) of ``out``, which then
+        hold u, u_t and tanh(theta); a scalar x is a row of one.
         """
         if np.ndim(x) == 0:
             u, u_t = self.fields(np.reshape(x, 1), t)
             return u[0], u_t[0]
-        th, cosh2 = self._theta_cosh2(x, t)
-        u = -self.amplitude / cosh2
+        u, u_t, work = out
+        th, cosh2 = self._theta_cosh2(x, t, work, u_t)
+        u = np.divide(-self.amplitude, cosh2, out=u)
         u_t = np.divide(1.0, cosh2, out=cosh2)  # sech^2
         u_t *= -self.amplitude * self.shape * self.speed
         u_t *= np.tanh(th, out=th)

@@ -1,5 +1,7 @@
 """Error records, mass and the modified energy functional."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,22 +63,88 @@ class TestErrorNorms:
         assert rec1.err_u_l2 > rec0.err_u_l2
 
     def test_h2_seminorm_matches_multiplier_route(self, rng):
-        grid = benchmark_grid(64)
+        # on each transform path: matrix products (N = 64), np.fft (N = 256)
+        # and two stages (N = 361)
         p = params_from_amplitude(0.5)
-        u = solitary_wave(p, grid.nodes, 0.0) + 1e-3 * rng.standard_normal(
-            grid.num_points
-        )
-        state = SchemeState(
-            grid, 0, 0.0, u, p.fields(grid.nodes, 0.0)[1], u.copy()
-        )
-        rec = error_norms(state, p)
-        err = u - solitary_wave(p, grid.nodes, 0.0)
-        # full-spectrum reference: every mode l = -N..N in numpy FFT ordering
-        coeffs = np.fft.fft(err) / grid.num_points
-        modes = np.fft.fftfreq(grid.num_points, d=1.0 / grid.num_points)
-        k = 2 * np.pi * modes / grid.length
-        via_multiplier = float(np.sqrt(np.sum(k**4 * np.abs(coeffs) ** 2)))
-        assert rec.err_u_h2 == pytest.approx(via_multiplier, abs=1e-12)
+        for n in (64, 256, 361):
+            grid = benchmark_grid(n)
+            assert (grid.num_points <= DENSE_MAX_POINTS) == (n == 64)
+            assert (grid._two_stage is not None) == (n == 361)
+            u = solitary_wave(p, grid.nodes, 0.0) + 1e-3 * rng.standard_normal(
+                grid.num_points
+            )
+            state = SchemeState(
+                grid, 0, 0.0, u, p.fields(grid.nodes, 0.0)[1], u.copy()
+            )
+            rec = error_norms(state, p)
+            err = u - solitary_wave(p, grid.nodes, 0.0)
+            # full-spectrum reference: every mode l = -N..N in numpy FFT ordering
+            coeffs = np.fft.fft(err) / grid.num_points
+            modes = np.fft.fftfreq(grid.num_points, d=1.0 / grid.num_points)
+            k = 2 * np.pi * modes / grid.length
+            via_multiplier = float(np.sqrt(np.sum(k**4 * np.abs(coeffs) ** 2)))
+            assert rec.err_u_h2 == pytest.approx(via_multiplier, abs=1e-12), n
+
+    @pytest.mark.parametrize("n", [64, 256, 361])
+    def test_l2_errors_are_norm2_of_the_nodal_differences(self, rng, n):
+        # the grid's buffers change no bit of the two L2 norms
+        grid = benchmark_grid(n)
+        p = params_from_amplitude(0.5)
+        u_e, psi_e = p.fields(grid.nodes, 0.3)
+        u = u_e + 1e-3 * rng.standard_normal(grid.num_points)
+        psi = psi_e + 1e-3 * rng.standard_normal(grid.num_points)
+        rec = error_norms(SchemeState(grid, 0, 0.3, u, psi, u.copy()), p)
+        assert rec.err_u_l2 == norm2(grid, u - u_e)
+        assert rec.err_psi_l2 == norm2(grid, psi - psi_e)
+
+    @pytest.mark.parametrize("which", ["both", "psi"])
+    def test_values_off_the_grid_are_rejected(self, which):
+        # one value per node, as mass and crest_position ask: a row of one
+        # would broadcast against the exact wave
+        grid = Grid(16, 80.0, -40.0)
+        p = params_from_amplitude(0.5)
+        u = np.zeros(1) if which == "both" else np.zeros(grid.num_points)
+        state = SchemeState(grid, 0, 0.0, u, np.zeros(1), u.copy())
+        with pytest.raises(ValueError, match="expected 33 values for this grid, got shape"):
+            error_norms(state, p)
+
+    @pytest.mark.parametrize("field", ["u", "psi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_are_rejected(self, field, bad):
+        # u and psi alike; a huge finite value gives infinite norms instead
+        grid = Grid(16, 80.0, -40.0)
+        p = params_from_amplitude(0.5)
+        u, psi = (x.copy() for x in p.fields(grid.nodes, 0.0))
+        (u if field == "u" else psi)[5] = bad
+        with pytest.raises(ValueError, match="grid function contains non-finite values"):
+            error_norms(SchemeState(grid, 0, 0.0, u, psi, u.copy()), p)
+        (u if field == "u" else psi)[5] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at mode 0 in the H2 sum
+            rec = error_norms(SchemeState(grid, 0, 0.0, u, psi, u.copy()), p)
+        assert (rec.err_u_l2 if field == "u" else rec.err_psi_l2) == np.inf
+
+    @pytest.mark.parametrize("n", [128, 256, 361])
+    def test_allocates_no_array_once_warm(self, rng, n):
+        # N = 128 transforms by matrix products, N = 256 by np.fft and N = 361
+        # in two stages; the exact fields, errors and spectrum are written
+        # into the grid's buffers, so only Python objects may come and go,
+        # less than one nodal row
+        grid = benchmark_grid(n)
+        p = params_from_amplitude(0.5)
+        u_e, psi_e = p.fields(grid.nodes, 0.2)
+        state = SchemeState(grid, 0, 0.2, u_e + 1e-3 * rng.standard_normal(grid.num_points),
+                            psi_e, u_e)
+        for _ in range(3):
+            error_norms(state, p)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                error_norms(state, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * grid.num_points
 
     def test_one_forward_transform(self, monkeypatch):
         # error_norms makes one forward transform of the grid's pair and no
