@@ -1,8 +1,8 @@
 """Tour of the spectral building blocks on a 33-point grid.
 
 Shows the grid's half-spectrum transform pair, spectral differentiation, the discrete inner
-product identities, and the interpolation aliasing bound, then runs the
-packaged self-checks.
+product identities, and the interpolation aliasing bound.  The packaged
+self-checks are ``boussinesq verify``.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from boussinesq.spectral import (
     inner_product,
     sobolev_norm,
 )
-from boussinesq.verification import run_checks
 
 grid = Grid(half_modes=16, length=2 * np.pi)
 f = np.exp(np.sin(grid.nodes))
@@ -43,7 +42,3 @@ coarse_vals = evaluate_interpolant(fine, phi, grid.nodes)
 for k in range(3):
     ratio = sobolev_norm(grid, coarse_vals, k) / sobolev_norm(fine, phi, k)
     print(f"H^{k} norm ratio {ratio:.4f} (bound sqrt({p}) = {np.sqrt(p):.4f})")
-
-print()
-for name, ok in run_checks():
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")

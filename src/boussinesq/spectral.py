@@ -225,8 +225,8 @@ class Grid:
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
 
-        An adapter over :meth:`forward` for diagnostics, checks and tests,
-        into a new array; any layout of x transforms as its contiguous copy does.
+        An adapter over :meth:`forward` into a new array, for derivatives, interpolants and
+        checks; any layout of x transforms as its contiguous copy does.
         """
         return self.forward(np.ascontiguousarray(x, dtype=float)).view(complex)
 
@@ -394,8 +394,11 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
 def _parseval(grid: Grid, values: np.ndarray, weights, out=None) -> list[float]:
     """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for each multiplier M,
     as the dot of y^2, y = grid.forward(values) written into ``out``, with M's carry-layout
-    weights (:meth:`Grid._parseval_weights`); ``values`` are checked by the caller."""
+    weights (:meth:`Grid._parseval_weights`); ``values`` are checked by the caller.  When every
+    M is 0 at l = 0, mode 0 is zeroed first: a huge mean would square to inf, and 0 * inf is nan."""
     y = grid.forward(values, out)
+    if not any(w[0] for w in weights):
+        y[:2] = 0.0
     y *= y
     return [float(np.dot(y, w)) for w in weights]
 

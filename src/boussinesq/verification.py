@@ -18,9 +18,9 @@ __all__ = ["run_checks"]
 
 
 def _round_trip(rng) -> bool:
-    # the grid's own pair transforms by matrix products at N = 16 and 64
-    # and by np.fft at N = 256, as the steppers do
-    for n in (16, 64, 256):
+    # the grid's own pair transforms by matrix products at N = 16 and 64,
+    # by np.fft at N = 256 and in two stages at N = 361, as the steppers do
+    for n in (16, 64, 256, 361):
         grid = Grid(half_modes=n, length=80.0, x_left=-40.0)
         f = rng.standard_normal(grid.num_points)
         back = grid.irfft(grid.rfft(f))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from boussinesq.sweeps import (
     temporal_spec,
 )
 from boussinesq.verification import run_checks
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
 
 
 def make_row(**overrides):
@@ -92,16 +95,33 @@ class TestParseArgs:
             cli.build_parser().parse_args(["run", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_readme_cli_block_names_only_real_flags(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
-        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    def test_readme_cli_block_names_only_real_flags(self, tmp_path, monkeypatch):
+        # and each command runs, at N = 16 and T = 0.4 but verify, and writes
+        # a CSV that reads back
+        block = README.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         lines = [line for line in block.splitlines() if line.startswith("boussinesq ")]
         assert lines
+        monkeypatch.chdir(tmp_path)
         for line in lines:
+            argv = line.split()[1:]
+            small = [] if argv == ["verify"] else ["--N", "16", "--T", "0.4"]
             try:
-                cli.build_parser().parse_args(line.split()[1:])
+                assert cli.main(argv + small) == 0, line
             except SystemExit:
                 pytest.fail(f"README's CLI block runs {line!r}, which the parser refuses")
+            if "--out" in argv:
+                assert read_csv(tmp_path / argv[argv.index("--out") + 1]), line
+
+    def test_readme_table_names_every_output(self):
+        # one row per CSV column and per fitted-order comment, named in its first cell
+        named = {
+            name
+            for line in README.splitlines()
+            if line.startswith("| `")
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+        }
+        wanted = {*CSV_HEADER.split(","), "fitted_order", "fitted_order_u_h2"}
+        assert wanted <= named, sorted(wanted - named)
 
     def test_run_spec_carries_the_flags(self):
         argv = ["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"]
@@ -350,6 +370,16 @@ class TestVerify:
         monkeypatch.setattr(spectral, "derivative", constant_derivative)
         results = dict(run_checks())
         assert [name for name, ok in results.items() if not ok] == ["summation by parts"]
+
+    def test_round_trip_covers_the_two_stage_path(self, monkeypatch):
+        # N = 361 is 723 = 241 * 3 points, which transform in two stages
+        assert spectral.Grid(361, 80.0, -40.0)._two_stage is not None
+        inverse = spectral._TwoStage.inverse
+        monkeypatch.setattr(
+            spectral._TwoStage, "inverse", lambda self, y, out: 2.0 * inverse(self, y, out)
+        )
+        results = dict(run_checks())
+        assert [name for name, ok in results.items() if not ok] == ["transform round-trip"]
 
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0

@@ -9,22 +9,12 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-CASES = {
-    "soliton_propagation": ([], []),
-    "spectral_toolbox": ([], []),
-    "stability_contrast": ([], ["stability_map.csv"]),
-    "convergence_sweeps": (["--quick"], ["spatial_sweep.csv", "temporal_sweep.csv"]),
-}
-
-
-@pytest.mark.parametrize(
-    "demo, args, written", [(demo, *case) for demo, case in CASES.items()], ids=list(CASES)
-)
-def test_demo_exits_cleanly(tmp_path, package_env, demo, args, written):
+@pytest.mark.parametrize("demo", ["soliton_propagation", "spectral_toolbox"])
+def test_demo_exits_cleanly(tmp_path, package_env, demo):
     done = subprocess.run(
-        [sys.executable, str(DEMOS / f"{demo}.py"), *args],
+        [sys.executable, str(DEMOS / f"{demo}.py")],
         cwd=tmp_path, env=package_env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    # a demo writes its CSVs and nothing else
-    assert sorted(path.name for path in tmp_path.iterdir()) == written
+    # a demo only prints
+    assert not any(tmp_path.iterdir())

@@ -119,9 +119,20 @@ class TestErrorNorms:
         with pytest.raises(ValueError, match="grid function contains non-finite values"):
             error_norms(SchemeState(grid, 0, 0.0, u, psi, u.copy()), p)
         (u if field == "u" else psi)[5] = 1e200
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at mode 0 in the H2 sum
+        with np.errstate(over="ignore"):  # the squares of the H2 sum overflow
             rec = error_norms(SchemeState(grid, 0, 0.0, u, psi, u.copy()), p)
         assert (rec.err_u_l2 if field == "u" else rec.err_psi_l2) == np.inf
+
+    def test_huge_mean_leaves_the_h2_seminorm_finite(self):
+        # mode 0 has H2 weight 0, but its square overflows: it is kept out
+        # of the sum, where 0 * inf was nan and numpy warned
+        grid = Grid(16, 80.0, -40.0)
+        p = params_from_amplitude(0.5)
+        u = np.full(grid.num_points, 1e153)
+        rec = error_norms(SchemeState(grid, 0, 0.0, u, p.fields(grid.nodes, 0.0)[1], u), p)
+        assert rec.err_u_l2 == 1e153
+        assert np.isfinite(rec.err_u_h2) and rec.err_u_h2 <= 1e-12 * rec.err_u_l2
+        assert np.isfinite(modified_energy(grid, u, np.zeros(grid.num_points)))
 
     @pytest.mark.parametrize("n", [128, 256, 361])
     def test_allocates_no_array_once_warm(self, rng, n):
