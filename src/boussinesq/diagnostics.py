@@ -1,4 +1,4 @@
-"""Error norms against the exact solitary wave, mass, and the modified energy.
+"""Error norms against the exact solitary wave, mass and the crest position.
 
 Two weighting conventions coexist on purpose and are never mixed: inner
 products and norms carry the mean weight 1/(2N+1), while the discrete mass
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, _check_shape, _checked, _parseval, norm2
+from .spectral import Grid, _check_shape, _parseval
 from .stepping import SchemeState
 from .waves import SolitaryWaveParams
 
-__all__ = ["ErrorRecord", "error_norms", "mass", "modified_energy", "crest_position"]
+__all__ = ["ErrorRecord", "error_norms", "mass", "crest_position"]
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,6 @@ def mass(grid: Grid, values: np.ndarray) -> float:
     """Discrete mass h * sum_i u_i (equivalently L times the mean)."""
     _check_shape(grid, np.asarray(values))
     return float(grid.spacing * np.sum(values))
-
-
-def modified_energy(grid: Grid, u_err: np.ndarray, psi_err: np.ndarray) -> float:
-    """Energy functional (1/2)(||psi_err||^2 + ||D^2 u_err||^2 + ||D u_err||^2), where
-    ||D^m u_err||^2 = (1/n^2) sum_l w_l k_l^(2m) |U_l|^2 with U = rfft(u_err)."""
-    weights = (grid._h2_weights, grid._parseval_weights(grid.wavenumbers**2))
-    d2_squared, d1_squared = _parseval(grid, _checked(grid, u_err), weights)
-    return 0.5 * (norm2(grid, psi_err) ** 2 + d2_squared + d1_squared)
 
 
 def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
@@ -68,7 +60,7 @@ def error_norms(state: SchemeState, params: SolitaryWaveParams) -> ErrorRecord:
     if not np.isfinite(sum(squares)) and not all(np.all(np.isfinite(e)) for e in errors):
         raise ValueError("grid function contains non-finite values")
     squares.append(float("nan"))  # the psi error of a state without psi
-    (d2_squared,) = _parseval(grid, u_err, (grid._h2_weights,), spectrum)
+    d2_squared = _parseval(grid, u_err, grid._h2_weights, spectrum)
     return ErrorRecord(
         err_psi_l2=float(np.sqrt(squares[1] / grid.num_points)),
         err_u_h2=float(np.sqrt(d2_squared)),

@@ -37,7 +37,6 @@ __all__ = [
     "Grid",
     "derivative",
     "inner_product",
-    "norm2",
     "sobolev_norm",
     "evaluate_interpolant",
 ]
@@ -370,15 +369,10 @@ def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(f, g) / grid.num_points)
 
 
-def norm2(grid: Grid, f: np.ndarray) -> float:
-    """Discrete L2 norm induced by :func:`inner_product`."""
-    return float(np.sqrt(inner_product(grid, f, f)))
-
-
 def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
     """Discrete H^k norm via Fourier multipliers 1 + k^2 + ... + k^(2k).
 
-    ``sobolev_norm(grid, f, 0)`` equals ``norm2(grid, f)`` to round-off.
+    ``sobolev_norm(grid, f, 0)`` equals ``sqrt(inner_product(grid, f, f))`` to round-off.
     """
     _check_integer(order, 0, "Sobolev order")
     k2 = grid.wavenumbers**2
@@ -387,20 +381,20 @@ def sobolev_norm(grid: Grid, values: np.ndarray, order: int = 0) -> float:
     for _ in range(order):
         power = power * k2
         multiplier = multiplier + power
-    weights = [grid._parseval_weights(multiplier)]
-    return float(np.sqrt(_parseval(grid, _checked(grid, values), weights)[0]))
+    weights = grid._parseval_weights(multiplier)
+    return float(np.sqrt(_parseval(grid, _checked(grid, values), weights)))
 
 
-def _parseval(grid: Grid, values: np.ndarray, weights, out=None) -> list[float]:
-    """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for each multiplier M,
-    as the dot of y^2, y = grid.forward(values) written into ``out``, with M's carry-layout
-    weights (:meth:`Grid._parseval_weights`); ``values`` are checked by the caller.  When every
-    M is 0 at l = 0, mode 0 is zeroed first: a huge mean would square to inf, and 0 * inf is nan."""
+def _parseval(grid: Grid, values: np.ndarray, weights: np.ndarray, out=None) -> float:
+    """sum_l w_l M_l |F_l|^2 of the mean-normalised coefficients F for a multiplier M, as the
+    dot of y^2, y = grid.forward(values) written into ``out``, with M's carry-layout weights
+    (:meth:`Grid._parseval_weights`); ``values`` are checked by the caller.  When M is 0 at
+    l = 0, mode 0 is zeroed first: a huge mean would square to inf, and 0 * inf is nan."""
     y = grid.forward(values, out)
-    if not any(w[0] for w in weights):
+    if not weights[0]:
         y[:2] = 0.0
     y *= y
-    return [float(np.dot(y, w)) for w in weights]
+    return float(np.dot(y, weights))
 
 
 def evaluate_interpolant(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:

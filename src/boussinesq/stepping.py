@@ -243,6 +243,7 @@ class LinearStepper:
         """One step of a one-run stepper's 1-D nodal arrays, returned as new arrays.
 
         (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
+        Kept for ``benchmarks/`` until ROADMAP direction 3.
         """
         has_psi = self._one_run()
         psi, u_prev = fields if has_psi else (None, *fields)
@@ -338,7 +339,7 @@ def bootstrap(
     The scheme needs u^{-1} for the nonlinear extrapolation.  ``self_start``
     takes u^{-1} := u^0, degrading the first extrapolation to (u^0)^2 -- a
     one-step O(dt^2) local loss that leaves the global order intact.
-    ``exact`` samples the attached solitary wave at t = -dt and is used for
+    ``exact`` samples the wave ``params`` at t = -dt and is used for
     reference runs.
     """
     _check_run("proposed", dt, 0.0, mode)  # a start is a run of no steps

@@ -244,8 +244,13 @@ def fit_order(dts, errors) -> float:
     """Least-squares slope of log(error) against log(dt).
 
     Rows with non-finite or non-positive errors are dropped; duplicate dt
-    values collapse to their first occurrence.
+    values collapse to their first occurrence.  Every dt must be positive and
+    finite, with one error each.
     """
+    if len(dts) != len(errors):
+        raise ValueError(f"order fit got {len(dts)} step sizes and {len(errors)} errors")
+    if not all(0 < dt < np.inf for dt in dts):
+        raise ValueError("order fit needs positive, finite step sizes")
     seen = {}
     for dt, err in zip(dts, errors):
         if np.isfinite(err) and err > 0 and dt not in seen:

@@ -67,18 +67,24 @@ def _zero_fixed_point() -> bool:
     grid = Grid(half_modes=32, length=80.0, x_left=-40.0)
     z = np.zeros(grid.num_points)
     stepper = ProposedStepper(grid, dt=0.01)
-    u1, psi1 = stepper.step_arrays(z, z, z)
-    return np.all(u1 == 0.0) and np.all(psi1 == 0.0)
+    after = stepper.state(stepper.advance(stepper.start(z, z, z)), 1)
+    return np.all(after.u_curr == 0.0) and np.all(after.psi_curr == 0.0)
 
 
 def _linear_update_non_amplifying() -> bool:
     # the trapezoidal rule makes each mode's linear map of (U, Q)
-    # area-preserving (det 1) with both eigenvalues on the unit circle
+    # area-preserving (det 1) with both eigenvalues on the unit circle, at the
+    # angles +-2 atan(omega dt / 2) of the equation's omega^2 = k^4 + k^2
     grid = Grid(half_modes=64, length=80.0, x_left=-40.0)
-    update = np.stack([ProposedStepper(grid, dt).matrix for dt in (1e-3, 0.05, 1.0)])
+    dts = np.array([1e-3, 0.05, 1.0])
+    update = np.stack([ProposedStepper(grid, dt).matrix for dt in dts])
+    mu = np.linalg.eigvals(update)
+    k2 = grid.wavenumbers**2
+    phase = 2.0 * np.arctan(np.sqrt(k2 * k2 + k2) * dts[:, None] / 2.0)
     return (
         np.max(np.abs(np.linalg.det(update) - 1.0)) <= 1e-12
-        and np.max(np.abs(np.linalg.eigvals(update))) <= 1.0 + 1e-12
+        and np.max(np.abs(mu)) <= 1.0 + 1e-12
+        and np.max(np.abs(np.abs(np.angle(mu)) - phase[..., None])) <= 1e-12
     )
 
 

@@ -1,5 +1,6 @@
 """CLI parsing, CSV round-trip and self-verification."""
 
+import ast
 import dataclasses
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import boussinesq.cli as cli
-from boussinesq import spectral, sweeps
+from boussinesq import spectral, stepping, sweeps, verification
 from boussinesq.reporting import CSV_HEADER, read_csv, write_csv
 from boussinesq.sweeps import (
     SweepResult,
@@ -24,7 +25,18 @@ from boussinesq.sweeps import (
 )
 from boussinesq.verification import run_checks
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+TESTS = Path(__file__).resolve().parent
+README = (TESTS.parent / "README.md").read_text("utf-8")
+
+
+def readme_table_names():
+    """The names in the first cell of each row of README's table."""
+    return {
+        name
+        for line in README.splitlines()
+        if line.startswith("| `")
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
 
 
 def make_row(**overrides):
@@ -114,14 +126,29 @@ class TestParseArgs:
 
     def test_readme_table_names_every_output(self):
         # one row per CSV column and per fitted-order comment, named in its first cell
-        named = {
-            name
-            for line in README.splitlines()
-            if line.startswith("| `")
-            for name in re.findall(r"`([^`]+)`", line.split("|")[1])
-        }
+        named = readme_table_names()
         wanted = {*CSV_HEADER.split(","), "fitted_order", "fitted_order_u_h2"}
         assert wanted <= named, sorted(wanted - named)
+
+    def test_readme_table_names_every_verify_check(self):
+        checks = {name for name, _ in run_checks()}
+        assert checks <= readme_table_names(), sorted(checks - readme_table_names())
+
+    def test_readme_cites_only_tests_that_exist(self):
+        defined = {
+            node.name
+            for path in TESTS.glob("test_*.py")
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        }
+        cited = set(re.findall(r"`(test_\w+)`", README))
+        assert cited and cited <= defined, sorted(cited - defined)
+
+    def test_readme_cites_only_criteria_that_exist(self):
+        source = (TESTS / "test_acceptance.py").read_text("utf-8")
+        criteria = set(re.findall(r"^def test_criterion_([0-9]+[a-z]?)_", source, re.M))
+        cited = set(re.findall(r"\bC([0-9]+[a-z]?)\b", README))
+        assert cited and cited <= criteria, sorted(cited - criteria)
 
     def test_run_spec_carries_the_flags(self):
         argv = ["run", "--scheme", "frutos", "--N", "64", "--dt", "0.01"]
@@ -380,6 +407,38 @@ class TestVerify:
         )
         results = dict(run_checks())
         assert [name for name, ok in results.items() if not ok] == ["transform round-trip"]
+
+    def test_zero_fixed_point_steps_without_step_arrays(self, monkeypatch):
+        def refuse(self, *arrays):
+            raise AssertionError("verify called step_arrays")
+
+        monkeypatch.setattr(stepping.LinearStepper, "step_arrays", refuse)
+        results = run_checks()
+        assert len(results) == 7 and all(ok for _, ok in results)
+
+    def test_linear_check_sees_the_dispersion(self, monkeypatch):
+        # the trapezoidal rule of omega^2 = k^4 + 2 k^2, with its own lam, m'
+        # and c, is area-preserving with |mu| = 1 too: only its phase is wrong
+        def wrong_dispersion(grid, dt):
+            k2 = np.repeat(grid.wavenumbers**2, 2)
+            w = k2 * k2 + 2.0 * k2
+            lam = 2.0 / dt**2 + w / 2.0
+            q, s = (2.0 / dt) * (k2 > 0), np.where(k2 > 0, 1.0, -1.0)
+            b = -k2 / lam
+            return stepping.LinearStepper(
+                grid, dt, -w / lam, 1.5 * b, -0.5 * b, 2.0 / dt / lam, q, s, True
+            )
+
+        grid = spectral.Grid(64, 80.0, -40.0)
+        for dt in (1e-3, 0.05, 1.0):
+            update = wrong_dispersion(grid, dt).matrix
+            assert np.max(np.abs(np.linalg.det(update) - 1.0)) <= 1e-12
+            assert np.max(np.abs(np.linalg.eigvals(update))) <= 1.0 + 1e-12
+        monkeypatch.setattr(verification, "ProposedStepper", wrong_dispersion)
+        results = dict(run_checks())
+        assert [name for name, ok in results.items() if not ok] == [
+            "linear update non-amplifying"
+        ]
 
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0

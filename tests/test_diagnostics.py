@@ -1,17 +1,12 @@
-"""Error records, mass and the modified energy functional."""
+"""Error records, mass and the crest position."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from boussinesq.diagnostics import (
-    crest_position,
-    error_norms,
-    mass,
-    modified_energy,
-)
-from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, norm2
+from boussinesq.diagnostics import crest_position, error_norms, mass
+from boussinesq.spectral import DENSE_MAX_POINTS, Grid, inner_product
 from boussinesq.stepping import SchemeState, bootstrap, run
 from boussinesq.waves import (
     params_from_amplitude,
@@ -94,8 +89,9 @@ class TestErrorNorms:
         u = u_e + 1e-3 * rng.standard_normal(grid.num_points)
         psi = psi_e + 1e-3 * rng.standard_normal(grid.num_points)
         rec = error_norms(SchemeState(grid, 0, 0.3, u, psi, u.copy()), p)
-        assert rec.err_u_l2 == norm2(grid, u - u_e)
-        assert rec.err_psi_l2 == norm2(grid, psi - psi_e)
+        u_err, psi_err = u - u_e, psi - psi_e
+        assert rec.err_u_l2 == np.sqrt(inner_product(grid, u_err, u_err))
+        assert rec.err_psi_l2 == np.sqrt(inner_product(grid, psi_err, psi_err))
 
     @pytest.mark.parametrize("which", ["both", "psi"])
     def test_values_off_the_grid_are_rejected(self, which):
@@ -132,7 +128,6 @@ class TestErrorNorms:
         rec = error_norms(SchemeState(grid, 0, 0.0, u, p.fields(grid.nodes, 0.0)[1], u), p)
         assert rec.err_u_l2 == 1e153
         assert np.isfinite(rec.err_u_h2) and rec.err_u_h2 <= 1e-12 * rec.err_u_l2
-        assert np.isfinite(modified_energy(grid, u, np.zeros(grid.num_points)))
 
     @pytest.mark.parametrize("n", [128, 256, 361])
     def test_allocates_no_array_once_warm(self, rng, n):
@@ -223,38 +218,6 @@ class TestMass:
         for v in u:
             expected += grid.spacing * v
         assert mass(grid, u) == pytest.approx(expected, abs=1e-13)
-
-
-class TestModifiedEnergy:
-    def test_zero_fields(self):
-        grid = benchmark_grid(16)
-        z = np.zeros(grid.num_points)
-        assert modified_energy(grid, z, z) == 0.0
-
-    def test_unit_psi_error(self):
-        grid = benchmark_grid(16)
-        z = np.zeros(grid.num_points)
-        assert modified_energy(grid, z, np.ones(grid.num_points)) == pytest.approx(
-            0.5, abs=1e-14
-        )
-
-    def test_constant_u_error_contributes_nothing(self):
-        grid = benchmark_grid(16)
-        z = np.zeros(grid.num_points)
-        assert modified_energy(grid, np.full(grid.num_points, 7.0), z) < 1e-20
-
-    def test_recomposition_from_norms(self, rng):
-        grid = benchmark_grid(32)
-        u_err = rng.standard_normal(grid.num_points)
-        psi_err = rng.standard_normal(grid.num_points)
-        expected = 0.5 * (
-            norm2(grid, psi_err) ** 2
-            + norm2(grid, derivative(grid, u_err, 2)) ** 2
-            + norm2(grid, derivative(grid, u_err, 1)) ** 2
-        )
-        got = modified_energy(grid, u_err, psi_err)
-        assert got == pytest.approx(expected, abs=1e-14 * max(1.0, expected))
-        assert got >= 0.0
 
 
 @pytest.mark.parametrize("measure", [mass, crest_position])

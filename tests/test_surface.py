@@ -3,8 +3,9 @@
 The call and use tests read source with ``ast`` rather than running it: the
 benchmark's call sites in ``benchmarks/workloads.py`` and
 ``benchmarks/layers.py``, and the uses of every ``__all__`` name across
-``src/``, ``demos/`` and ``benchmarks/``.  The method calls on what the
-benchmark builds are run, since ``ast`` cannot tell what they bind to.
+``src/`` and ``benchmarks/`` (a name that only tests or demos call is dead).
+The method calls on what the benchmark builds are run, since ``ast`` cannot
+tell what they bind to.
 Public names live in their modules only: the package namespace holds
 nothing but its submodules.
 """
@@ -81,8 +82,12 @@ def test_benchmark_method_calls_run(monkeypatch):
 
 
 def test_benchmark_only_leftovers_still_have_a_reader():
-    # the equation is p = 2; these two stay only while the benchmark reads them
     files = [ROOT / "benchmarks" / filename for filename in BENCHMARK_FILES]
+    # verify steps through start/advance/state, so the benchmark is the last caller
+    assert any(("step_arrays", None) in loaded_names(path, False) for path in files), (
+        "benchmarks/ no longer calls .step_arrays: delete LinearStepper.step_arrays"
+    )
+    # the equation is p = 2; these two stay only while the benchmark reads them
     assert any(("power", None) in loaded_names(path, False) for path in files), (
         "benchmarks/ no longer reads .power: delete the GBProblem.power constant"
     )
@@ -127,13 +132,13 @@ def exported() -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("module, name", exported(), ids=lambda x: x)
 def test_every_exported_name_is_used(module, name):
-    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("benchmarks/*.py")]:
+    for path in [*PACKAGE.glob("*.py"), *ROOT.glob("benchmarks/*.py")]:
         if path == PACKAGE / "__init__.py":
             continue
         own = path == PACKAGE / f"{module}.py"
         if any(ref == name and owner != name for ref, owner in loaded_names(path, own)):
             return
-    pytest.fail(f"{module}.{name} is exported but used nowhere in src/, demos/ or benchmarks/")
+    pytest.fail(f"{module}.{name} is exported but used nowhere in src/ or benchmarks/")
 
 
 def test_importing_one_module_loads_no_other(package_env):

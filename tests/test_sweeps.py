@@ -48,6 +48,17 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([0.1, 0.05], [float("inf"), 1e-3])
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, float("inf"), float("nan")])
+    def test_bad_step_size_is_one_value_error(self, dt, capfd):
+        # numpy's log warned and LAPACK printed to stderr before the fit failed
+        with pytest.raises(ValueError, match="positive, finite step sizes"):
+            fit_order([dt, 0.1, 0.2], [1.0, 2.0, 3.0])
+        assert capfd.readouterr().err == ""
+
+    def test_lists_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="order fit got 3 step sizes and 2 errors"):
+            fit_order([0.1, 0.2, 0.3], [1.0, 2.0])
+
 
 class TestSpecValidation:
     def test_defaults_match_published_setup(self):
