@@ -18,7 +18,8 @@ of the new state, and one forward, of its u^2 (:meth:`Grid.inverse`,
 the blow-up check reads.
 A batch stacks the steppers of every run on one grid, of any scheme and
 step size, as the rows of one carry, so those runs share every call of a
-step; a stack of one is its run's own stepper.  Only a step sees a stack:
+step; a stack of one is its run's own stepper, built by ``SCHEMES``.  A
+batch to T > 0 steps every run, one to T = 0 none.  Only a step sees a stack:
 each run starts, and is read from its row, through its own stepper.  The
 carry is in the layout the grid's pair reads and writes: nodal rows
 (rows, n) and real spectra (rows, 2h), each mode's Re and Im side by side,
@@ -52,9 +53,6 @@ __all__ = [
     "run",
     "run_batch",
 ]
-
-# the time schemes a run can step
-SCHEMES = ("proposed", "frutos")
 
 # A run is declared divergent once the L2 norm of u exceeds this multiple
 # of its initial value (or any value goes non-finite).
@@ -310,6 +308,10 @@ def FrutosStepper(grid: Grid, dt) -> LinearStepper:
     return LinearStepper(grid, dt, -(k4 + k2) / lam, -k2 / lam, 0.0, dt, 1.0 / dt, 0.0, False)
 
 
+# the time schemes a run can step, each with the builder of its one-run stepper
+SCHEMES = {"proposed": ProposedStepper, "frutos": FrutosStepper}
+
+
 def _check_run(scheme: str, dt, T, bootstrap_mode: str) -> int:
     """Steps of one run to time T: the one home of the rules a run must keep."""
     if scheme not in SCHEMES:
@@ -323,7 +325,7 @@ def _check_run(scheme: str, dt, T, bootstrap_mode: str) -> int:
         raise ValueError(f"final time must be nonnegative and finite, got {T}")
     _check_dt(dt)
     steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * max(T, dt):
+    if abs(steps * dt - T) > 1e-9 * T:  # so a positive T takes at least one step
         raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")
     return steps
 
@@ -334,9 +336,9 @@ def bootstrap(
     mode: str = "self_start",
     params: SolitaryWaveParams | None = None,
 ) -> SchemeState:
-    """Initial state for the proposed scheme.
+    """Initial state of a run of either scheme; a three-level run drops its psi.
 
-    The scheme needs u^{-1} for the nonlinear extrapolation.  ``self_start``
+    The proposed scheme needs u^{-1} for its extrapolation.  ``self_start``
     takes u^{-1} := u^0, degrading the first extrapolation to (u^0)^2 -- a
     one-step O(dt^2) local loss that leaves the global order intact.
     ``exact`` samples the wave ``params`` at t = -dt and is used for
@@ -354,8 +356,7 @@ def bootstrap(
 
 
 def bootstrap_frutos(problem: GBProblem, dt: float, params: SolitaryWaveParams) -> SchemeState:
-    """Initial state for the three-level scheme: the proposed scheme's exact start, with no psi."""
-    _check_run("frutos", dt, 0.0, "exact")
+    """The exact start with psi dropped; kept for ``benchmarks/`` until ROADMAP direction 3."""
     return replace(bootstrap(problem, dt, "exact", params), psi_curr=None)
 
 
@@ -391,7 +392,9 @@ def run_batch(
     """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
 
     The runs, of any scheme and step size, are the rows of one carry,
-    so every step makes one forward and one inverse transform for them all;
+    each from its entry of ``SCHEMES`` and its :func:`bootstrap`, with no
+    psi where the stepper has none.  T > 0 steps every run, T = 0 none, and
+    every step makes one forward and one inverse transform for them all;
     a row blows up when the sum of its u^2, read from the carried spectrum
     of u^2, is not finite or passes n (1e6 max(rms of initial u, 1))^2.
     Each row's final state equals that of :func:`run` bit for bit, and the
@@ -420,38 +423,30 @@ def run_batch(
     if not np.all(np.isfinite(problem.initial_ut)):
         raise ValueError("initial u_t must be finite")
 
-    states = [
-        bootstrap_frutos(problem, dt, params) if scheme == "frutos"
-        else bootstrap(problem, dt, bootstrap_mode, params)
-        for scheme, dt in runs
-    ]
+    # each row's own stepper, built with its float dt, is a row of the batch's
+    steppers = [SCHEMES[scheme](problem.grid, dt) for scheme, dt in runs]
+    states = [bootstrap(problem, dt, bootstrap_mode, params) for _, dt in runs]
+    states = [s if x.has_psi else replace(s, psi_curr=None) for x, s in zip(steppers, states)]
     for state in states:
         for obs in observers:
             obs(state)
-    # a run of no steps ends where it starts
-    results = [None if n else state for n, state in zip(steps, states)]
-    rows = [i for i, n in enumerate(steps) if n]
-    if not rows:
-        return tuple(results)
-    # each row's own stepper, built with its float dt, is a row of the batch's
-    steppers = [
-        FrutosStepper(problem.grid, dt) if scheme == "frutos"
-        else ProposedStepper(problem.grid, dt)
-        for scheme, dt in (runs[i] for i in rows)
-    ]
-    live = [states[i] for i in rows]
+    # a run to T > 0 takes a step, so the runs all step or all end where they start
+    if T == 0 or not runs:
+        return tuple(states)
     # each row starts with its own stepper; a lone row keeps its 1-D carry
-    carry = [x.start(s.u_curr, s.psi_curr, s.u_prev) for x, s in zip(steppers, live)]
-    carry = carry[0] if len(rows) == 1 else tuple(map(np.stack, zip(*carry)))
+    carry = [x.start(s.u_curr, s.psi_curr, s.u_prev) for x, s in zip(steppers, states)]
+    carry = carry[0] if len(runs) == 1 else tuple(map(np.stack, zip(*carry)))
     advance = LinearStepper.stack(steppers).advance
-    del states, live  # the carry holds what a step reads
+    del states  # the carry holds what a step reads
+    results = [None] * len(runs)
+    rows = list(range(len(runs)))
     # the next row to finish is the one with the fewest steps
-    last = min(steps[i] for i in rows)
+    last = min(steps)
     # a row that blows up can overflow within a step, which the check flags:
     # the steps run without numpy's warnings, and observers under the caller's
     caller = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, max(steps[i] for i in rows) + 1):
+        for n in range(1, max(steps) + 1):
             carry = advance(carry)
             f = carry[4]
             bounded = (f[0] if f.ndim == 1 else f[:, 0].sum()) <= limit

@@ -175,7 +175,8 @@ def stability_spec(**overrides) -> SweepSpec:
     than the accuracy experiments use; T = 100 at dt = 0.1 trips it at
     N = 512 while every proposed-scheme run stays bounded.
     """
-    defaults = dict(kind="stability", N_list=(64, 128, 256, 512), dt=0.1, T=100.0, schemes=SCHEMES)
+    defaults = dict(kind="stability", N_list=(64, 128, 256, 512), dt=0.1, T=100.0,
+                    schemes=tuple(SCHEMES))
     return SweepSpec(**{**defaults, **overrides})
 
 
@@ -224,7 +225,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         start = _time.perf_counter()
         finals = run_batch(problem, runs, spec.T, spec.bootstrap_mode, params)
         taken = sum(final.step_index for final in finals)
-        per_step = (_time.perf_counter() - start) / max(taken, 1)
+        per_step = (_time.perf_counter() - start) / taken
         rows.extend(
             _sweep_row(spec, scheme, problem, params, dt, final, per_step * final.step_index)
             for (scheme, dt), final in zip(runs, finals)

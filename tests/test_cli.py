@@ -656,3 +656,13 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not an integer multiple" in err
+
+    def test_final_time_short_of_one_step_is_one_line_usage_error(self, tmp_path, capsys):
+        # the row would read K = 0 and hold the t = 0 state under the label T = 1e-12
+        out = tmp_path / "rows.csv"
+        argv = ["sweep-space", "--N", "16", "--T", "1e-12", "--dt", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not an integer multiple" in captured.err
+        assert captured.out == "" and not out.exists()

@@ -355,7 +355,10 @@ class TestStabilityLadder:
         radius = np.abs(np.linalg.eigvals(ProposedStepper(benchmark_grid(n), 0.1).matrix))
         assert np.max(radius) <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("n, peak", [(64, 1.0), (128, 1.0), (256, 1.0102), (512, 1.0512)])
+    @pytest.mark.parametrize(
+        "n, peak",
+        [(64, 1.0), (128, 1.0), (254, 1.0), (255, 1.0053), (256, 1.0102), (512, 1.0512)],
+    )
     def test_three_level_growth_factor(self, n, peak):
         # modes with k > 2/dt grow: none below N = 255, then up to mode 360
         radius = np.abs(np.linalg.eigvals(FrutosStepper(benchmark_grid(n), 0.1).matrix)).max(-1)
@@ -365,6 +368,21 @@ class TestStabilityLadder:
             assert round(float(np.max(radius)), 4) == peak
         if n == 512:
             assert np.argmax(radius) == 360
+        # k_l dt > 2 is l > L/(pi dt): the growing modes are l = 255 ... N
+        first = int(np.ceil(80.0 / (np.pi * 0.1)))
+        assert first == 255
+        assert np.array_equal(np.flatnonzero(radius > 1.0 + 1e-12), np.arange(first, n + 1))
+
+    def test_three_level_growth_rate_is_capped(self):
+        # no mode of any grid or step grows faster than e^{t/2}: by T = 4 the
+        # linear map gives at most e^2, far short of what criterion 7 asks
+        def rate(n, dt):
+            radius = np.abs(np.linalg.eigvals(FrutosStepper(benchmark_grid(n), dt).matrix))
+            return float(np.log(radius.max()) / dt)
+
+        rates = [rate(n, dt) for dt in np.geomspace(1e-3, 1.0, 13) for n in 2 ** np.arange(6, 13)]
+        assert max(rates) < 0.5
+        assert 4.0 * rate(512, 0.1) <= 2.0
 
     @pytest.mark.parametrize("n", NS)
     def test_three_level_matrix_has_the_textbook_eigenvalues(self, n):
@@ -487,6 +505,12 @@ class TestRun:
         prob = zero_problem(benchmark_grid(16))
         with pytest.raises(ValueError):
             run(prob, dt=0.3, T=1.0)
+
+    def test_positive_final_time_that_no_whole_step_reaches_is_rejected(self):
+        # zero steps of 1.0 would return the t = 0 state labelled t = 1e-12
+        prob = zero_problem(benchmark_grid(16))
+        with pytest.raises(ValueError, match="not an integer multiple of dt"):
+            run(prob, dt=1.0, T=1e-12)
 
     @pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf"), -0.1])
     def test_bad_time_step_rejected_before_dividing(self, dt):

@@ -14,6 +14,7 @@ import ast
 import functools
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,11 @@ def test_benchmark_only_leftovers_still_have_a_reader():
     assert any(("step_arrays", None) in loaded_names(path, False) for path in files), (
         "benchmarks/ no longer calls .step_arrays: delete LinearStepper.step_arrays"
     )
+    # run_batch starts every row through bootstrap, so the benchmark is the last caller
+    assert any(
+        (module, name) == ("stepping", "bootstrap_frutos")
+        for _, module, name, _, _ in BENCHMARK_CALLS
+    ), "benchmarks/ no longer calls bootstrap_frutos: delete stepping.bootstrap_frutos"
     # the equation is p = 2; these two stay only while the benchmark reads them
     assert any(("power", None) in loaded_names(path, False) for path in files), (
         "benchmarks/ no longer reads .power: delete the GBProblem.power constant"
@@ -100,6 +106,19 @@ def test_benchmark_only_leftovers_still_have_a_reader():
         (module, name) == ("sweeps", "SweepResult") and "spec" in keywords
         for _, module, name, _, keywords in BENCHMARK_CALLS
     ), "delete SweepResult.spec"
+
+
+def test_src_cites_only_roadmap_directions_that_exist():
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    headings = set(re.findall(r"^- \*\*Direction (\d+)\.", roadmap, re.M))
+    cited = {
+        (path.name, number)
+        for path in PACKAGE.glob("*.py")
+        for number in re.findall(r"ROADMAP\s+direction\s+(\d+)", path.read_text())
+    }
+    assert cited, "no ROADMAP direction is cited under src/: drop this test"
+    missing = sorted(f"{name}: direction {n}" for name, n in cited if n not in headings)
+    assert not missing, f"src/ cites ROADMAP directions with no heading: {missing}"
 
 
 @functools.cache

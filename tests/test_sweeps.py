@@ -180,6 +180,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="exactly one of a fixed dt and nk_list"):
             SweepSpec(kind="run", N_list=(32,), dt=0.1, nk_list=(10,))
 
+    def test_rejects_a_positive_final_time_that_no_whole_step_reaches(self):
+        with pytest.raises(ValueError, match="not an integer multiple of dt"):
+            SweepSpec(kind="spatial", N_list=(16,), dt=1.0, T=1e-12)
+
     def test_rejects_unknown_bootstrap_mode(self):
         with pytest.raises(ValueError, match="unknown bootstrap mode 'bogus'"):
             SweepSpec(kind="run", N_list=(16,), dt=0.1, T=0.5, bootstrap_mode="bogus")
