@@ -20,7 +20,7 @@ from .sweeps import (
     stability_spec,
     temporal_spec,
 )
-from .verification import run_checks
+from .verification import measure_checks
 
 __all__ = ["build_parser", "main"]
 
@@ -115,10 +115,10 @@ def _print_rows(result: SweepResult) -> None:
 
 
 def _cmd_verify() -> int:
-    results = run_checks()
-    for name, passed in results:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    return 0 if all(p for _, p in results) else 1
+    results = measure_checks()
+    for name, value, bound, passed in results:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  {value:.3g} (bound {bound:.3g})")
+    return 0 if all(passed for *_, passed in results) else 1
 
 
 def main(argv=None) -> int:

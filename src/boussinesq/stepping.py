@@ -54,8 +54,8 @@ __all__ = [
     "run_batch",
 ]
 
-# A run is declared divergent once the L2 norm of u exceeds this multiple
-# of its initial value (or any value goes non-finite).
+# A run is declared divergent once the rms of u exceeds this multiple of
+# max(initial rms, 1) (or any value goes non-finite).
 BLOWUP_FACTOR = 1e6
 
 
@@ -324,6 +324,8 @@ def _check_run(scheme: str, dt, T, bootstrap_mode: str) -> int:
     if not 0 <= T < np.inf:
         raise ValueError(f"final time must be nonnegative and finite, got {T}")
     _check_dt(dt)
+    if float(T) / float(dt) == np.inf:  # each of T and dt is finite, but not their ratio
+        raise ValueError(f"final time {T} over dt={dt} is not a finite number of steps")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * T:  # so a positive T takes at least one step
         raise ValueError(f"final time {T} is not an integer multiple of dt={dt}")
@@ -336,7 +338,7 @@ def bootstrap(
     mode: str = "self_start",
     params: SolitaryWaveParams | None = None,
 ) -> SchemeState:
-    """Initial state of a run of either scheme; a three-level run drops its psi.
+    """Initial state of a run of either scheme, psi included (``run_batch`` drops it).
 
     The proposed scheme needs u^{-1} for its extrapolation.  ``self_start``
     takes u^{-1} := u^0, degrading the first extrapolation to (u^0)^2 -- a

@@ -440,12 +440,30 @@ class TestVerify:
             "linear update non-amplifying"
         ]
 
+    def test_round_trip_that_measures_nan_fails(self, monkeypatch):
+        # a NaN compares false with any bound, so "value <= bound" fails it
+        monkeypatch.setattr(
+            spectral._TwoStage, "inverse", lambda self, y, out: out.fill(np.nan) or out
+        )
+        assert [name for name, ok in run_checks() if not ok] == ["transform round-trip"]
+
+    def test_aliasing_check_that_measures_nan_fails(self, monkeypatch):
+        monkeypatch.setattr(verification, "sobolev_norm", lambda grid, values, k: np.nan)
+        assert [name for name, ok in run_checks() if not ok] == ["aliasing bound sample"]
+
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
-        monkeypatch.setattr(cli, "run_checks", lambda: [("stub", False)])
+        monkeypatch.setattr(cli, "measure_checks", lambda: [("stub", 1.0, 0.0, False)])
         assert cli.main(["verify"]) == 1
+
+    def test_cli_verify_prints_each_value_beside_its_bound(self, capsys):
+        assert cli.main(["verify"]) == 0
+        number = r"(nan|inf|[-+.e\d]+)"
+        line = re.compile(rf"(PASS|FAIL)  (.+)  {number} \(bound {number}\)")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.fullmatch(text).group(2) for text in lines] == [n for n, _ in run_checks()]
 
 
 class TestMainCommands:
@@ -508,6 +526,7 @@ class TestMainCommands:
             ["run", "--dt", "0"],
             ["run", "--T", "0"],
             ["run", "--T", "inf"],
+            ["run", "--T", "1e300", "--dt", "1e-100"],
             ["run", "--nk", "0"],
             ["run", "--xmin", "10", "--xmax", "-10"],
             ["sweep-space", "--dt", "-1"],

@@ -9,7 +9,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("demo", ["soliton_propagation", "spectral_toolbox"])
+@pytest.mark.parametrize("demo", ["soliton_propagation"])
 def test_demo_exits_cleanly(tmp_path, package_env, demo):
     done = subprocess.run(
         [sys.executable, str(DEMOS / f"{demo}.py")],

@@ -512,6 +512,10 @@ class TestRun:
         with pytest.raises(ValueError, match="not an integer multiple of dt"):
             run(prob, dt=1.0, T=1e-12)
 
+    def test_step_count_that_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            run(zero_problem(benchmark_grid(16)), dt=1e-100, T=1e300)
+
     @pytest.mark.parametrize("dt", [0.0, float("nan"), float("inf"), -0.1])
     def test_bad_time_step_rejected_before_dividing(self, dt):
         prob = zero_problem(benchmark_grid(16))

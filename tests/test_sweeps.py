@@ -184,6 +184,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not an integer multiple of dt"):
             SweepSpec(kind="spatial", N_list=(16,), dt=1.0, T=1e-12)
 
+    def test_rejects_a_step_count_that_overflows(self):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            SweepSpec(kind="run", N_list=(16,), dt=1e-100, T=1e300)
+
     def test_rejects_unknown_bootstrap_mode(self):
         with pytest.raises(ValueError, match="unknown bootstrap mode 'bogus'"):
             SweepSpec(kind="run", N_list=(16,), dt=0.1, T=0.5, bootstrap_mode="bogus")
