@@ -35,7 +35,6 @@ def _add_subcommand(subs, name: str, summary: str, builder) -> argparse.Argument
     sub.set_defaults(builder=builder)
     sub.add_argument("--N", type=int, help="half mode count")
     sub.add_argument("--T", type=float, help="final time")
-    sub.add_argument("--amplitude", type=float, help="solitary wave amplitude")
     sub.add_argument("--xmin", type=float, help="left domain boundary")
     sub.add_argument("--xmax", type=float, help="right domain boundary")
     sub.add_argument("--out", help="CSV output path")
@@ -50,20 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     run_p = _add_subcommand(subs, "run", "single solitary-wave run", run_spec)
-    steps = run_p.add_mutually_exclusive_group()
-    steps.add_argument("--dt", type=float, help="time step")
-    steps.add_argument("--nk", type=int, help="number of time steps")
+    run_p.add_argument("--dt", type=float, help="time step")
     run_p.add_argument("--scheme", choices=SCHEMES, help="time scheme")
 
     space_p = _add_subcommand(subs, "sweep-space", "spatial spectral-accuracy sweep", spatial_spec)
     space_p.add_argument("--dt", type=float, help="fixed time step")
-    time_p = _add_subcommand(subs, "sweep-time", "temporal second-order sweep", temporal_spec)
-    # the stability map's three-level rows take the exact start only
-    for sub in (run_p, space_p, time_p):
-        sub.add_argument(
-            "--bootstrap", choices=("exact", "self-start"), help="how to seed the u^{-1} level"
-        )
-
+    _add_subcommand(subs, "sweep-time", "temporal second-order sweep", temporal_spec)
     stab_p = _add_subcommand(
         subs, "stability", "proposed vs three-level stability map", stability_spec
     )
@@ -83,17 +74,13 @@ def _write_outputs(result: SweepResult, args) -> None:
 def _spec_from_args(args) -> SweepSpec:
     """The subcommand's spec, made by its builder with the fields of the given flags."""
     given = vars(args)
-    overrides = {field: given[field] for field in ("T", "amplitude", "dt") if field in given}
+    overrides = {field: given[field] for field in ("T", "dt") if field in given}
     if "N" in given:
         overrides["N_list"] = (args.N,)
-    if "nk" in given:
-        overrides.update(nk_list=(args.nk,), dt=None)
     if "xmin" in given or "xmax" in given:
         # no builder sets the domain, so a bound not given keeps the field's default
         xmin, xmax = SweepSpec.domain
         overrides["domain"] = (given.get("xmin", xmin), given.get("xmax", xmax))
-    if "bootstrap" in given:
-        overrides["bootstrap_mode"] = args.bootstrap.replace("-", "_")
     if "scheme" in given:
         overrides["schemes"] = (args.scheme,)
     return args.builder(**overrides)

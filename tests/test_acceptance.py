@@ -10,7 +10,7 @@ every mode's amplification), so by T = 4 no perturbation can grow by more
 than ~e^2, far below the 1e6 divergence threshold; no (N, dt) choice can
 satisfy the criterion as stated and the corresponding test fails honestly.
 The underlying stability contrast is real and is verified at the
-pilot-calibrated horizon T = 100 in criterion 7b.
+horizon T = 100 in criterion 7b, where the predicted e-folds reach 50.
 """
 
 import sys
@@ -26,7 +26,13 @@ from boussinesq.spectral import (
     inner_product,
     sobolev_norm,
 )
-from boussinesq.stepping import ProposedStepper, bootstrap, build_implicit_diagonal, run
+from boussinesq.stepping import (
+    FrutosStepper,
+    ProposedStepper,
+    bootstrap,
+    build_implicit_diagonal,
+    run,
+)
 from boussinesq.sweeps import run_sweep, spatial_spec, stability_spec, temporal_spec
 from boussinesq.waves import (
     GBProblem,
@@ -202,11 +208,18 @@ def test_criterion_7_stability_contrast_at_T4():
         not p.diverged and p.err_u_h2 <= 2.0 * ref for p in proposed
     )
     ok = bool(contrast_ns) and bounded
+    # linear growth of the three-level map at u = 0: T max ln|mu| / dt per N
+    efolds = [
+        spec.T / spec.dt
+        * np.log(np.abs(np.linalg.eigvals(FrutosStepper(spec._grid(N), spec.dt).matrix)).max())
+        for N in spec.N_list
+    ]
     report(
         7,
         ok,
         f"T=4: frutos divergent at N in {contrast_ns or 'none'}; "
-        "growth-rate cap exp(t/2) makes divergence by T=4 unreachable",
+        "growth-rate cap exp(t/2) makes divergence by T=4 unreachable; predicted e-folds "
+        + ", ".join(f"N={N} {e:.2f}" for N, e in zip(spec.N_list, efolds)),
     )
     assert ok
 

@@ -1,5 +1,6 @@
 """CLI parsing, CSV round-trip and self-verification."""
 
+import argparse
 import ast
 import dataclasses
 import math
@@ -75,7 +76,7 @@ class TestParseArgs:
     def test_sweep_time_defaults(self):
         spec = cli._spec_from_args(cli.build_parser().parse_args(["sweep-time"]))
         assert spec == temporal_spec()
-        assert (spec.kind, spec.N_list, spec.T, spec.amplitude) == ("temporal", (512,), 4.0, 0.5)
+        assert (spec.kind, spec.N_list, spec.T, sweeps.AMPLITUDE) == ("temporal", (512,), 4.0, 0.5)
         assert spec.nk_list == tuple(range(100, 1100, 100))
 
     def test_sweep_space_defaults(self):
@@ -89,18 +90,6 @@ class TestParseArgs:
         assert cli.main(["run", "--dt", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_conflicting_dt_and_nk(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(["run", "--dt", "0.01", "--nk", "100"])
-        assert exc.value.code == 2
-
-    def test_nk_sets_step_from_final_time(self):
-        args = cli.build_parser().parse_args(["run", "--nk", "100", "--T", "2", "--N", "16"])
-        spec = cli._spec_from_args(args)
-        assert (spec.nk_list, spec.dt) == ((100,), None)
-        (row,) = run_sweep(spec).rows
-        assert (row.dt, row.K) == (2.0 / 100, 100)
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -133,6 +122,21 @@ class TestParseArgs:
     def test_readme_table_names_every_verify_check(self):
         checks = {name for name, _ in run_checks()}
         assert checks <= readme_table_names(), sorted(checks - readme_table_names())
+
+    def test_readme_names_exactly_the_cli_flags(self):
+        # a flag written as --xmin=-1e-3 counts as --xmin
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            option
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"`(--[A-Za-z][\w-]*)", section)) == flags
 
     def test_readme_cites_only_tests_that_exist(self):
         defined = {
@@ -503,13 +507,6 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_amplitude_out_of_range_is_one_line_usage_error(self, capsys):
-        code = cli.main(["run", "--N", "32", "--amplitude", "2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: amplitude must lie in (0, 3/2]")
-        assert err.count("\n") == 1
-
     def test_run_prints_the_row_it_writes(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         argv = ["run", "--scheme", "frutos", "--N", "32", "--dt", "0.1", "--T", "0.5"]
@@ -527,7 +524,6 @@ class TestMainCommands:
             ["run", "--T", "0"],
             ["run", "--T", "inf"],
             ["run", "--T", "1e300", "--dt", "1e-100"],
-            ["run", "--nk", "0"],
             ["run", "--xmin", "10", "--xmax", "-10"],
             ["sweep-space", "--dt", "-1"],
             ["stability", "--T", "-1"],
@@ -548,12 +544,10 @@ class TestMainCommands:
             ["run", "--N", "16", "--dt", "inf", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "1e-160", "--T", "1e-159", "--xmin=-5", "--xmax=5"],
             ["run", "--N", "16", "--dt", "1e155", "--T", "1e155", "--xmin=-5", "--xmax=5"],
-            ["run", "--scheme", "frutos", "--bootstrap", "self-start", "--N", "16", "--T", "0.5",
-             "--xmin=-5", "--xmax=5"],
             ["sweep-space", "--xmin=0", "--xmax=3e-75", "--T", "0.0004"],
         ],
         ids=["off-step-grid", "dt-inf", "dt-squared-overflows", "huge-dt-squared-overflows",
-             "three-level-self-start", "k4-overflows-at-a-larger-N"],
+             "k4-overflows-at-a-larger-N"],
     )
     def test_bad_spec_is_one_error_line_before_anything_is_built(
         self, tmp_path, monkeypatch, capsys, argv
@@ -589,32 +583,20 @@ class TestMainCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [[sub, *flag] for flag in (["--p", "2"], ["--emit-plot"])
+        [[sub, *flag]
+         for flag in (["--p", "2"], ["--emit-plot"], ["--amplitude", "0.5"], ["--bootstrap", "exact"])
          for sub in ("run", "sweep-space", "sweep-time", "stability")]
-        + [["stability", "--bootstrap", "exact"]],
+        + [["run", "--nk", "100"]],
         ids=" ".join,
     )
     def test_flag_with_one_legal_value_is_a_usage_error(self, tmp_path, capsys, argv):
-        # every exact reference solves p = 2, a stability map's three-level
-        # rows take the exact start only, and a sweep writes no plot script
+        # every experiment solves the p = 2, A = 0.5 wave from its exact start,
+        # a sweep writes no plot script, and a run's steps are T/dt
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "argv", [["run", "--scheme", "frutos", "--N", "16", "--dt", "0.05", "--T", "0.5"]],
-        ids=["run"],
-    )
-    def test_self_started_three_level_row_is_one_error_line(self, tmp_path, capsys, argv):
-        # u^{-1} := u^0 would start the three-level scheme at rest
-        out = tmp_path / "rows.csv"
-        assert cli.main([*argv, "--bootstrap", "self-start", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: the three-level scheme needs the exact start")
-        assert captured.err.count("\n") == 1
-        assert captured.out == "" and not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import pytest
 from boussinesq.spectral import Grid
 from boussinesq.stepping import run
 from boussinesq.sweeps import (
+    AMPLITUDE,
     SweepSpec,
     fit_order,
     run_sweep,
@@ -69,7 +70,7 @@ class TestSpecValidation:
         assert spec.N_list == (512,)
         assert spec.nk_list == tuple(range(100, 1100, 100))
         assert spec.T == 4.0
-        assert spec.amplitude == 0.5
+        assert AMPLITUDE == 0.5
         assert spec.domain == (-40.0, 40.0)
 
     def test_rejects_bad_lists(self):
@@ -106,8 +107,6 @@ class TestSpecValidation:
             dict(dt=True),
             dict(T="0.1"),
             dict(T=True),
-            dict(amplitude="0.5"),
-            dict(amplitude=True),
             dict(domain=("-40", 40.0)),
             dict(domain=(-40.0, True)),
         ],
@@ -152,6 +151,9 @@ class TestSpecValidation:
             temporal_spec(N_list=(32, 64))
         with pytest.raises(ValueError):
             temporal_spec(schemes=("proposed", "frutos"))
+        # the three-level scheme has no psi, so its psi errors leave no order to fit
+        with pytest.raises(ValueError, match="the proposed scheme"):
+            temporal_spec(schemes=("frutos",), N_list=(32,), nk_list=(10, 20, 40), T=0.4)
         assert temporal_spec(N_list=(64,)).N_list == (64,)
 
     def test_temporal_spec_needs_two_step_counts(self):
@@ -189,8 +191,9 @@ class TestSpecValidation:
             SweepSpec(kind="run", N_list=(16,), dt=1e-100, T=1e300)
 
     def test_rejects_unknown_bootstrap_mode(self):
+        problem = GBProblem(Grid(16, 80.0), np.zeros(33), np.zeros(33))
         with pytest.raises(ValueError, match="unknown bootstrap mode 'bogus'"):
-            SweepSpec(kind="run", N_list=(16,), dt=0.1, T=0.5, bootstrap_mode="bogus")
+            run(problem, 0.1, 0.5, bootstrap_mode="bogus")
 
 
 def draw_spec(rng) -> dict:
@@ -203,10 +206,8 @@ def draw_spec(rng) -> dict:
         kind="run",
         N_list=(int(rng.integers(1, 48)),),
         T=T,
-        amplitude=10 ** rng.uniform(-6, np.log10(1.5)),
         domain=(x_left, x_left + length),
         schemes=[("proposed",), ("frutos",), ("proposed", "frutos")][rng.integers(3)],
-        bootstrap_mode=["exact", "self_start"][rng.integers(2)],
         **(dict(nk_list=(steps,)) if rng.integers(2) else dict(dt=T / steps)),
     )
 
