@@ -77,7 +77,7 @@ class TestParseArgs:
         spec = cli._spec_from_args(cli.build_parser().parse_args(["sweep-time"]))
         assert spec == temporal_spec()
         assert (spec.kind, spec.N_list, spec.T, sweeps.AMPLITUDE) == ("temporal", (512,), 4.0, 0.5)
-        assert spec.nk_list == tuple(range(100, 1100, 100))
+        assert spec.runs == [("proposed", 4.0 / nk) for nk in range(100, 1100, 100)]
 
     def test_sweep_space_defaults(self):
         spec = cli._spec_from_args(cli.build_parser().parse_args(["sweep-space"]))
@@ -248,15 +248,16 @@ class TestCsv:
 
     def test_any_real_writes_as_a_python_float(self, tmp_path):
         # numpy scalars and ints parse back, and a re-written file is the same bytes
-        spec = SweepSpec(kind="run", N_list=(16,), nk_list=tuple(np.arange(2, 4)), T=1)
-        result = run_sweep(spec)
-        rows = result.rows + (make_row(dt=np.float64(0.05), T=1, wall_seconds=np.float32(0.5)),)
+        dts = np.array([1 / 2, 1 / 3])
+        specs = [SweepSpec(kind="run", N_list=(16,), dt=dt, T=1) for dt in dts]
+        rows = tuple(row for spec in specs for row in run_sweep(spec).rows)
+        rows += (make_row(dt=np.float64(0.05), T=1, wall_seconds=np.float32(0.5)),)
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        write_csv(SweepResult(spec=spec, rows=rows), first)
+        write_csv(SweepResult(spec=specs[0], rows=rows), first)
         back = read_csv(first)
         assert [(row.dt, row.T) for row in back] == [(0.5, 1.0), (1 / 3, 1.0), (0.05, 1.0)]
         assert back[-1].wall_seconds == float(np.float32(0.5))
-        write_csv(SweepResult(spec=spec, rows=tuple(back)), second)
+        write_csv(SweepResult(spec=specs[0], rows=tuple(back)), second)
         assert second.read_bytes() == first.read_bytes()
         assert "np." not in first.read_text()
 
@@ -276,7 +277,7 @@ class TestCsv:
     def test_both_fitted_orders_survive_a_temporal_sweep(self, tmp_path):
         # the H2 order has its own comment line; the psi line keeps its
         # "# fitted_order=" prefix, which the new prefix does not match
-        result = run_sweep(temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0))
+        result = run_sweep(temporal_spec(N_list=(64,), T=1.0))
         path = tmp_path / "temporal.csv"
         write_csv(result, path)
         comments = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]

@@ -8,6 +8,8 @@ import pytest
 
 from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, inner_product
 from boussinesq.stepping import (
+    BLOWUP_FACTOR,
+    SCHEMES,
     FrutosStepper,
     LinearStepper,
     ProposedStepper,
@@ -19,8 +21,10 @@ from boussinesq.stepping import (
     run_batch,
 )
 from boussinesq.diagnostics import crest_position, error_norms, mass
+from boussinesq.sweeps import AMPLITUDE, stability_spec
 from boussinesq.waves import (
     GBProblem,
+    SolitaryWaveParams,
     params_from_amplitude,
     solitary_problem,
     solitary_wave,
@@ -383,6 +387,58 @@ class TestStabilityLadder:
         rates = [rate(n, dt) for dt in np.geomspace(1e-3, 1.0, 13) for n in 2 ** np.arange(6, 13)]
         assert max(rates) < 0.5
         assert 4.0 * rate(512, 0.1) <= 2.0
+
+    def test_three_level_band_grows_at_the_predicted_rate(self):
+        # from the exact start, the energy of the growing band l >= 255 rises
+        # from round-off at the rate max ln|mu| / dt of the linear map
+        grid = benchmark_grid(512)
+        radius = np.abs(np.linalg.eigvals(FrutosStepper(grid, 0.1).matrix)).max(-1)
+        band = radius > 1.0 + 1e-12
+        assert np.flatnonzero(band)[0] == 255
+        times, energy = [], []
+
+        def observe(state):
+            times.append(state.time)
+            energy.append(np.sum(np.abs(np.fft.rfft(state.u_curr)[band]) ** 2))
+
+        p = SolitaryWaveParams(AMPLITUDE)
+        result = run(solitary_problem(p, grid), 0.1, 30.0, "frutos", "exact", p, (observe,), 50)
+        assert not result.diverged and times == pytest.approx([5.0 * i for i in range(7)])
+        fit = slice(2, None)  # t = 10 ... 30
+        slope = np.polyfit(times[fit], 0.5 * np.log(energy[fit]), 1)[0]
+        predicted = np.log(radius.max()) / 0.1
+        assert predicted == pytest.approx(0.49979, abs=1e-5)
+        assert slope == pytest.approx(predicted, rel=0.1)
+
+    def test_predicted_diverging_set_of_the_stability_map(self):
+        # a row is predicted to diverge when the e-folds of its fastest mode
+        # by T, T max ln|mu| / dt, exceed those its growing band needs to
+        # carry the rms from the band's initial rms to the blow-up threshold;
+        # criterion 7b observes the same set at T = 100
+        spec = stability_spec()
+        wave = SolitaryWaveParams(AMPLITUDE)
+        predicted, needed = set(), {}
+        for scheme in spec.schemes:
+            for n in spec.N_list:
+                grid = spec._grid(n)
+                matrix = SCHEMES[scheme](grid, spec.dt).matrix
+                radius = np.abs(np.linalg.eigvals(matrix)).max(-1)
+                band = radius > 1.0 + 1e-12
+                if not band.any():
+                    continue
+                u = wave.fields(grid.nodes, 0.0)[0]
+                spectrum = np.fft.rfft(u)[band] / grid.num_points
+                band_rms = np.sqrt(np.sum(2 * np.abs(spectrum) ** 2))
+                threshold = BLOWUP_FACTOR * max(np.sqrt(np.mean(u**2)), 1.0)
+                available = spec.T * np.log(radius.max()) / spec.dt
+                needed[scheme, n] = np.log(threshold / band_rms)
+                if available > needed[scheme, n]:
+                    predicted.add((scheme, n))
+        assert predicted == {("frutos", 512)}
+        # the e-folds that stability_spec's docstring gives: 43.5 and 44.9
+        assert sorted(needed) == [("frutos", 256), ("frutos", 512)]
+        assert round(needed["frutos", 512], 1) == 43.5
+        assert round(needed["frutos", 256], 1) == 44.9
 
     @pytest.mark.parametrize("n", NS)
     def test_three_level_matrix_has_the_textbook_eigenvalues(self, n):

@@ -82,6 +82,23 @@ def test_benchmark_method_calls_run(monkeypatch):
     assert stepper.step_arrays(state.u_curr, state.u_prev).shape == (33,)
 
 
+def test_benchmark_ladders_build_the_runs_their_passes_step(monkeypatch):
+    # setup builds each (scheme, N, dt) of workload.runs and the pass steps
+    # the spec that workload.argv makes: the two lists are one set of runs
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module("boussinesq.cli")
+    sizes = {}
+    for workload in workloads.WORKLOADS.values():
+        if workload.argv is None:
+            continue
+        spec = cli._spec_from_args(cli.build_parser().parse_args(workload.argv))
+        runs = [(scheme, N, dt) for N in spec.N_list for scheme, dt in spec.runs]
+        assert set(runs) == set(workload.runs), workload.name
+        sizes[workload.name] = len(runs)
+    assert sizes == {"spatial-ladder": 13, "temporal-ladder": 10, "stability-ladder": 8}
+
+
 def test_benchmark_only_leftovers_still_have_a_reader():
     files = [ROOT / "benchmarks" / filename for filename in BENCHMARK_FILES]
     # verify steps through start/advance/state, so the benchmark is the last caller

@@ -14,6 +14,7 @@ from boussinesq.spectral import Grid
 from boussinesq.stepping import run
 from boussinesq.sweeps import (
     AMPLITUDE,
+    STEP_COUNTS,
     SweepSpec,
     fit_order,
     run_sweep,
@@ -68,7 +69,9 @@ class TestSpecValidation:
         assert spec.dt == 1e-4
         spec = temporal_spec()
         assert spec.N_list == (512,)
-        assert spec.nk_list == tuple(range(100, 1100, 100))
+        assert STEP_COUNTS == tuple(range(100, 1100, 100))
+        assert spec.dt is None
+        assert spec.runs == [("proposed", 4.0 / nk) for nk in range(100, 1100, 100)]
         assert spec.T == 4.0
         assert AMPLITUDE == 0.5
         assert spec.domain == (-40.0, 40.0)
@@ -79,26 +82,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(kind="spatial", N_list=(64, 32), dt=1e-4)
         with pytest.raises(ValueError):
-            SweepSpec(kind="temporal", N_list=(64,), nk_list=None)
-        with pytest.raises(ValueError):
             SweepSpec(kind="spatial", N_list=(32,), dt=-1.0)
-        for nk_list in ((0, 100), (-100, 100)):
-            with pytest.raises(ValueError, match="step counts must be positive"):
-                temporal_spec(nk_list=nk_list, N_list=(16,), T=0.4)
 
-    def test_rejects_a_grid_size_or_step_count_that_is_not_an_integer(self):
+    def test_rejects_a_grid_size_that_is_not_an_integer(self):
         # refused when made, so that run_sweep never indexes a spectrum by a float
         with pytest.raises(ValueError, match="half_modes must be an integer >= 1, got 16.5"):
             SweepSpec(kind="run", N_list=(16.5,), dt=0.05, T=0.1)
-        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got 2.5"):
-            SweepSpec(kind="run", N_list=(16,), nk_list=(2.5,), T=0.1)
-        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got 2.0"):
-            temporal_spec(N_list=(16,), nk_list=(1, 2.0), T=0.1)
-        # checked before the sort and the sign test compare them
+        # checked before the sort compares them
         with pytest.raises(ValueError, match="half_modes must be an integer >= 1, got '32'"):
             SweepSpec(kind="run", N_list=(16, "32"), dt=0.05, T=0.1)
-        with pytest.raises(ValueError, match="a step count must be an integer >= 1, got '10'"):
-            SweepSpec(kind="run", N_list=(16,), nk_list=("10",), T=0.1)
 
     @pytest.mark.parametrize(
         "field",
@@ -153,13 +145,8 @@ class TestSpecValidation:
             temporal_spec(schemes=("proposed", "frutos"))
         # the three-level scheme has no psi, so its psi errors leave no order to fit
         with pytest.raises(ValueError, match="the proposed scheme"):
-            temporal_spec(schemes=("frutos",), N_list=(32,), nk_list=(10, 20, 40), T=0.4)
+            temporal_spec(schemes=("frutos",), N_list=(32,), T=0.4)
         assert temporal_spec(N_list=(64,)).N_list == (64,)
-
-    def test_temporal_spec_needs_two_step_counts(self):
-        # refused when made: one step size leaves no order to fit after the run
-        with pytest.raises(ValueError, match="two or more step counts"):
-            temporal_spec(nk_list=(100,), T=0.4)
 
     def test_rejects_empty_schemes(self):
         with pytest.raises(ValueError, match="schemes"):
@@ -177,10 +164,11 @@ class TestSpecValidation:
 
     def test_run_kind_needs_a_fixed_dt(self):
         assert SweepSpec(kind="run", N_list=(32,), dt=0.1).kind == "run"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every other kind needs one"):
             SweepSpec(kind="run", N_list=(32,))
-        with pytest.raises(ValueError, match="exactly one of a fixed dt and nk_list"):
-            SweepSpec(kind="run", N_list=(32,), dt=0.1, nk_list=(10,))
+        # a temporal sweep steps T / N_K for each N_K of STEP_COUNTS
+        with pytest.raises(ValueError, match="a temporal sweep takes no dt"):
+            temporal_spec(N_list=(32,), dt=0.1)
 
     def test_rejects_a_positive_final_time_that_no_whole_step_reaches(self):
         with pytest.raises(ValueError, match="not an integer multiple of dt"):
@@ -205,10 +193,10 @@ def draw_spec(rng) -> dict:
     return dict(
         kind="run",
         N_list=(int(rng.integers(1, 48)),),
+        dt=T / steps,
         T=T,
         domain=(x_left, x_left + length),
         schemes=[("proposed",), ("frutos",), ("proposed", "frutos")][rng.integers(3)],
-        **(dict(nk_list=(steps,)) if rng.integers(2) else dict(dt=T / steps)),
     )
 
 
@@ -252,13 +240,13 @@ class TestReducedSweeps:
         assert len(result.rows) == 1
 
     def test_temporal_sweep_fits_second_order(self):
-        spec = temporal_spec(N_list=(128,), nk_list=(100, 200, 400), T=2.0)
+        spec = temporal_spec(N_list=(128,), T=2.0)
         result = run_sweep(spec)
         assert 1.8 <= result.fitted_orders["err_psi_l2"] <= 2.2
         assert 1.8 <= result.fitted_orders["err_u_h2"] <= 2.2
 
     def test_determinism(self):
-        spec = temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0)
+        spec = temporal_spec(N_list=(64,), T=1.0)
         a = run_sweep(spec)
         b = run_sweep(spec)
         for ra, rb in zip(a.rows, b.rows):
@@ -269,15 +257,15 @@ class TestReducedSweeps:
             assert da == db
 
     def test_batched_rows_share_wall_time_by_step_count(self):
-        spec = temporal_spec(N_list=(64,), nk_list=(50, 100, 200), T=1.0)
+        spec = temporal_spec(N_list=(64,), T=1.0)
         rows = run_sweep(spec).rows
         assert all(row.wall_seconds > 0 for row in rows)
         per_step = [row.wall_seconds / row.K for row in rows]
-        assert per_step == pytest.approx([per_step[0]] * 3, rel=1e-12)
+        assert per_step == pytest.approx([per_step[0]] * len(STEP_COUNTS), rel=1e-12)
 
     def test_temporal_rows_equal_single_runs(self):
         # the batched sweep and a run of each step size give the same numbers
-        spec = temporal_spec(N_list=(64,), nk_list=(50, 100), T=1.0)
+        spec = temporal_spec(N_list=(64,), T=1.0)
         for row in run_sweep(spec).rows:
             (solo,) = run_sweep(SweepSpec(kind="run", N_list=(64,), dt=row.dt, T=1.0)).rows
             assert dataclasses.replace(row, wall_seconds=0.0) == dataclasses.replace(
