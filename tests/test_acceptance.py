@@ -33,7 +33,7 @@ from boussinesq.stepping import (
     build_implicit_diagonal,
     run,
 )
-from boussinesq.sweeps import run_sweep, spatial_spec, stability_spec, temporal_spec
+from boussinesq.sweeps import SweepSpec, run_sweep, spatial_spec, stability_spec, temporal_spec
 from boussinesq.waves import (
     GBProblem,
     params_from_amplitude,
@@ -267,3 +267,23 @@ def test_criterion_9_exact_solution_residual():
     )
     r = np.sqrt(inner_product(grid, residual, residual))
     assert report(9, r <= 1e-6, f"discrete PDE residual {r:.2e}")
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "frutos"])
+def test_error_does_not_depend_on_the_mesh_ratio(scheme):
+    # the paper's bound C(dt^2 + spectral(N)) holds for any dt/h^2, where
+    # [Fru]'s proof needs dt <= C h^2: at one dt, the resolved rows' errors
+    # are the temporal error alone, whatever N
+    spec = SweepSpec(kind="spatial", N_list=(64, 128, 256, 512, 1024), dt=0.04, T=4.0,
+                     schemes=(scheme,))
+    rows = run_sweep(spec).rows
+    ratios = [row.dt / (80.0 / (2 * row.N + 1)) ** 2 for row in rows]
+    assert ratios[0] < 0.11 and ratios[-1] > 26.0  # more than two decades of dt/h^2
+    assert not any(row.diverged for row in rows)
+    for column, tolerance in (("err_psi_l2", 1e-3), ("err_u_l2", 1e-3), ("err_u_h2", 1e-2)):
+        errors = np.array([getattr(row, column) for row in rows])
+        if scheme == "frutos" and column == "err_psi_l2":
+            assert np.all(np.isnan(errors))  # the three-level scheme has no psi
+            continue
+        assert np.all(np.isfinite(errors))
+        assert np.ptp(errors) <= tolerance * np.min(errors), (column, errors)

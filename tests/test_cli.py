@@ -5,6 +5,8 @@ import ast
 import dataclasses
 import math
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -455,6 +457,42 @@ class TestVerify:
     def test_aliasing_check_that_measures_nan_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "sobolev_norm", lambda grid, values, k: np.nan)
         assert [name for name, ok in run_checks() if not ok] == ["aliasing bound sample"]
+
+    def test_fresh_interpreter_passes_without_numpy_random(self, package_env):
+        # verify runs in the benchmark's measured process, so what it loads
+        # counts in every workload's peak RSS: numpy.random costs about 6 MB
+        code = (
+            "import sys\n"
+            "from boussinesq.verification import run_checks\n"
+            "print(sum(ok for _, ok in run_checks()), 'numpy.random' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["7", "False"]
+
+    def test_checks_pass_without_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify called LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        results = run_checks()
+        assert len(results) == 7 and all(ok for _, ok in results)
+
+    @pytest.mark.parametrize(
+        "N, dt", [(64, 0.1), (128, 0.1), (256, 0.1), (512, 0.1), (64, 1e-3), (64, 0.05), (64, 1.0)]
+    )
+    @pytest.mark.parametrize("builder", [stepping.ProposedStepper, stepping.FrutosStepper])
+    def test_closed_form_eigenvalues_match_lapack(self, builder, N, dt):
+        # (tr/2)^2 - det in place of ((a - d)/2)^2 + bc misses by 7e-13 at dt = 1e-3
+        update = builder(spectral.Grid(N, 80.0, -40.0), dt).matrix
+        mu, det = verification._eigenvalues(update)
+        expected = np.sort(np.linalg.eigvals(update), axis=-1)
+        scale = np.maximum(1.0, np.abs(expected))
+        assert np.max(np.abs(np.sort(mu, axis=-1) - expected) / scale) <= 1e-13
+        assert np.max(np.abs(det - np.linalg.det(update))) <= 1e-13
 
     def test_cli_verify_exit_codes(self, monkeypatch, capsys):
         assert cli.main(["verify"]) == 0
