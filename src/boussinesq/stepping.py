@@ -16,25 +16,26 @@ both spectra of u^2, and makes one inverse transform of the grid per step,
 of the new state, and one forward, of its u^2 (:meth:`Grid.inverse`,
 :meth:`Grid.forward`).  Mode 0 of that spectrum is the sum of u^2, which
 the blow-up check reads.
-A batch stacks the steppers of every run on one grid, of any scheme and
+A batch stacks the steppers of its runs, on any grids, of any scheme and
 step size, as the rows of one carry, so those runs share every call of a
-step; a stack of one is its run's own stepper, built by ``SCHEMES``.  A
-batch to T > 0 steps every run, one to T = 0 none.  Only a step sees a stack:
-each run starts, and is read from its row, through its own stepper.  The
-carry is in the layout the grid's pair reads and writes: nodal rows
-(rows, n) and real spectra (rows, 2h), each mode's Re and Im side by side,
-and a lone run's 1-D (n,) and (2h,).  The pair writes into buffers the
-stepper owns, so a step allocates no array.  The pair takes the grid's one
-of three paths (see :mod:`boussinesq.spectral`): on a dense grid a lone row
-is one ``np.dot`` and each row of a stack its own (1, n) product in one
-``np.matmul``; a two-stage grid runs its one-row plan over the rows in turn;
-any other grid calls numpy's FFT.  Each gives a row the bits of a run alone.
+step but the transforms; a stack of one is its run's own stepper, built by
+``SCHEMES``.  Only a step sees a stack: each run starts, and is read from
+its row, through its own stepper.  The carry is its rows end to end, nodal
+(n,) and real spectral (2h,) with each mode's Re and Im side by side, and
+each grid's pair reads and writes its own rows as (rows, n) and (rows, 2h)
+views, or 1-D views of one row, into buffers the stepper owns, so a step
+allocates no array.  The pair takes the grid's one of three paths (see
+:mod:`boussinesq.spectral`): on a dense grid one row is one ``np.dot`` and
+each of several its own (1, n) product in one ``np.matmul``; a two-stage
+grid runs its one-row plan over the rows in turn; any other grid calls
+numpy's FFT.  Each gives a row the bits of a run alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -132,47 +133,44 @@ class LinearStepper:
     :meth:`step_arrays` take a one-run stepper, which reads its own row of a
     batch's carry.
 
-    Everything is held in the layout of :meth:`Grid.forward`: nodal rows
-    are (rows, n), and the spectra and the coefficients m, f0, f1, c, q, s
-    are real (rows, 2h), each mode's coefficient beside both its Re and Im.
-    A one-run stepper drops the rows axis: its arrays are 1-D.  A real
-    coefficient times each part gives the bits of the complex product
-    (a + 0i)(x + iy).  On a dense grid a lone row transforms by one
-    ``np.dot`` and a stack by one ``np.matmul`` of (1, n) rows, which give
-    a row the same bits, so a row of a batch steps bit for bit as it would
-    alone: one 2-D product over all rows is faster from two rows on, but
-    its last bits differ from a row's own.  Both transforms write into the
-    stepper's buffers, so a step allocates no array.
+    Everything is held in the layout of :meth:`Grid.forward`: a run's nodal
+    row is (n,), and its spectra and coefficients m, f0, f1, c, q, s are
+    real (2h,), each mode's coefficient beside both its Re and Im; a batch
+    holds its rows' end to end.  A real coefficient times each part gives
+    the bits of the complex product (a + 0i)(x + iy).  On a dense grid one
+    row transforms by one ``np.dot`` and several by one ``np.matmul`` of
+    (1, n) rows, which give a row the same bits, so a row of a batch steps
+    bit for bit as it would alone: one 2-D product over all rows is faster
+    from two rows on, but its last bits differ from a row's own.
     """
 
     def __init__(self, grid: Grid, dt, m, f0, f1, c, q, s, has_psi):
-        """Coefficients broadcast to (2h,) per run: a number, or a value per Re and Im slot."""
-        self.grid = grid
-        self.dt = dt
-        rows = np.shape(dt)
-        self.has_psi = np.full(rows, has_psi, dtype=bool)
-        layout = rows + (2 * (grid.half_modes + 1),)
+        """A run's stepper; coefficients broadcast to (2h,): a number, or one per Re and Im slot."""
+        self.grid, self.grids, self.dt = grid, (grid,), dt
+        self.has_psi = np.full((), has_psi, dtype=bool)
         self.m, self.f0, self.f1, self.c, self.q, self.s = (
-            np.full(layout, x, dtype=float) for x in (m, f0, f1, c, q, s)
+            np.full(2 * (grid.half_modes + 1), x, dtype=float) for x in (m, f0, f1, c, q, s)
         )
-        # what a step reads, bound once per stepper
-        self._step = (self.m, self.f0, self.f1, self.c, self.q, self.s, grid.forward,
-                      grid.inverse)
 
     @classmethod
     def stack(cls, steppers) -> LinearStepper:
-        """The batch of one-run ``steppers`` of one grid, in order; a stack of one is itself."""
-        if len({x.grid for x in steppers}) != 1:
-            raise ValueError("a batch stacks one or more steppers of one grid")
+        """The batch of one-run ``steppers``, on any grids, in order; a stack of one is itself."""
+        if not steppers:
+            raise ValueError("a batch stacks one or more steppers")
         if len(steppers) == 1:
             return steppers[0]
-        rows = [(x.dt, x.m, x.f0, x.f1, x.c, x.q, x.s, x.has_psi) for x in steppers]
-        return cls(steppers[0].grid, *map(np.stack, zip(*rows)))
+        batch = cls.__new__(cls)
+        batch.grids = tuple(x.grid for x in steppers)
+        batch.dt, batch.has_psi = (np.array([getattr(x, k) for x in steppers])
+                                   for k in ("dt", "has_psi"))
+        for name in ("m", "f0", "f1", "c", "q", "s"):
+            setattr(batch, name, np.concatenate([getattr(x, name) for x in steppers]))
+        return batch
 
     @property
     def matrix(self) -> np.ndarray:
-        """Per-mode map of (Y, Z), [[1 + m', c], [q m', q c - s]]: shape (..., half, 2, 2)."""
-        m, c, q, s = (x[..., ::2] for x in (self.m, self.c, self.q, self.s))
+        """Per-mode map of (Y, Z), [[1 + m', c], [q m', q c - s]]: shape (modes, 2, 2)."""
+        m, c, q, s = (x[::2] for x in (self.m, self.c, self.q, self.s))
         return np.stack([1.0 + m, c, q * m, q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
@@ -188,26 +186,37 @@ class LinearStepper:
         return u, u_prev, y, z, forward(u**2), forward(u_prev**2)
 
     @cached_property
-    def _buffers(self) -> list[tuple[np.ndarray, ...]]:
-        """Two sets of the step's outputs (Y', Z', F', u') and temporaries, 64-byte aligned.
+    def _step(self) -> tuple:
+        """What a step reads: the coefficients, then two sets of the step's outputs (Y', Z', F',
+        u') and temporaries, 64-byte aligned, each with every grid's pair bound to its rows.
 
         A step writes every result into the set its carry does not hold.
         """
-        rows, n, spectral = np.shape(self.dt), self.grid.num_points, self.m.shape[-1]
-        return [tuple(_aligned(rows + (k,)) for k in (spectral,) * 4 + (n, n)) for _ in "ab"]
+        spans = _spans((grid, len(list(rows))) for grid, rows in groupby(self.grids))
+
+        def rows(x, part, k):  # k rows of one grid as (k, width), and one row 1-D
+            return x[part].reshape(k, -1) if k > 1 else x[part]
+
+        sets = []
+        for _ in "ab":
+            y, z, f, temp, u, square = (_aligned((k,)) for k in (len(self.m),) * 4
+                                        + (spans[-1][2].stop,) * 2)
+            inverses = [(g.inverse, rows(y, w, k), rows(u, n, k)) for g, k, n, w in spans]
+            forwards = [(g.forward, rows(square, n, k), rows(f, w, k)) for g, k, n, w in spans]
+            sets.append((y, z, f, temp, u, square, inverses, forwards))
+        return (self.m, self.f0, self.f1, self.c, self.q, self.s), *sets
 
     def advance(self, carry):
-        """One step of a spectral carry: one inverse transform of Y' and one forward of u'^2.
+        """One step of a carry: per grid, one inverse transform of Y' and one forward of u'^2.
 
         Y', Z', F' and u' are written into buffers of the stepper, which the
         step after next writes again: a carry is good for one advance.  The
-        step allocates no array.  F'[..., 0], the Re of mode 0, is the sum
+        step allocates no array.  The Re of mode 0 of a row's F' is the sum
         of u'^2 over the row: :func:`run_batch` watches it for blow-up.
         """
         u, _, y, z, f, f_prev = carry
-        m, f0, f1, c, q, s, forward, inverse = self._step
-        a, b = self._buffers
-        y_new, z_new, f_new, spectral, u_new, square = b if y is a[0] else a
+        (m, f0, f1, c, q, s), a, b = self._step
+        y_new, z_new, f_new, spectral, u_new, square, inverses, forwards = b if y is a[0] else a
         # in the order of the formulas; out= is the third argument.  dY is
         # formed in z_new, which q dY - s Z then overwrites
         mul = np.multiply
@@ -222,9 +231,12 @@ class LinearStepper:
         z_new *= q
         mul(s, z, spectral)
         z_new -= spectral
-        inverse(y_new, u_new)
+        for inverse, source, into in inverses:
+            inverse(source, into)
         mul(u_new, u_new, square)
-        return u_new, u, y_new, z_new, forward(square, f_new), f
+        for forward, source, into in forwards:
+            forward(source, into)
+        return u_new, u, y_new, z_new, f_new, f
 
     def state(self, carry, step_index: int) -> SchemeState:
         """State of a one-run stepper's carry, or of its run's row view of a batch's carry.
@@ -254,6 +266,16 @@ class LinearStepper:
         if self.has_psi.ndim:
             raise ValueError("step_arrays steps a one-run stepper, and start and state read one")
         return bool(self.has_psi)
+
+
+def _spans(groups) -> list[tuple[Grid, int, slice, slice]]:
+    """(grid, k, nodal slice, spectral slice) of each (grid, k) of a carry: k rows of one grid."""
+    spans, nodal, spectral = [], 0, 0
+    for grid, k in groups:
+        n, w = k * grid.num_points, k * (2 * grid.half_modes + 2)
+        spans.append((grid, k, slice(nodal, nodal + n), slice(spectral, spectral + w)))
+        nodal, spectral = nodal + n, spectral + w
+    return spans
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -379,11 +401,11 @@ def run(
     On divergence the state at the blow-up step is returned, marked
     ``diverged``; nothing is raised.
     """
-    return run_batch(problem, ((scheme, dt),), T, bootstrap_mode, params, observers, stride)[0]
+    return run_batch((problem,), ((scheme, dt),), T, bootstrap_mode, params, observers, stride)[0]
 
 
 def run_batch(
-    problem: GBProblem,
+    problems,
     runs,
     T: float,
     bootstrap_mode: str = "self_start",
@@ -391,79 +413,88 @@ def run_batch(
     observers=(),
     stride: int = 1,
 ) -> tuple[SchemeState, ...]:
-    """Advance every ``(scheme, dt)`` run of ``runs`` to time T, all together.
+    """Advance every ``(scheme, dt)`` run of ``runs`` on each of ``problems`` to time T, together.
 
-    The runs, of any scheme and step size, are the rows of one carry,
-    each from its entry of ``SCHEMES`` and its :func:`bootstrap`, with no
-    psi where the stepper has none.  T > 0 steps every run, T = 0 none, and
-    every step makes one forward and one inverse transform for them all;
-    a row blows up when the sum of its u^2, read from the carried spectrum
-    of u^2, is not finite or passes n (1e6 max(rms of initial u, 1))^2.
-    Each row's final state equals that of :func:`run` bit for bit, and the
-    states come back in the order of ``runs``.  Observers see every row's
-    state, as in :func:`run`; a row that diverges is dropped from the batch,
-    and its state at the blow-up step is marked ``diverged``.  Initial data
-    that is not finite, or a u too large to watch for blow-up, is a
-    ``ValueError`` raised before any observer sees a state.
+    The rows of one carry are the runs on the first problem, in the order
+    of ``runs``, then on the next, on any grids, each from its entry of
+    ``SCHEMES`` and its :func:`bootstrap`, with no psi where the stepper has
+    none.  T > 0 steps every run, T = 0 none; a step updates all rows at
+    once and transforms each grid's rows together.  A row blows up when the
+    sum of its u^2, read from the carried spectrum of u^2, is not finite or
+    passes n (1e6 max(rms of its problem's initial u, 1))^2.  Each row's
+    final state equals that of :func:`run` bit for bit; the states come back
+    in the order of the rows, and observers see them row by row, as in
+    :func:`run`.  A row that diverges is dropped from the batch, and its
+    state at the blow-up step is marked ``diverged``.  Initial data that is
+    not finite, or a u too large to watch for blow-up, is a ``ValueError``
+    raised before any observer sees a state.
     """
     _check_integer(stride, 1, "observer stride")
-    runs = tuple(runs)
-    steps = [_check_run(scheme, dt, T, bootstrap_mode) for scheme, dt in runs]
+    problems, runs = tuple(problems), tuple(runs)
+    steps = [_check_run(scheme, dt, T, bootstrap_mode) for scheme, dt in runs] * len(problems)
 
     # ||u||_rms > ceiling  <=>  sum u^2 > n * ceiling^2 for a row; a NaN or inf
-    # fails the comparison "sum u^2 <= limit" as well.  The Re of mode 0 of
-    # the carry's F = forward(u^2) is sum u^2, so a step reads it: one value
-    # of a lone row, and one sum over the rows of a stack.  No row can
-    # exceed the limit while that sum does not, so the loop looks at single
-    # rows only when the sum fails.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm0 = np.sqrt(np.mean(problem.initial_u**2))
-        limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
-    if not np.isfinite(limit):
-        raise ValueError("initial u must be finite, with an rms small enough to watch for "
-                         f"blow-up; got rms {norm0:.3g}")
-    if not np.all(np.isfinite(problem.initial_ut)):
-        raise ValueError("initial u_t must be finite")
+    # fails the comparison "sum u^2 <= limit" as well
+    limits = []
+    for problem in problems:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm0 = np.sqrt(np.mean(problem.initial_u**2))
+            limit = problem.grid.num_points * (BLOWUP_FACTOR * max(norm0, 1.0)) ** 2
+        if not np.isfinite(limit):
+            raise ValueError("initial u must be finite, with an rms small enough to watch for "
+                             f"blow-up; got rms {norm0:.3g}")
+        if not np.all(np.isfinite(problem.initial_ut)):
+            raise ValueError("initial u_t must be finite")
+        limits += [limit] * len(runs)
 
     # each row's own stepper, built with its float dt, is a row of the batch's
-    steppers = [SCHEMES[scheme](problem.grid, dt) for scheme, dt in runs]
-    states = [bootstrap(problem, dt, bootstrap_mode, params) for _, dt in runs]
+    steppers = [SCHEMES[scheme](p.grid, dt) for p in problems for scheme, dt in runs]
+    states = [bootstrap(p, dt, bootstrap_mode, params) for p in problems for _, dt in runs]
     states = [s if x.has_psi else replace(s, psi_curr=None) for x, s in zip(steppers, states)]
     for state in states:
         for obs in observers:
             obs(state)
     # a run to T > 0 takes a step, so the runs all step or all end where they start
-    if T == 0 or not runs:
+    if T == 0 or not states:
         return tuple(states)
-    # each row starts with its own stepper; a lone row keeps its 1-D carry
-    carry = [x.start(s.u_curr, s.psi_curr, s.u_prev) for x, s in zip(steppers, states)]
-    carry = carry[0] if len(runs) == 1 else tuple(map(np.stack, zip(*carry)))
-    advance = LinearStepper.stack(steppers).advance
+    # each row starts with its own stepper; the carry holds the rows end to end
+    starts = (x.start(s.u_curr, s.psi_curr, s.u_prev) for x, s in zip(steppers, states))
+    carry = tuple(map(np.concatenate, zip(*starts)))
     del states  # the carry holds what a step reads
-    results = [None] * len(runs)
-    rows = list(range(len(runs)))
-    # the next row to finish is the one with the fewest steps
-    last = min(steps)
+    results = [None] * len(steppers)
+
+    # The Re of mode 0 of a row's F = forward(u^2) is its sum u^2, at the
+    # row's first spectral slot, so a step reads the sum of those over the
+    # rows (in Python: a BLAS dot could wake threads).  No row can exceed its
+    # limit while that sum is within the least limit, so the loop looks at
+    # single rows, through their slices, only when it is not
+    def batch(rows):
+        slices = [(n, n, w, w, w, w) for *_, n, w in _spans((steppers[i].grid, 1) for i in rows)]
+        zeros = np.array([x[2].start for x in slices])
+        advance = LinearStepper.stack([steppers[i] for i in rows]).advance
+        return advance, slices, zeros, min(limits[i] for i in rows), min(steps[i] for i in rows)
+
+    rows = list(range(len(steppers)))
+    advance, slices, zeros, least, last = batch(rows)
     # a row that blows up can overflow within a step, which the check flags:
     # the steps run without numpy's warnings, and observers under the caller's
     caller = np.geterr()
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, max(steps) + 1):
             carry = advance(carry)
-            f = carry[4]
-            bounded = (f[0] if f.ndim == 1 else f[:, 0].sum()) <= limit
+            bounded = sum(carry[4][zeros].tolist()) <= least
             watched = observers and n % stride == 0
             if bounded and n < last and not watched:
                 continue
             # a row diverged, finishes or is observed: look at the rows one by one,
-            # each through its own stepper, from a view of its row of the carry
-            views = zip(*(x.reshape(len(rows), -1) for x in carry))
+            # each through its own stepper, from its view of the carry
+            views = [tuple(x[part] for x, part in zip(carry, row)) for row in slices]
             keep = []
-            for i, stepper, row in zip(rows, steppers, views):
-                if not (bounded or row[4][0] <= limit):
-                    results[i] = replace(stepper.state(row, n), diverged=True)
+            for i, row in zip(rows, views):
+                if not (bounded or row[4][0] <= limits[i]):
+                    results[i] = replace(steppers[i].state(row, n), diverged=True)
                 elif watched or n == steps[i]:
-                    state = stepper.state(row, n)
+                    state = steppers[i].state(row, n)
                     with np.errstate(**caller):
                         for obs in observers:
                             obs(state)
@@ -474,9 +505,6 @@ def run_batch(
                 rows = [i for i, k in zip(rows, keep) if k]
                 if not rows:
                     break
-                lone = keep.index(True) if len(rows) == 1 else keep
-                carry = tuple(x[lone] for x in carry)
-                steppers = [x for x, k in zip(steppers, keep) if k]
-                advance = LinearStepper.stack(steppers).advance
-                last = min(steps[i] for i in rows)
+                carry = tuple(map(np.concatenate, zip(*(v for v, k in zip(views, keep) if k))))
+                advance, slices, zeros, least, last = batch(rows)
     return tuple(results)

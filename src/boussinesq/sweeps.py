@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import error_norms, mass
-from .spectral import Grid, _check_integer, _check_real
+from .spectral import DENSE_MAX_POINTS, Grid, _check_integer, _check_real
 from .stepping import SCHEMES, _check_run, bootstrap, run_batch
 from .waves import SolitaryWaveParams, _problem
 
@@ -105,10 +105,10 @@ class SweepSpec:
 class SweepRow:
     """One run's summary: resolution, step size and final error norms.
 
-    ``wall_seconds`` is the run's stepping time.  All runs on one grid, of
-    any scheme and step size, are stepped in one batch, whose time is shared
-    in proportion to the steps each run took (up to blow-up if it diverged),
-    so the rows of a sweep still sum to its stepping time.
+    ``wall_seconds`` is the run's stepping time.  All runs on a batch's
+    grids (:func:`_batches`), of any scheme and step size, step together;
+    the batch's time is shared in proportion to the steps each run took (up
+    to blow-up if it diverged), so the rows still sum to the stepping time.
     """
 
     kind: str
@@ -178,7 +178,7 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -
         # the scheme keeps mass(t) = mass(0) + t * rate, the rate its start sets
         start, grid = bootstrap(problem, dt, "exact", params), problem.grid
         mass0 = mass(grid, start.u_curr)
-        rate = (mass(grid, start.psi_curr) if scheme == "proposed"
+        rate = (mass(grid, start.psi_curr) if final.psi_curr is not None
                 else (mass0 - mass(grid, start.u_prev)) / dt)
         law = mass(grid, final.u_curr) - mass0 - final.time * rate
         drift = abs(law) / max(abs(mass0), 1e-300)
@@ -198,8 +198,24 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -
     )
 
 
+def _batches(spec: SweepSpec) -> list[list[int]]:
+    """The N of each batch that :func:`run_sweep` steps: consecutive N while the dense grids'
+    sum of n^2 is within DENSE_MAX_POINTS^2, so that no batch holds more DFT matrices than
+    one grid of DENSE_MAX_POINTS points (1.06 MB, within a 2 MB L2); other grids hold none."""
+    batches, held = [], np.inf
+    for N in spec.N_list:
+        n = spec._grid(N).num_points
+        size = n * n if n <= DENSE_MAX_POINTS else 0
+        if held + size > DENSE_MAX_POINTS**2:
+            batches.append([])
+            held = 0
+        batches[-1].append(N)
+        held += size
+    return batches
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every (scheme, N, dt) of a spec, with all the runs on one grid in one batch.
+    """Run every (scheme, N, dt) of a spec, the runs on a batch's grids in one :func:`run_batch`.
 
     Rows come scheme by scheme, N by N, then step size by step size; the
     batch's stepping time is split between its rows as :class:`SweepRow`
@@ -209,15 +225,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params = SolitaryWaveParams(AMPLITUDE)
     runs = spec.runs
     rows = []
-    for N in spec.N_list:
-        problem = _problem(params, spec._grid(N))
+    for batch in _batches(spec):
+        problems = []
+        for N in batch:  # a comprehension's frame would hide run_sweep's caller from a warning
+            problems.append(_problem(params, spec._grid(N)))
         start = _time.perf_counter()
-        finals = run_batch(problem, runs, spec.T, "exact", params)
+        finals = run_batch(problems, runs, spec.T, "exact", params)
         taken = sum(final.step_index for final in finals)
         per_step = (_time.perf_counter() - start) / taken
+        made = ((problem, scheme, dt) for problem in problems for scheme, dt in runs)
         rows.extend(
             _sweep_row(spec, scheme, problem, params, dt, final, per_step * final.step_index)
-            for (scheme, dt), final in zip(runs, finals)
+            for (problem, scheme, dt), final in zip(made, finals)
         )
     # scheme by scheme; the sort is stable, so N by N and dt by dt within a scheme
     rows.sort(key=lambda row: spec.schemes.index(row.scheme))

@@ -98,15 +98,16 @@ def _linear_update_non_amplifying() -> float:
 
 
 def _batch_matches_solo() -> int:
-    # rows of one batch, of either scheme, must step exactly as runs of
-    # their own: same transform per row, same coefficients, same blow-up test
-    grid = Grid(half_modes=16, length=80.0, x_left=-40.0)
+    # rows of one batch, of either scheme and on two grids, must step exactly
+    # as runs of their own: same transform per row, same coefficients, same
+    # blow-up test
     params = SolitaryWaveParams(0.5)
-    problem = solitary_problem(params, grid)
+    problems = [solitary_problem(params, Grid(half_modes=n, length=80.0, x_left=-40.0))
+                for n in (16, 24)]
     runs, T = (("proposed", 0.1), ("proposed", 0.05), ("frutos", 0.05), ("proposed", 0.025)), 0.2
-    batch = run_batch(problem, runs, T, bootstrap_mode="exact", params=params)
+    batch = run_batch(problems, runs, T, bootstrap_mode="exact", params=params)
     solos = (run(problem, dt, T, scheme, bootstrap_mode="exact", params=params)
-             for scheme, dt in runs)
+             for problem in problems for scheme, dt in runs)
     return sum(not np.array_equal(getattr(got, field), getattr(solo, field))
                for got, solo in zip(batch, solos) for field in ("u_curr", "psi_curr", "u_prev"))
 

@@ -447,6 +447,19 @@ class TestVerify:
             "linear update non-amplifying"
         ]
 
+    def test_batch_whose_second_grid_uses_the_first_grids_pair_fails(self, monkeypatch):
+        # the batch check spans N = 16 and N = 24: a stack that transforms
+        # every row with its first grid's matrices differs from the solo runs
+        stack = stepping.LinearStepper.stack.__func__
+
+        def one_grid(cls, steppers):
+            batch = stack(cls, steppers)
+            batch.grids = (steppers[0].grid,) * len(steppers)
+            return batch
+
+        monkeypatch.setattr(stepping.LinearStepper, "stack", classmethod(one_grid))
+        assert [name for name, ok in run_checks() if not ok] == ["batched step equals solo steps"]
+
     def test_round_trip_that_measures_nan_fails(self, monkeypatch):
         # a NaN compares false with any bound, so "value <= bound" fails it
         monkeypatch.setattr(

@@ -205,7 +205,7 @@ class TestProposedStep:
         # by q = 2/dt, as Z' = q (Y' - Y) - s Z did: at N = 64 and T = 1 that
         # form's psi error at dt = 2.5e-5 was 9.2x the one at dt = 1e-4
         prob, p = batch_problem(64)
-        coarse, fine = run_batch(prob, (("proposed", 1e-4), ("proposed", 2.5e-5)), 1.0,
+        coarse, fine = run_batch((prob,), (("proposed", 1e-4), ("proposed", 2.5e-5)), 1.0,
                                  "exact", p)
         assert error_norms(fine, p).err_psi_l2 <= 2.0 * error_norms(coarse, p).err_psi_l2
 
@@ -535,7 +535,7 @@ class TestRun:
         def calls(prob, steps, rows):
             counts.update(dict.fromkeys(counts, 0))
             runs = [(schemes[row % len(schemes)], 0.01) for row in range(rows)]
-            run_batch(prob, runs, steps * 0.01, params=p, bootstrap_mode="exact")
+            run_batch((prob,), runs, steps * 0.01, params=p, bootstrap_mode="exact")
             return dict(counts)
 
         for n, ffts in ((16, 0), (256, 1)):
@@ -578,7 +578,7 @@ class TestRun:
         with pytest.raises(ValueError, match="time step must be positive"):
             run(prob, dt, 1.0)
         with pytest.raises(ValueError, match="time step must be positive"):
-            run_batch(prob, (("proposed", 0.1), ("proposed", dt)), 1.0)
+            run_batch((prob,), (("proposed", 0.1), ("proposed", dt)), 1.0)
 
     def test_a_step_or_final_time_that_is_not_a_real_is_rejected(self):
         prob = zero_problem(benchmark_grid(16))
@@ -592,7 +592,7 @@ class TestRun:
         with pytest.raises(ValueError, match="final time must be nonnegative and finite"):
             run(prob, 0.1, T)
         with pytest.raises(ValueError, match="final time must be nonnegative and finite"):
-            run_batch(prob, (("proposed", 0.1), ("proposed", 0.2)), T)
+            run_batch((prob,), (("proposed", 0.1), ("proposed", 0.2)), T)
 
     def test_zero_data_observers_see_zero_norms(self):
         grid = benchmark_grid(16)
@@ -616,7 +616,8 @@ class TestRun:
         with pytest.raises(ValueError, match="observer stride must be an integer >= 1"):
             run(prob, 0.05, 0.1, observers=(seen.append,), stride=stride)
         with pytest.raises(ValueError, match="observer stride must be an integer >= 1"):
-            run_batch(prob, (("proposed", 0.05),), 0.1, observers=(seen.append,), stride=stride)
+            run_batch((prob,), (("proposed", 0.05),), 0.1, observers=(seen.append,),
+                      stride=stride)
         assert seen == []
 
     def test_crest_travels_at_wave_speed(self):
@@ -700,7 +701,8 @@ class TestRunBatch:
     def test_rows_equal_solo_runs_bit_for_bit(self, scheme, power, mode, n=64):
         prob, p = batch_problem(n)
         dts, T = (0.02, 0.01, 0.005, 0.0025), 0.4
-        batch = run_batch(prob, [(scheme, dt) for dt in dts], T, bootstrap_mode=mode, params=p)
+        batch = run_batch((prob,), [(scheme, dt) for dt in dts], T, bootstrap_mode=mode,
+                          params=p)
         assert len(batch) == len(dts)
         for dt, got in zip(dts, batch):
             assert_same_result(got, run(prob, dt, T, scheme, bootstrap_mode=mode, params=p))
@@ -738,7 +740,7 @@ class TestRunBatch:
         assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         prob, p = batch_problem(n)
         grid, T = prob.grid, 1.0
-        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
+        batch = run_batch((prob,), runs, T, params=p, bootstrap_mode="exact")
         for (scheme, dt), got in zip(runs, batch):
             stepper = (ProposedStepper if scheme == "proposed" else FrutosStepper)(grid, dt)
             # a mode's real coefficient, read from its Re slot, as the complex number
@@ -780,7 +782,7 @@ class TestRunBatch:
         runs = (("proposed", 0.1), ("frutos", 0.1), ("proposed", 0.01), ("frutos", 0.02),
                 ("proposed", 1.0))
         kwargs = dict(params=params_from_amplitude(0.5), bootstrap_mode="exact")
-        batch = run_batch(prob, runs, 10.0, **kwargs)
+        batch = run_batch((prob,), runs, 10.0, **kwargs)
         for (scheme, dt), got in zip(runs, batch):
             assert got.diverged
             assert_same_result(got, run(prob, dt, 10.0, scheme, **kwargs))
@@ -789,7 +791,7 @@ class TestRunBatch:
         prob, p = batch_problem()
         dts, T = (0.005, 0.02, 0.0025, 0.01), 0.2
         runs = [("proposed", dt) for dt in dts]
-        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
+        batch = run_batch((prob,), runs, T, params=p, bootstrap_mode="exact")
         assert [r.step_index for r in batch] == [40, 10, 80, 20]
         for dt, got in zip(dts, batch):
             assert_same_result(got, run(prob, dt, T, params=p, bootstrap_mode="exact"))
@@ -800,7 +802,7 @@ class TestRunBatch:
         prob, p = batch_problem(n=512)
         kwargs = dict(params=p, bootstrap_mode="exact")
         runs = (("frutos", 0.1), ("frutos", 0.05))
-        diverged, bounded = run_batch(prob, runs, 100.0, **kwargs)
+        diverged, bounded = run_batch((prob,), runs, 100.0, **kwargs)
         assert diverged.diverged and diverged.blowup_step == 762
         assert diverged.step_index == 762
         assert_same_result(diverged, run(prob, 0.1, 100.0, "frutos", **kwargs))
@@ -818,7 +820,7 @@ class TestRunBatch:
 
         batch = seen_by(
             lambda obs: run_batch(
-                prob, [("proposed", dt) for dt in dts], T, params=p, observers=(obs,), stride=3
+                (prob,), [("proposed", dt) for dt in dts], T, params=p, observers=(obs,), stride=3
             )
         )
         solo = seen_by(
@@ -832,7 +834,7 @@ class TestRunBatch:
         # N = 16 transforms by matrix products, N = 256 by np.fft
         prob, p = batch_problem(n)
         runs, T = (("proposed", 0.05), ("frutos", 0.05), ("frutos", 0.1), ("proposed", 0.1)), 1.0
-        batch = run_batch(prob, runs, T, params=p, bootstrap_mode="exact")
+        batch = run_batch((prob,), runs, T, params=p, bootstrap_mode="exact")
         for (scheme, dt), got in zip(runs, batch):
             assert (got.psi_curr is None) == (scheme == "frutos")
             assert_same_result(got, run(prob, dt, T, scheme, params=p, bootstrap_mode="exact"))
@@ -842,30 +844,71 @@ class TestRunBatch:
         # step 762, and the proposed row goes on to T as it would alone
         prob, p = batch_problem(n=512)
         kwargs = dict(params=p, bootstrap_mode="exact")
-        proposed, frutos = run_batch(prob, (("proposed", 0.1), ("frutos", 0.1)), 100.0, **kwargs)
+        proposed, frutos = run_batch((prob,), (("proposed", 0.1), ("frutos", 0.1)), 100.0,
+                                     **kwargs)
         assert frutos.diverged and frutos.blowup_step == 762
         assert_same_result(frutos, run(prob, 0.1, 100.0, "frutos", **kwargs))
         assert not proposed.diverged and proposed.step_index == 1000
         assert_same_result(proposed, run(prob, 0.1, 100.0, "proposed", **kwargs))
 
+    def test_rows_on_three_transform_paths_equal_solo_runs_bit_for_bit(self):
+        # one batch over a dense (N = 16), an FFT (N = 256) and a two-stage
+        # grid (N = 361): each grid transforms its own rows with its own pair
+        assert benchmark_grid(16).num_points <= DENSE_MAX_POINTS < benchmark_grid(256).num_points
+        assert benchmark_grid(256)._two_stage is None
+        assert benchmark_grid(361)._two_stage is not None
+        p = params_from_amplitude(0.5)
+        problems = [solitary_problem(p, benchmark_grid(n)) for n in (16, 256, 361)]
+        runs, T = (("proposed", 0.05), ("frutos", 0.1)), 1.0
+        kwargs = dict(params=p, bootstrap_mode="exact", stride=3)
+        seen = []
+        batch = run_batch(problems, runs, T, observers=(seen.append,), **kwargs)
+        solo_seen, solos = [], []
+        for prob in problems:
+            for scheme, dt in runs:
+                solos.append(run(prob, dt, T, scheme, observers=(solo_seen.append,), **kwargs))
+        assert len(batch) == len(solos) == 6
+        for got, want in zip(batch, solos):
+            assert_same_result(got, want)
+        # the rows' states, problem by problem and in the order of runs: a
+        # proposed row has psi and a three-level row has none
+        index = {prob.grid: i for i, prob in enumerate(problems)}
+        seen.sort(key=lambda s: (index[s.grid], s.psi_curr is None))
+        # steps 0, 3, ..., 18 and 20 of a dt = 0.05 row; 0, 3, 6, 9 and 10 of dt = 0.1
+        assert len(seen) == len(solo_seen) == 3 * (8 + 5)
+        for got, want in zip(seen, solo_seen):
+            assert_same_result(got, want)
+
+    def test_three_level_row_beside_another_grid_diverges_at_its_solo_step(self):
+        # the published blow-up at N = 512 is unmoved by an N = 64 row, whose
+        # problem has a lower limit, and the N = 64 row goes on to T
+        p = params_from_amplitude(0.5)
+        problems = [solitary_problem(p, benchmark_grid(n)) for n in (64, 512)]
+        kwargs = dict(params=p, bootstrap_mode="exact")
+        bounded, diverged = run_batch(problems, (("frutos", 0.1),), 100.0, **kwargs)
+        assert diverged.diverged and diverged.blowup_step == 762
+        assert_same_result(diverged, run(problems[1], 0.1, 100.0, "frutos", **kwargs))
+        assert not bounded.diverged and bounded.step_index == 1000
+        assert_same_result(bounded, run(problems[0], 0.1, 100.0, "frutos", **kwargs))
+
     def test_unknown_scheme_and_cubic_three_level_row_rejected(self):
         prob, p = batch_problem(n=16)
         with pytest.raises(ValueError, match="unknown scheme"):
-            run_batch(prob, (("proposed", 0.1), ("bogus", 0.1)), 1.0, params=p)
+            run_batch((prob,), (("proposed", 0.1), ("bogus", 0.1)), 1.0, params=p)
 
     def test_runs_may_be_an_iterator(self):
         prob, p = batch_problem(n=16)
         runs = (("proposed", 0.1), ("proposed", 0.05))
-        got = run_batch(prob, (x for x in runs), 0.2, "exact", p)
-        want = run_batch(prob, runs, 0.2, "exact", p)
+        got = run_batch((prob,), (x for x in runs), 0.2, "exact", p)
+        want = run_batch((prob,), runs, 0.2, "exact", p)
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
             assert_same_result(g, w)
 
     def test_zero_step_rows_and_empty_batch(self):
         prob, p = batch_problem(n=16)
-        assert run_batch(prob, (), 1.0) == ()
-        (result,) = run_batch(prob, (("proposed", 0.1),), 0.0)
+        assert run_batch((prob,), (), 1.0) == ()
+        (result,) = run_batch((prob,), (("proposed", 0.1),), 0.0)
         assert result.step_index == 0 and not result.diverged
         assert np.array_equal(result.psi_curr, prob.initial_ut)
 
@@ -874,34 +917,28 @@ class TestRunBatch:
         steppers = [ProposedStepper(grid, dt) for dt in (0.1, 0.05, 0.025)]
         steppers.append(FrutosStepper(grid, 0.05))
         batch = LinearStepper.stack(steppers)
-        assert batch.matrix.shape == (4, grid.half_modes + 1, 2, 2)
+        assert batch.matrix.shape == (4 * (grid.half_modes + 1), 2, 2)
+        # every array is in the carry layout: the rows' (2h,) spectra end to end
+        for name in ("m", "f0", "f1", "c", "q", "s"):
+            assert getattr(batch, name).shape == (4 * 2 * (grid.half_modes + 1),)
+            # each mode's coefficient stands beside both its Re and Im
+            assert np.array_equal(getattr(batch, name)[::2], getattr(batch, name)[1::2])
+        names = ("m", "f0", "f1", "c", "q", "s")
+        rows = {name: getattr(batch, name).reshape(4, -1) for name in names}
+        rows.update(dt=batch.dt, has_psi=batch.has_psi)
         for row, solo in enumerate(steppers):
             for name in ("dt", "m", "f0", "f1", "c", "q", "s", "has_psi"):
-                assert np.array_equal(getattr(batch, name)[row], getattr(solo, name))
-        # every array is in the carry layout: (rows, n) nodal, (rows, 2h) spectral
-        for name in ("m", "f0", "f1", "c", "q", "s"):
-            assert getattr(batch, name).shape == (4, 2 * (grid.half_modes + 1))
-            # each mode's coefficient stands beside both its Re and Im
-            assert np.array_equal(getattr(batch, name)[..., ::2], getattr(batch, name)[..., 1::2])
+                assert np.array_equal(rows[name][row], getattr(solo, name))
         # each row's weights w0 and w1 of u^2 and u_prev^2 are folded into its
         # f0 = w0 f and f1 = w1 f, with f = -k^2/lam < 0 above mode 0
-        assert np.all(batch.f0[:, 2:] < 0)
+        assert np.all(rows["f0"][:, 2:] < 0)
         for row, (w0, w1) in enumerate([(1.5, -0.5)] * 3 + [(1.0, 0.0)]):
-            assert np.allclose(w0 * batch.f1[row], w1 * batch.f0[row], rtol=1e-15, atol=0)
+            assert np.allclose(w0 * rows["f1"][row], w1 * rows["f0"][row], rtol=1e-15, atol=0)
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
-        # a batch steps one grid: a second grid would transform with the
-        # first grid's matrices
-        grid = benchmark_grid(16)
-        for steppers in (
-            [ProposedStepper(grid, 0.1), ProposedStepper(benchmark_grid(24), 0.1)],
-            [FrutosStepper(grid, 0.1), ProposedStepper(Grid(16, 80.0, -38.75), 0.1)],
-            [],
-        ):
-            with pytest.raises(ValueError, match="steppers of one grid"):
-                LinearStepper.stack(steppers)
-        # equal grids built apart are one grid
-        LinearStepper.stack([ProposedStepper(grid, 0.1), FrutosStepper(benchmark_grid(16), 0.1)])
+        # a batch has a row to step; rows on any grids may share it
+        with pytest.raises(ValueError, match="one or more steppers"):
+            LinearStepper.stack([])
 
     def test_a_stack_of_one_is_that_stepper(self):
         stepper = ProposedStepper(benchmark_grid(16), 0.1)
@@ -932,11 +969,11 @@ class TestStepBuffers:
         assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         steppers = self.steppers(n, rows)
         stepper = LinearStepper.stack(steppers)
-        width = stepper.grid.num_points
+        width = steppers[0].grid.num_points
         # the carry run_batch builds: each row starts with its own stepper
         u = 1e-3 * rng.standard_normal((rows, width))
         carry = [x.start(v, 0.5 * v, 0.9 * v) for x, v in zip(steppers, u)]
-        carry = carry[0] if rows == 1 else tuple(map(np.stack, zip(*carry)))
+        carry = tuple(map(np.concatenate, zip(*carry)))
         for _ in range(3):
             carry = stepper.advance(carry)
         tracemalloc.start()
@@ -958,8 +995,9 @@ class TestStepBuffers:
         assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (34,), (34,)]
 
     def test_step_arrays_refuses_a_stacked_stepper(self):
-        stepper = LinearStepper.stack(self.steppers(16, 2))
-        u = np.zeros(stepper.grid.num_points)
+        steppers = self.steppers(16, 2)
+        stepper = LinearStepper.stack(steppers)
+        u = np.zeros(steppers[0].grid.num_points)
         with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
             stepper.step_arrays(u, u, u)
 
@@ -967,7 +1005,7 @@ class TestStepBuffers:
         # a stack only advances: its rows start and are read by their own steppers
         steppers = self.steppers(16, 2)
         u = np.zeros((2, steppers[0].grid.num_points))
-        carry = tuple(map(np.stack, zip(*(x.start(v, v, v) for x, v in zip(steppers, u)))))
+        carry = tuple(map(np.concatenate, zip(*(x.start(v, v, v) for x, v in zip(steppers, u)))))
         stepper = LinearStepper.stack(steppers)
         with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
             stepper.start(u, u, u)
@@ -994,7 +1032,7 @@ class TestStepBuffers:
 
     def test_a_lone_run_is_not_stacked(self, monkeypatch):
         # run() steps with the run's own stepper, and so does a batch once
-        # one row is left: stack returns a lone stepper, whose carry is 1-D
+        # one row is left: stack returns a lone stepper, whose carry is one row
         prob, p = batch_problem(n=16)
         n = prob.grid.num_points
         stepper = ProposedStepper(prob.grid, 0.05)
@@ -1006,6 +1044,6 @@ class TestStepBuffers:
         run(prob, 0.05, 0.5, params=p)
         assert shapes == [(n,)] * 10
         shapes.clear()
-        run_batch(prob, (("proposed", 0.05), ("proposed", 0.1)), 0.5, params=p)
+        run_batch((prob,), (("proposed", 0.05), ("proposed", 0.1)), 0.5, params=p)
         # the dt = 0.1 row finishes after 5 steps; the dt = 0.05 row takes 5 more alone
-        assert shapes == [(2, n)] * 5 + [(n,)] * 5
+        assert shapes == [(2 * n,)] * 5 + [(n,)] * 5

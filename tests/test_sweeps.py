@@ -10,13 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from boussinesq.spectral import Grid
-from boussinesq.stepping import run
+from boussinesq import sweeps
+from boussinesq.spectral import DENSE_MAX_POINTS, Grid
+from boussinesq.stepping import run, run_batch
 from boussinesq.sweeps import (
     AMPLITUDE,
     STEP_COUNTS,
     SweepSpec,
     fit_order,
+    run_spec,
     run_sweep,
     spatial_spec,
     stability_spec,
@@ -314,6 +316,30 @@ class TestReducedSweeps:
         assert [repr(dataclasses.replace(row, wall_seconds=0.0)) for row in mixed] == [
             repr(dataclasses.replace(row, wall_seconds=0.0)) for row in single
         ]
+
+    def test_published_specs_batch_consecutive_grids_within_one_dense_grid(self, monkeypatch):
+        # consecutive N share a batch while the dense grids' sum of n^2 stays
+        # within DENSE_MAX_POINTS^2, which keeps a pass's DFT matrices at one
+        # 257-point grid's at most; FFT and two-stage grids count 0
+        spatial = [[32, 40, 48, 56, 64], [72, 80], [88], [96], [104], [112], [120], [128]]
+        published = [(spatial_spec(), spatial), (stability_spec(), [[64], [128, 256, 512]]),
+                     (temporal_spec(), [[512]]), (run_spec(), [[512]])]
+        for spec, batches in published:
+            assert sweeps._batches(spec) == batches
+            for batch in batches:
+                grids = [spec._grid(N) for N in batch]
+                dense = [g.num_points**2 for g in grids if g._dense_dft is not None]
+                assert sum(dense) <= DENSE_MAX_POINTS**2
+        # run_sweep steps each batch as one run_batch
+        calls = []
+
+        def recorded(problems, *args):
+            calls.append([problem.grid.half_modes for problem in problems])
+            return run_batch(problems, *args)
+
+        monkeypatch.setattr(sweeps, "run_batch", recorded)
+        run_sweep(spatial_spec(T=1e-3))
+        assert calls == spatial
 
     def test_diverged_row_is_charged_up_to_its_blow_up(self):
         # both schemes share the N = 512 batch; the three-level row leaves at step 762
