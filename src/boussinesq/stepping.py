@@ -16,14 +16,14 @@ both spectra of u^2, and makes one inverse transform of the grid per step,
 of the new state, and one forward, of its u^2 (:meth:`Grid.inverse`,
 :meth:`Grid.forward`).  Mode 0 of that spectrum is the sum of u^2, which
 the blow-up check reads.
-A batch stacks the steppers of its runs, on any grids, of any scheme and
+A stepper is one run, built by ``SCHEMES``; a batch is the step that
+:func:`stack` makes of its runs' steppers, on any grids, of any scheme and
 step size, as the rows of one carry, so those runs share every call of a
-step but the transforms; a stack of one is its run's own stepper, built by
-``SCHEMES``.  Only a step sees a stack: each run starts, and is read from
-its row, through its own stepper.  The carry is its rows end to end, nodal
-(n,) and real spectral (2h,) with each mode's Re and Im side by side, and
-each grid's pair reads and writes its own rows as (rows, n) and (rows, 2h)
-views, or 1-D views of one row, into buffers the stepper owns, so a step
+step but the transforms.  Each run starts, and is read from its row,
+through its own stepper.  The carry is its rows end to end, nodal (n,) and
+real spectral (2h,) with each mode's Re and Im side by side, and each
+grid's pair reads and writes its own rows as (rows, n) and (rows, 2h)
+views, or 1-D views of one row, into buffers the step owns, so a step
 allocates no array.  The pair takes the grid's one of three paths (see
 :mod:`boussinesq.spectral`): on a dense grid one row is one ``np.dot`` and
 each of several its own (1, n) product in one ``np.matmul``; a two-stage
@@ -47,6 +47,7 @@ __all__ = [
     "SchemeState",
     "build_implicit_diagonal",
     "LinearStepper",
+    "stack",
     "ProposedStepper",
     "FrutosStepper",
     "bootstrap",
@@ -127,11 +128,9 @@ class LinearStepper:
     u_prev^2 are folded into the coefficients f0 = w0 f and f1 = w1 f:
     rfft is linear, so F_prev is the F of the step before and a step makes
     one forward transform, of u'^2.  A builder makes the stepper of one run,
-    for one float ``dt``; a batch is :meth:`stack` of its rows' steppers, a
-    run per row of the carry, with per-row coefficients that mix schemes.
-    Only :meth:`advance` steps a stack: :meth:`start`, :meth:`state` and
-    :meth:`step_arrays` take a one-run stepper, which reads its own row of a
-    batch's carry.
+    for one float ``dt``; a batch is the step :func:`stack` makes of its
+    rows' steppers, a run per row of the carry, with per-row coefficients
+    that mix schemes, and each row is started and read by its own stepper.
 
     Everything is held in the layout of :meth:`Grid.forward`: a run's nodal
     row is (n,), and its spectra and coefficients m, f0, f1, c, q, s are
@@ -144,28 +143,12 @@ class LinearStepper:
     from two rows on, but its last bits differ from a row's own.
     """
 
-    def __init__(self, grid: Grid, dt, m, f0, f1, c, q, s, has_psi):
+    def __init__(self, grid: Grid, dt, m, f0, f1, c, q, s, has_psi: bool):
         """A run's stepper; coefficients broadcast to (2h,): a number, or one per Re and Im slot."""
-        self.grid, self.grids, self.dt = grid, (grid,), dt
-        self.has_psi = np.full((), has_psi, dtype=bool)
+        self.grid, self.dt, self.has_psi = grid, dt, has_psi
         self.m, self.f0, self.f1, self.c, self.q, self.s = (
             np.full(2 * (grid.half_modes + 1), x, dtype=float) for x in (m, f0, f1, c, q, s)
         )
-
-    @classmethod
-    def stack(cls, steppers) -> LinearStepper:
-        """The batch of one-run ``steppers``, on any grids, in order; a stack of one is itself."""
-        if not steppers:
-            raise ValueError("a batch stacks one or more steppers")
-        if len(steppers) == 1:
-            return steppers[0]
-        batch = cls.__new__(cls)
-        batch.grids = tuple(x.grid for x in steppers)
-        batch.dt, batch.has_psi = (np.array([getattr(x, k) for x in steppers])
-                                   for k in ("dt", "has_psi"))
-        for name in ("m", "f0", "f1", "c", "q", "s"):
-            setattr(batch, name, np.concatenate([getattr(x, name) for x in steppers]))
-        return batch
 
     @property
     def matrix(self) -> np.ndarray:
@@ -174,63 +157,98 @@ class LinearStepper:
         return np.stack([1.0 + m, c, q * m, q * c - s], axis=-1).reshape(*m.shape, 2, 2)
 
     def start(self, u, psi, u_prev):
-        """Spectral carry (u, u_prev, Y, Z, F, F_prev) of a one-run stepper's nodal arrays (n,).
+        """Spectral carry (u, u_prev, Y, Z, F, F_prev) of the run's nodal arrays (n,).
 
         Z is the spectrum of psi if the run has psi, else the backward
         difference q (Y - V); a run without psi ignores ``psi``.  F and
         F_prev are the spectra of u^2 and u_prev^2, which later steps carry.
         """
-        has_psi, forward = self._one_run(), self.grid.forward
+        forward = self.grid.forward
         y = forward(u)
-        z = forward(psi) if has_psi else self.q * (y - forward(u_prev))
+        z = forward(psi) if self.has_psi else self.q * (y - forward(u_prev))
         return u, u_prev, y, z, forward(u**2), forward(u_prev**2)
 
     @cached_property
-    def _step(self) -> tuple:
-        """What a step reads: the coefficients, then two sets of the step's outputs (Y', Z', F',
-        u') and temporaries, 64-byte aligned, each with every grid's pair bound to its rows.
+    def advance(self):
+        """The run's step, that of :func:`stack` of this stepper alone."""
+        return stack([self])[0]
 
-        A step writes every result into the set its carry does not hold.
+    def state(self, carry, step_index: int) -> SchemeState:
+        """State of the run's carry, or of its row's view of a batch's carry.
+
+        u and u_prev are copied, so that a state kept after its run
+        finishes holds neither the step's buffers nor the whole batch.
         """
-        spans = _spans((grid, len(list(rows))) for grid, rows in groupby(self.grids))
+        u, u_prev, _, z, *_ = carry
+        psi = self.grid.inverse(z) if self.has_psi else None
+        return SchemeState(self.grid, step_index, float(step_index * self.dt), u.copy(), psi,
+                           u_prev.copy())
 
-        def rows(x, part, k):  # k rows of one grid as (k, width), and one row 1-D
-            return x[part].reshape(k, -1) if k > 1 else x[part]
+    def step_arrays(self, u, *fields):
+        """One step of the run's 1-D nodal arrays, returned as new arrays.
 
-        sets = []
-        for _ in "ab":
-            y, z, f, temp, u, square = (_aligned((k,)) for k in (len(self.m),) * 4
-                                        + (spans[-1][2].stop,) * 2)
-            inverses = [(g.inverse, rows(y, w, k), rows(u, n, k)) for g, k, n, w in spans]
-            forwards = [(g.forward, rows(square, n, k), rows(f, w, k)) for g, k, n, w in spans]
-            sets.append((y, z, f, temp, u, square, inverses, forwards))
-        return (self.m, self.f0, self.f1, self.c, self.q, self.s), *sets
-
-    def advance(self, carry):
-        """One step of a carry: per grid, one inverse transform of Y' and one forward of u'^2.
-
-        Y', Z', F' and u' are written into buffers of the stepper, which the
-        step after next writes again: a carry is good for one advance.  The
-        step allocates no array.  The Re of mode 0 of a row's F' is the sum
-        of u'^2 over the row: :func:`run_batch` watches it for blow-up.
+        (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
+        Kept for ``benchmarks/`` until ROADMAP direction 3.
         """
+        psi, u_prev = fields if self.has_psi else (None, *fields)
+        arrays = (x if x is None else np.ascontiguousarray(x, float) for x in (u, psi, u_prev))
+        u_new, _, _, z, *_ = self.advance(self.start(*arrays))
+        return (u_new.copy(), self.grid.inverse(z)) if self.has_psi else u_new.copy()
+
+
+def stack(steppers) -> tuple:
+    """The step of a batch of one-run ``steppers``, on any grids, in order, and each row's
+    (nodal slice, spectral slice) of the batch's carry, which holds the rows end to end.
+
+    The step advances a carry: per grid, one inverse transform of Y' and one
+    forward of u'^2.  Y', Z', F' and u' are written into two sets of buffers
+    that the step owns, 64-byte aligned, each with every grid's pair bound to
+    its rows; the step after next writes a set again, so a carry is good for
+    one step, and a step allocates no array.  The Re of mode 0 of a row's F'
+    is the sum of u'^2 over the row: :func:`run_batch` watches it for blow-up.
+    """
+    if not steppers:
+        raise ValueError("a batch stacks one or more steppers")
+    rows, spans, nodal, spectral = [], [], 0, 0
+    for grid, group in groupby(x.grid for x in steppers):  # spans: k consecutive rows of a grid
+        k, n, w = len(list(group)), grid.num_points, 2 * grid.half_modes + 2
+        spans.append((grid, k, slice(nodal, nodal + k * n), slice(spectral, spectral + k * w)))
+        for _ in range(k):
+            rows.append((slice(nodal, nodal + n), slice(spectral, spectral + w)))
+            nodal, spectral = nodal + n, spectral + w
+
+    def part(x, where, k):  # k rows of one grid as (k, width), and one row 1-D
+        return x[where].reshape(k, -1) if k > 1 else x[where]
+
+    sets = []
+    for _ in "ab":
+        y, z, f, temp, u, square = (_aligned((k,)) for k in (spectral,) * 4 + (nodal,) * 2)
+        inverses = [(g.inverse, part(y, w, k), part(u, n, k)) for g, k, n, w in spans]
+        forwards = [(g.forward, part(square, n, k), part(f, w, k)) for g, k, n, w in spans]
+        sets.append((y, z, f, temp, u, square, inverses, forwards))
+    a, b = sets
+    names = ("m", "f0", "f1", "c", "q", "s")
+    columns = [[getattr(x, name) for x in steppers] for name in names]
+    # a lone run steps with its stepper's own coefficients: np.concatenate copies even one array
+    m, f0, f1, c, q, s = (x[0] if len(x) == 1 else np.concatenate(x) for x in columns)
+
+    def advance(carry):
         u, _, y, z, f, f_prev = carry
-        (m, f0, f1, c, q, s), a, b = self._step
-        y_new, z_new, f_new, spectral, u_new, square, inverses, forwards = b if y is a[0] else a
+        y_new, z_new, f_new, temp, u_new, square, inverses, forwards = b if y is a[0] else a
         # in the order of the formulas; out= is the third argument.  dY is
         # formed in z_new, which q dY - s Z then overwrites
         mul = np.multiply
         mul(m, y, z_new)
-        mul(f0, f, spectral)
-        z_new += spectral
-        mul(f1, f_prev, spectral)
-        z_new += spectral
-        mul(c, z, spectral)
-        z_new += spectral
+        mul(f0, f, temp)
+        z_new += temp
+        mul(f1, f_prev, temp)
+        z_new += temp
+        mul(c, z, temp)
+        z_new += temp
         np.add(y, z_new, y_new)
         z_new *= q
-        mul(s, z, spectral)
-        z_new -= spectral
+        mul(s, z, temp)
+        z_new -= temp
         for inverse, source, into in inverses:
             inverse(source, into)
         mul(u_new, u_new, square)
@@ -238,44 +256,7 @@ class LinearStepper:
             forward(source, into)
         return u_new, u, y_new, z_new, f_new, f
 
-    def state(self, carry, step_index: int) -> SchemeState:
-        """State of a one-run stepper's carry, or of its run's row view of a batch's carry.
-
-        u and u_prev are copied, so that a state kept after its run
-        finishes holds neither the stepper's buffers nor the whole batch.
-        """
-        u, u_prev, _, z, *_ = carry
-        psi = self.grid.inverse(z) if self._one_run() else None
-        return SchemeState(self.grid, step_index, float(step_index * self.dt), u.copy(), psi,
-                           u_prev.copy())
-
-    def step_arrays(self, u, *fields):
-        """One step of a one-run stepper's 1-D nodal arrays, returned as new arrays.
-
-        (u, psi, u_prev) -> (u_new, psi_new) with psi; (u, u_prev) -> u_new without.
-        Kept for ``benchmarks/`` until ROADMAP direction 3.
-        """
-        has_psi = self._one_run()
-        psi, u_prev = fields if has_psi else (None, *fields)
-        arrays = (x if x is None else np.ascontiguousarray(x, float) for x in (u, psi, u_prev))
-        u_new, _, _, z, *_ = self.advance(self.start(*arrays))
-        return (u_new.copy(), self.grid.inverse(z)) if has_psi else u_new.copy()
-
-    def _one_run(self) -> bool:
-        """Whether a one-run stepper's run has psi; a stack only advances."""
-        if self.has_psi.ndim:
-            raise ValueError("step_arrays steps a one-run stepper, and start and state read one")
-        return bool(self.has_psi)
-
-
-def _spans(groups) -> list[tuple[Grid, int, slice, slice]]:
-    """(grid, k, nodal slice, spectral slice) of each (grid, k) of a carry: k rows of one grid."""
-    spans, nodal, spectral = [], 0, 0
-    for grid, k in groups:
-        n, w = k * grid.num_points, k * (2 * grid.half_modes + 2)
-        spans.append((grid, k, slice(nodal, nodal + n), slice(spectral, spectral + w)))
-        nodal, spectral = nodal + n, spectral + w
-    return spans
+    return advance, rows
 
 
 def ProposedStepper(grid: Grid, dt, power: int = 2) -> LinearStepper:
@@ -469,9 +450,9 @@ def run_batch(
     # limit while that sum is within the least limit, so the loop looks at
     # single rows, through their slices, only when it is not
     def batch(rows):
-        slices = [(n, n, w, w, w, w) for *_, n, w in _spans((steppers[i].grid, 1) for i in rows)]
-        zeros = np.array([x[2].start for x in slices])
-        advance = LinearStepper.stack([steppers[i] for i in rows]).advance
+        advance, parts = stack([steppers[i] for i in rows])
+        slices = [(n, n, w, w, w, w) for n, w in parts]
+        zeros = np.array([w.start for _, w in parts])
         return advance, slices, zeros, min(limits[i] for i in rows), min(steps[i] for i in rows)
 
     rows = list(range(len(steppers)))
@@ -506,5 +487,6 @@ def run_batch(
                 if not rows:
                     break
                 carry = tuple(map(np.concatenate, zip(*(v for v, k in zip(views, keep) if k))))
+                del advance  # its buffers go before the kept rows' step makes its own
                 advance, slices, zeros, least, last = batch(rows)
     return tuple(results)

@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import error_norms, mass
 from .spectral import DENSE_MAX_POINTS, Grid, _check_integer, _check_real
 from .stepping import SCHEMES, _check_run, bootstrap, run_batch
-from .waves import SolitaryWaveParams, _problem
+from .waves import SolitaryWaveParams, solitary_problem
 
 __all__ = [
     "SweepSpec",
@@ -226,9 +226,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     runs = spec.runs
     rows = []
     for batch in _batches(spec):
-        problems = []
-        for N in batch:  # a comprehension's frame would hide run_sweep's caller from a warning
-            problems.append(_problem(params, spec._grid(N)))
+        problems = [solitary_problem(params, spec._grid(N)) for N in batch]
         start = _time.perf_counter()
         finals = run_batch(problems, runs, spec.T, "exact", params)
         taken = sum(final.step_index for final in finals)

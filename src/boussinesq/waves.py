@@ -10,6 +10,7 @@ with amplitude, shape and speed tied by A = 3 P^2 / 2 and c0 = sqrt(1 - P^2).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,25 +117,22 @@ def solitary_wave(params: SolitaryWaveParams, x, t: float = 0.0):
     return params.fields(x, t)[0]
 
 
-def _problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
+def solitary_problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
     """The solitary-wave problem: (u, u_t) sampled at t = 0 on the grid nodes.
 
     Warns when the wave is not effectively supported inside the domain,
-    since periodization error then stops being negligible.  Only
-    :func:`solitary_problem` and ``sweeps.run_sweep`` call this, directly,
-    so the warning names the line that called one of them.
+    since periodization error then stops being negligible.  The warning
+    names the first line up the stack outside this module and ``sweeps``.
     """
     u0, v0 = params.fields(grid.nodes, 0.0)
     edge = max(abs(u0[0]), abs(u0[-1]))
     if edge >= 1e-8 * params.amplitude:
+        frame, level = sys._getframe(), 1
+        while frame.f_globals.get("__name__") in ("boussinesq.waves", "boussinesq.sweeps"):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"solitary wave magnitude {edge:.3e} at the domain boundary; "
             "periodization error may be significant",
-            stacklevel=3,
+            stacklevel=level,
         )
     return GBProblem(grid, u0, v0)
-
-
-def solitary_problem(params: SolitaryWaveParams, grid: Grid) -> GBProblem:
-    """Convenience constructor for the solitary-wave benchmark problem."""
-    return _problem(params, grid)

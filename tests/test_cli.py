@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import copy
 import dataclasses
 import math
 import re
@@ -450,14 +451,15 @@ class TestVerify:
     def test_batch_whose_second_grid_uses_the_first_grids_pair_fails(self, monkeypatch):
         # the batch check spans N = 16 and N = 24: a stack that transforms
         # every row with its first grid's matrices differs from the solo runs
-        stack = stepping.LinearStepper.stack.__func__
+        stack = stepping.stack
 
-        def one_grid(cls, steppers):
-            batch = stack(cls, steppers)
-            batch.grids = (steppers[0].grid,) * len(steppers)
-            return batch
+        def one_grid(steppers):
+            rows = [copy.copy(x) for x in steppers]
+            for row in rows:
+                row.grid = steppers[0].grid
+            return stack(rows)
 
-        monkeypatch.setattr(stepping.LinearStepper, "stack", classmethod(one_grid))
+        monkeypatch.setattr(stepping, "stack", one_grid)
         assert [name for name, ok in run_checks() if not ok] == ["batched step equals solo steps"]
 
     def test_round_trip_that_measures_nan_fails(self, monkeypatch):
@@ -605,8 +607,10 @@ class TestMainCommands:
         self, tmp_path, monkeypatch, capsys, argv
     ):
         # each domain cuts the wave, so a problem built would warn first
-        built, problem = [], sweeps._problem
-        monkeypatch.setattr(sweeps, "_problem", lambda *args: built.append(args) or problem(*args))
+        built, problem = [], sweeps.solitary_problem
+        monkeypatch.setattr(
+            sweeps, "solitary_problem", lambda *args: built.append(args) or problem(*args)
+        )
         out = tmp_path / "rows.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

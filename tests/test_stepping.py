@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from boussinesq import stepping
 from boussinesq.spectral import DENSE_MAX_POINTS, Grid, derivative, inner_product
 from boussinesq.stepping import (
     BLOWUP_FACTOR,
     SCHEMES,
     FrutosStepper,
-    LinearStepper,
     ProposedStepper,
     SchemeState,
     bootstrap,
@@ -19,6 +19,7 @@ from boussinesq.stepping import (
     build_implicit_diagonal,
     run,
     run_batch,
+    stack,
 )
 from boussinesq.diagnostics import crest_position, error_norms, mass
 from boussinesq.sweeps import AMPLITUDE, stability_spec
@@ -913,46 +914,77 @@ class TestRunBatch:
         assert np.array_equal(result.psi_curr, prob.initial_ut)
 
     def test_stack_rows_equal_the_steppers_built_alone(self):
+        # a batch's rows are its steppers' coefficients end to end: the slices
+        # test and the bit-for-bit tests cover the concatenation
         grid = benchmark_grid(16)
         steppers = [ProposedStepper(grid, dt) for dt in (0.1, 0.05, 0.025)]
         steppers.append(FrutosStepper(grid, 0.05))
-        batch = LinearStepper.stack(steppers)
-        assert batch.matrix.shape == (4 * (grid.half_modes + 1), 2, 2)
-        # every array is in the carry layout: the rows' (2h,) spectra end to end
-        for name in ("m", "f0", "f1", "c", "q", "s"):
-            assert getattr(batch, name).shape == (4 * 2 * (grid.half_modes + 1),)
-            # each mode's coefficient stands beside both its Re and Im
-            assert np.array_equal(getattr(batch, name)[::2], getattr(batch, name)[1::2])
-        names = ("m", "f0", "f1", "c", "q", "s")
-        rows = {name: getattr(batch, name).reshape(4, -1) for name in names}
-        rows.update(dt=batch.dt, has_psi=batch.has_psi)
-        for row, solo in enumerate(steppers):
-            for name in ("dt", "m", "f0", "f1", "c", "q", "s", "has_psi"):
-                assert np.array_equal(rows[name][row], getattr(solo, name))
+        for solo in steppers:
+            assert solo.matrix.shape == (grid.half_modes + 1, 2, 2)
+            assert isinstance(solo.has_psi, bool) and np.ndim(solo.dt) == 0
+            # every array is in the carry layout of a row: a (2h,) spectrum
+            for name in ("m", "f0", "f1", "c", "q", "s"):
+                assert getattr(solo, name).shape == (2 * (grid.half_modes + 1),)
+                # each mode's coefficient stands beside both its Re and Im
+                assert np.array_equal(getattr(solo, name)[::2], getattr(solo, name)[1::2])
         # each row's weights w0 and w1 of u^2 and u_prev^2 are folded into its
         # f0 = w0 f and f1 = w1 f, with f = -k^2/lam < 0 above mode 0
-        assert np.all(rows["f0"][:, 2:] < 0)
-        for row, (w0, w1) in enumerate([(1.5, -0.5)] * 3 + [(1.0, 0.0)]):
-            assert np.allclose(w0 * rows["f1"][row], w1 * rows["f0"][row], rtol=1e-15, atol=0)
+        assert all(np.all(solo.f0[2:] < 0) for solo in steppers)
+        for solo, (w0, w1) in zip(steppers, [(1.5, -0.5)] * 3 + [(1.0, 0.0)]):
+            assert np.allclose(w0 * solo.f1, w1 * solo.f0, rtol=1e-15, atol=0)
 
     def test_stack_refuses_a_batch_it_cannot_step(self):
         # a batch has a row to step; rows on any grids may share it
         with pytest.raises(ValueError, match="one or more steppers"):
-            LinearStepper.stack([])
+            stack([])
 
-    def test_a_stack_of_one_is_that_stepper(self):
-        stepper = ProposedStepper(benchmark_grid(16), 0.1)
-        assert LinearStepper.stack([stepper]) is stepper
+    def test_stack_row_slices_tile_the_carry(self):
+        # N = 16 and 24 transform by matrix products, 256 by np.fft and 361 in
+        # two stages; the two rows of N = 16 share their grid's pair
+        assert [benchmark_grid(n).num_points <= DENSE_MAX_POINTS for n in (16, 24, 256)] == [
+            True, True, False]
+        assert benchmark_grid(361)._two_stage is not None
+        steppers = [ProposedStepper(benchmark_grid(n), 0.1) for n in (16, 16, 24, 256)]
+        steppers.append(FrutosStepper(benchmark_grid(361), 0.1))
+        _, rows = stack(steppers)
+        assert len(rows) == len(steppers)
+        nodal = spectral = 0
+        for stepper, (n, w) in zip(steppers, rows):
+            grid = stepper.grid
+            assert (n.start, n.stop, n.step) == (nodal, nodal + grid.num_points, None)
+            assert (w.start, w.stop, w.step) == (spectral, spectral + 2 * grid.half_modes + 2, None)
+            nodal, spectral = n.stop, w.stop
+        # the carry that run_batch builds ends where the last row does
+        u = np.zeros(nodal)
+        carry = [x.start(u[n], u[n], u[n]) for x, (n, _) in zip(steppers, rows)]
+        assert [len(x) for x in map(np.concatenate, zip(*carry))] == [nodal] * 2 + [spectral] * 4
+
+    @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper])
+    def test_a_lone_runs_step_allocates_only_its_buffers(self, build):
+        # two sets of four spectral and two nodal buffers, each allocated 7
+        # floats long for alignment; a copy of the stepper's six coefficient
+        # arrays would add 6 (2h) floats, more than the one (2h) array allowed
+        stepper = build(benchmark_grid(2048), 4e-3)
+        n, width = stepper.grid.num_points, len(stepper.m)
+        buffers = 2 * (4 * (width + 7) + 2 * (n + 7)) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            advance, _ = stack([stepper])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < buffers + 8 * width
 
     @pytest.mark.parametrize("build", [ProposedStepper, FrutosStepper, build_implicit_diagonal])
     def test_an_array_of_step_sizes_is_rejected(self, build):
-        # a stepper is built for one run; a batch is the stack of its rows' steppers
+        # a stepper is built for one run; a batch is the step stack makes of its rows' steppers
         with pytest.raises(ValueError, match="a float"):
             build(benchmark_grid(16), np.array([0.1, 0.05]))
 
 
 class TestStepBuffers:
-    """A step writes into the stepper's own buffers: one-run steppers step 1-D arrays."""
+    """A step writes into its own buffers: a lone run's step steps 1-D arrays."""
 
     @staticmethod
     def steppers(n, rows):
@@ -968,19 +1000,19 @@ class TestStepBuffers:
         assert (benchmark_grid(n).num_points <= DENSE_MAX_POINTS) == (n == 128)
         assert (benchmark_grid(n)._two_stage is not None) == (n == 361)
         steppers = self.steppers(n, rows)
-        stepper = LinearStepper.stack(steppers)
+        advance, _ = stack(steppers)
         width = steppers[0].grid.num_points
         # the carry run_batch builds: each row starts with its own stepper
         u = 1e-3 * rng.standard_normal((rows, width))
         carry = [x.start(v, 0.5 * v, 0.9 * v) for x, v in zip(steppers, u)]
         carry = tuple(map(np.concatenate, zip(*carry)))
         for _ in range(3):
-            carry = stepper.advance(carry)
+            carry = advance(carry)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
-                carry = stepper.advance(carry)
+                carry = advance(carry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -993,24 +1025,6 @@ class TestStepBuffers:
         carry = stepper.advance(stepper.start(u, u, u))
         # (u, u_prev, Y, Z, F, F_prev)
         assert [x.shape for x in carry] == [(33,), (33,), (34,), (34,), (34,), (34,)]
-
-    def test_step_arrays_refuses_a_stacked_stepper(self):
-        steppers = self.steppers(16, 2)
-        stepper = LinearStepper.stack(steppers)
-        u = np.zeros(steppers[0].grid.num_points)
-        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
-            stepper.step_arrays(u, u, u)
-
-    def test_start_and_state_refuse_a_stacked_stepper(self):
-        # a stack only advances: its rows start and are read by their own steppers
-        steppers = self.steppers(16, 2)
-        u = np.zeros((2, steppers[0].grid.num_points))
-        carry = tuple(map(np.concatenate, zip(*(x.start(v, v, v) for x, v in zip(steppers, u)))))
-        stepper = LinearStepper.stack(steppers)
-        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
-            stepper.start(u, u, u)
-        with pytest.raises(ValueError, match="step_arrays steps a one-run stepper"):
-            stepper.state(stepper.advance(carry), 1)
 
     @pytest.mark.parametrize("scheme", ["proposed", "frutos"])
     def test_step_arrays_results_do_not_alias(self, rng, scheme):
@@ -1031,16 +1045,16 @@ class TestStepBuffers:
         assert not any(np.shares_memory(a, b) for a in first for b in second)
 
     def test_a_lone_run_is_not_stacked(self, monkeypatch):
-        # run() steps with the run's own stepper, and so does a batch once
-        # one row is left: stack returns a lone stepper, whose carry is one row
+        # run() steps a carry of one row, and so does a batch once one row is left
         prob, p = batch_problem(n=16)
         n = prob.grid.num_points
-        stepper = ProposedStepper(prob.grid, 0.05)
-        assert LinearStepper.stack([stepper]) is stepper
-        shapes = []
-        advance = LinearStepper.advance
-        monkeypatch.setattr(LinearStepper, "advance",
-                            lambda self, c: shapes.append(c[0].shape) or advance(self, c))
+        shapes, stack_of = [], stepping.stack
+
+        def recorded(steppers):
+            advance, rows = stack_of(steppers)
+            return (lambda c: shapes.append(c[0].shape) or advance(c)), rows
+
+        monkeypatch.setattr(stepping, "stack", recorded)
         run(prob, 0.05, 0.5, params=p)
         assert shapes == [(n,)] * 10
         shapes.clear()
