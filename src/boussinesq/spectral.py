@@ -13,8 +13,8 @@ and 2 above, line up exactly.
 
 A grid of n points transforms on one of three paths, chosen once per grid:
 
-* dense, for n <= DENSE_MAX_POINTS (257): one real matrix product with the
-  stored (n, 2h) real-DFT matrix or its inverse;
+* dense, for n <= DENSE_MAX_POINTS (257): one real product with the stored
+  (n, 2h) real-DFT matrix W, the inverse's with irfft's weights applied first;
 * two-stage, for n = p*r with p its largest prime factor, r <= p <= 257 and
   n*p >= TWO_STAGE_MIN_WORK (723 = 241*3 and 4,097 = 241*17 points, say): the
   p-point real DFT of the r decimated rows as two BLAS products over folded
@@ -147,28 +147,29 @@ class Grid:
         return rows, _aligned((2 * self.half_modes + 2,))
 
     @cached_property
-    def _dense_dft(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """None above DENSE_MAX_POINTS, else (W, V): the rfft and irfft matrices.
+    def _dense_dft(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """None above DENSE_MAX_POINTS, else (W, w, work): the one DFT matrix, of both directions.
 
         W is the (n, 2h) interleaved [Re, Im] rfft matrix: row j, column k
         is exp(-2 pi i jk/n), read from one table of the n roots by
         (jk mod n) on the h x h block; rows j >= h are the conjugates of
-        rows n - j.  V is the C-contiguous (2h, n) irfft matrix
-        V[k, j] = w_k W[j, k], with irfft's weights w folded in: 1/n at
-        k = 0 and 2/n above, since each l > 0 also stands for -l.
+        rows n - j.  The irfft is W (w y), with irfft's weights w: 1/n at
+        k = 0 and 2/n above, since each l > 0 also stands for -l.  work,
+        64-byte aligned, holds w y.
         """
         n, h = self.num_points, self.half_modes + 1
         if n > DENSE_MAX_POINTS:
             return None
         table = np.exp(-2j * np.pi * np.arange(n) / n)
-        j = np.arange(h)
-        block = table[np.outer(j, j) % n]
-        W = np.concatenate([block, block[:0:-1].conj()]).view(float)
-        del block
-        w = np.full((2 * h, 1), 2.0 / n)
+        # jk, read mod n by take; made before W, freed before the conjugates: the peak is 1.25 W
+        index = np.outer(np.arange(h), np.arange(h))
+        W = np.empty((n, h), complex)
+        np.take(table, index, out=W[:h], mode="wrap")
+        del index
+        np.conjugate(W[h - 1:0:-1], out=W[h:])
+        w = np.full(2 * h, 2.0 / n)
         w[:2] = 1.0 / n
-        # written in place, so no transposed copy of W raises the peak
-        return W, np.multiply(W.T, w, out=np.empty((2 * h, n)))
+        return W.view(float), w, _aligned((2 * h,))
 
     @cached_property
     def _two_stage(self) -> _TwoStage | None:
@@ -200,7 +201,7 @@ class Grid:
             return _rows_times(x, dense[0], out)
         plan = self._two_stage
         if plan is not None:
-            return plan.rows(plan.forward, x, out, 2 * self.half_modes + 2)
+            return _by_rows(plan.forward, x, out, 2 * self.half_modes + 2)
         if out is None:
             return np.fft.rfft(x).view(float)
         np.fft.rfft(x, out=out.view(complex))
@@ -209,17 +210,24 @@ class Grid:
     def inverse(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real nodal rows (n,) or (..., n) of C-ordered spectra in the layout of :meth:`forward`.
 
-        Written into ``out`` on the path :meth:`forward` takes: the product
-        of y with V, the two-stage plan row by row, or numpy's irfft through
-        ``out=``.
+        Written into ``out`` on the path :meth:`forward` takes: W (w y) via
+        the grid's one work row, or the two-stage plan, each a row at a time
+        and one call at a time; or numpy's irfft through ``out=``.
         """
-        dense = self._dense_dft
-        if dense is not None:
-            return _rows_times(y, dense[1], out)
+        if self._dense_dft is not None:
+            if y.ndim > 1:
+                return _by_rows(self._dense_inverse, y, out, self.num_points)
+            return self._dense_inverse(y, out)
         plan = self._two_stage
         if plan is not None:
-            return plan.rows(plan.inverse, y, out, self.num_points)
+            return _by_rows(plan.inverse, y, out, self.num_points)
         return np.fft.irfft(y.view(complex), self.num_points, out=out)
+
+    def _dense_inverse(self, y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """One row's dense inverse: w y into the grid's work row, then W times it."""
+        W, w, work = self._dense_dft
+        np.multiply(y, w, work)
+        return np.dot(W, work, out)
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """Half spectrum of real nodal values along the last axis, as ``np.fft.rfft``.
@@ -253,6 +261,16 @@ def _rows_times(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np
     if out is None:
         out = np.empty(x.shape[:-1] + matrix.shape[-1:])
     np.matmul(x[..., None, :], matrix, out[..., None, :])
+    return out
+
+
+def _by_rows(one, x: np.ndarray, out: np.ndarray | None, width: int) -> np.ndarray:
+    """one(row, into) on a 1-D x or on each row of a stack, into ``out`` or a new array."""
+    out = np.empty(x.shape[:-1] + (width,)) if out is None else out
+    if x.ndim == 1:
+        return one(x, out)
+    for row, into in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, width)):
+        one(row, into)
     return out
 
 
@@ -294,15 +312,6 @@ class _TwoStage:
         self.f, self.g0, self.re, self.im = (np.zeros((q, r)) for _ in range(4))
         self.g, self.im = self.g0[1:], self.im[1:]  # g0[0] stays 0
         self.y, self.z, self.G = np.zeros((q, r), complex), *np.empty((2, q, r), complex)
-
-    def rows(self, one, x: np.ndarray, out: np.ndarray | None, width: int) -> np.ndarray:
-        """one(row, into) on a 1-D x or on each row of a stack, into ``out`` or a new array."""
-        out = np.empty(x.shape[:-1] + (width,)) if out is None else out
-        if x.ndim == 1:
-            return one(x, out)
-        for row, into in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, width)):
-            one(row, into)
-        return out
 
     def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         (p, r), mid, q, G = self.shape, self.mid, len(self.C), self.G

@@ -25,10 +25,10 @@ real spectral (2h,) with each mode's Re and Im side by side, and each
 grid's pair reads and writes its own rows as (rows, n) and (rows, 2h)
 views, or 1-D views of one row, into buffers the step owns, so a step
 allocates no array.  The pair takes the grid's one of three paths (see
-:mod:`boussinesq.spectral`): on a dense grid one row is one ``np.dot`` and
-each of several its own (1, n) product in one ``np.matmul``; a two-stage
-grid runs its one-row plan over the rows in turn; any other grid calls
-numpy's FFT.  Each gives a row the bits of a run alone.
+:mod:`boussinesq.spectral`): on a dense grid, forward one ``np.dot`` of a
+row or one ``np.matmul`` of several, inverse a weight ``np.multiply`` and
+an ``np.dot`` per row; a two-stage grid runs its plan row by row; any
+other grid calls numpy's FFT.  Each gives a row the bits of a run alone.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class LinearStepper:
     real (2h,), each mode's coefficient beside both its Re and Im; a batch
     holds its rows' end to end.  A real coefficient times each part gives
     the bits of the complex product (a + 0i)(x + iy).  On a dense grid one
-    row transforms by one ``np.dot`` and several by one ``np.matmul`` of
+    row goes forward by one ``np.dot`` and several by one ``np.matmul`` of
     (1, n) rows, which give a row the same bits, so a row of a batch steps
     bit for bit as it would alone: one 2-D product over all rows is faster
     from two rows on, but its last bits differ from a row's own.

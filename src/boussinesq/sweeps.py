@@ -200,13 +200,13 @@ def _sweep_row(spec: SweepSpec, scheme: str, problem, params, dt, final, wall) -
 
 def _batches(spec: SweepSpec) -> list[list[int]]:
     """The N of each batch that :func:`run_sweep` steps: consecutive N while the dense grids'
-    sum of n^2 is within DENSE_MAX_POINTS^2, so that no batch holds more DFT matrices than
-    one grid of DENSE_MAX_POINTS points (1.06 MB, within a 2 MB L2); other grids hold none."""
+    sum of n^2 is within 2 DENSE_MAX_POINTS^2: one (n, n + 1) DFT matrix per dense grid, so
+    no batch holds more than 1.06 MB of them, within a 2 MB L2; other grids hold none."""
     batches, held = [], np.inf
     for N in spec.N_list:
         n = spec._grid(N).num_points
         size = n * n if n <= DENSE_MAX_POINTS else 0
-        if held + size > DENSE_MAX_POINTS**2:
+        if held + size > 2 * DENSE_MAX_POINTS**2:
             batches.append([])
             held = 0
         batches[-1].append(N)
@@ -236,6 +236,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             _sweep_row(spec, scheme, problem, params, dt, final, per_step * final.step_index)
             for (problem, scheme, dt), final in zip(made, finals)
         )
+        del problems, finals  # their grids' matrices go before the next batch builds its own
     # scheme by scheme; the sort is stable, so N by N and dt by dt within a scheme
     rows.sort(key=lambda row: spec.schemes.index(row.scheme))
     fitted = None

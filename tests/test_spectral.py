@@ -268,8 +268,9 @@ class TestGridTransforms:
         assert np.array_equal(grid.rfft(x), np.fft.rfft(x))
         assert np.array_equal(grid.irfft(y), np.fft.irfft(y, grid.num_points))
 
-    def test_first_dense_transform_peaks_below_two_and_a_half_matrices(self, rng):
-        # the stored inverse is written in place: no transposed copy of the forward matrix
+    def test_first_dense_transform_peaks_below_one_and_a_half_matrices(self, rng):
+        # one matrix serves both directions, built in place: no transposed
+        # copy, no block of it copied, no inverse matrix
         grid = Grid(half_modes=128, length=80.0)
         x = rng.standard_normal(grid.num_points)
         tracemalloc.start()
@@ -278,10 +279,27 @@ class TestGridTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        W, V = grid._dense_dft
-        assert W.shape == V.T.shape == (grid.num_points, 2 * (grid.half_modes + 1))
-        assert V.flags.c_contiguous
-        assert peak < 2.5 * W.nbytes
+        W, w, work = grid._dense_dft
+        assert W.shape == (grid.num_points, 2 * (grid.half_modes + 1)) and W.flags.c_contiguous
+        assert w.shape == work.shape == (2 * (grid.half_modes + 1),)
+        assert work.ctypes.data % 64 == 0
+        assert peak < 1.5 * W.nbytes
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("points", [129, 257])
+    def test_dense_inverse_of_a_stack_is_its_rows_inverses(self, rng, points, rows):
+        # a stack's dense inverse takes its rows in turn through the grid's
+        # one work row, so each row has the bits of its own 1-D inverse
+        grid = Grid(half_modes=(points - 1) // 2, length=80.0, x_left=-40.0)
+        assert grid._dense_dft is not None
+        _, y = self.samples(rng, grid, (rows,))
+        stack = np.ascontiguousarray(y).view(float)
+        nodal = grid.inverse(stack)
+        want = np.fft.irfft(y, points)
+        assert nodal.shape == (rows, points)
+        for r in range(rows):
+            assert np.array_equal(nodal[r], grid.inverse(stack[r]))
+        assert np.max(np.abs(nodal - want)) <= 1e-13 * np.max(np.abs(want))
 
     @staticmethod
     def path(grid):

@@ -319,17 +319,18 @@ class TestReducedSweeps:
 
     def test_published_specs_batch_consecutive_grids_within_one_dense_grid(self, monkeypatch):
         # consecutive N share a batch while the dense grids' sum of n^2 stays
-        # within DENSE_MAX_POINTS^2, which keeps a pass's DFT matrices at one
-        # 257-point grid's at most; FFT and two-stage grids count 0
-        spatial = [[32, 40, 48, 56, 64], [72, 80], [88], [96], [104], [112], [120], [128]]
-        published = [(spatial_spec(), spatial), (stability_spec(), [[64], [128, 256, 512]]),
+        # within 2 DENSE_MAX_POINTS^2: each holds one DFT matrix, so a batch's
+        # matrices fit in the bytes of one 257-point grid's forward and inverse
+        # pair, (257, 258) floats each; FFT and two-stage grids hold none
+        spatial = [[32, 40, 48, 56, 64, 72, 80, 88], [96, 104, 112], [120, 128]]
+        published = [(spatial_spec(), spatial), (stability_spec(), [[64, 128, 256, 512]]),
                      (temporal_spec(), [[512]]), (run_spec(), [[512]])]
         for spec, batches in published:
             assert sweeps._batches(spec) == batches
             for batch in batches:
                 grids = [spec._grid(N) for N in batch]
-                dense = [g.num_points**2 for g in grids if g._dense_dft is not None]
-                assert sum(dense) <= DENSE_MAX_POINTS**2
+                dense = [g._dense_dft[0].nbytes for g in grids if g._dense_dft is not None]
+                assert sum(dense) <= 2 * DENSE_MAX_POINTS * (DENSE_MAX_POINTS + 1) * 8
         # run_sweep steps each batch as one run_batch
         calls = []
 
